@@ -1,53 +1,41 @@
-"""Hot training kernels: compiled core with a numpy fallback.
+"""Split-count and partition kernels over packed column bitsets.
 
-Both backends return identical integer counts, so trained trees do not
-depend on which one is active. The compiled extension is picked when it
-imported cleanly; set PAMPER_KERNEL=pure or PAMPER_KERNEL=compiled to force
-a backend (the latter raises if the extension is missing).
+Feature columns, labels and tree nodes are all bitsets over the corpus
+rows, packed into little-endian ``uint64`` words by ``pack_bits``: bit i of
+a bitset is row i. Padding bits past the last row are zero, so AND-ing with
+a node mask never counts them, even after a complement.
 """
-import os
+import numpy as np
 
-from . import pure
-
-node_counts = pure.node_counts
-partition = pure.partition
+# Name reported by benchmark tooling: the one kernel is plain numpy.
 backend_name = "pure"
 
 
-def available_backends() -> list[str]:
-    names = ["pure"]
-    try:
-        from . import _ct  # noqa: F401
-    except ImportError:
-        pass
-    else:
-        names.append("compiled")
-    return names
+def pack_bits(bits):
+    """Pack 0/1 values along the last axis into whole, zero-padded uint64 words."""
+    n = bits.shape[-1]
+    packed = np.zeros(bits.shape[:-1] + (-(-n // 64) * 8,), dtype=np.uint8)
+    packed[..., : -(-n // 8)] = np.packbits(bits, axis=-1, bitorder="little")
+    return packed.view(np.uint64)
 
 
-def select(name: str) -> None:
-    """Rebind the module-level kernel entry points to one backend."""
-    global node_counts, partition, backend_name
-    if name == "pure":
-        impl = pure
-    elif name == "compiled":
-        from . import _ct as impl
-    else:
-        raise ValueError(f"unknown kernel backend: {name!r}")
-    node_counts = impl.node_counts
-    partition = impl.partition
-    backend_name = name
+def node_counts(Xp, yp, mask):
+    """Per-feature bit counts over the rows in ``mask``.
+
+    ``Xp`` is the (features, words) packed matrix, ``yp`` the packed labels.
+    Returns ``(n_true, pos_true, pos)``: for each feature j, ``n_true[j]``
+    counts node rows with bit j set and ``pos_true[j]`` counts label-1 rows
+    with bit j set; ``pos`` is the number of label-1 rows. Positives are
+    counted only over their nonzero words, which are few for rare methods.
+    """
+    n_true = np.bitwise_count(Xp & mask).sum(axis=1, dtype=np.int64)
+    live = np.flatnonzero(mask & yp)
+    pos_mask = mask[live] & yp[live]
+    pos_true = np.bitwise_count(Xp[:, live] & pos_mask).sum(axis=1, dtype=np.int64)
+    return n_true, pos_true, int(np.bitwise_count(pos_mask).sum())
 
 
-_requested = os.environ.get("PAMPER_KERNEL", "auto").strip().lower() or "auto"
-if _requested == "auto":
-    try:
-        select("compiled")
-    except ImportError:
-        pass
-elif _requested in ("pure", "compiled"):
-    select(_requested)
-else:
-    raise ValueError(
-        f"PAMPER_KERNEL must be auto, pure, or compiled, not {_requested!r}"
-    )
+def partition(Xp, mask, feature):
+    """Split a node mask by one feature: (bit clear, bit set)."""
+    column = Xp[feature]
+    return mask & ~column, mask & column

@@ -18,7 +18,6 @@ import numpy as np
 
 from ._format import pct1, quantize_percents
 from .corpus import (
-    EMPTY_CATALOG,
     corpus_stats,
     parse_database,
     parse_feature_catalog,
@@ -59,7 +58,7 @@ def _read_text(path: str) -> str:
 
 
 def _read_corpus(path: str):
-    return parse_database(_read_text(path))
+    return parse_database(Path(path).read_bytes())
 
 
 def _read_model(path: str) -> ModelSet:
@@ -102,13 +101,8 @@ def _print_model_summary(model: ModelSet, points: int | None = None) -> None:
 
 def cmd_train(args) -> int:
     corpus = _read_corpus(args.database)
-    catalog = (
-        parse_feature_catalog(_read_text(args.catalog))
-        if args.catalog
-        else EMPTY_CATALOG
-    )
     cfg = TrainConfig(max_depth=args.max_depth, min_points_to_split=args.min_split)
-    model = train(corpus, cfg, catalog)
+    model = train(corpus, cfg)
     save_model(model, args.model)
     print(f"model written to {args.model}")
     _print_model_summary(model, points=len(corpus))
@@ -237,6 +231,36 @@ def cmd_stats(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """argparse type for an integer flag with a lower bound."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _open_fraction(text: str) -> float:
+    """argparse type for a fraction strictly between 0 and 1."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be strictly between 0 and 1, got {text}")
+    return value
+
+
+_POSITIVE = _int_at_least(1)
+_NONNEGATIVE = _int_at_least(0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pamper",
@@ -247,15 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model from a database")
     p.add_argument("database")
     p.add_argument("model", help="output model path")
-    p.add_argument("--catalog", help="feature catalog to embed for explanations")
-    p.add_argument("--max-depth", type=int, default=5)
-    p.add_argument("--min-split", type=int, default=2, help="smallest node worth splitting")
+    p.add_argument("--max-depth", type=_POSITIVE, default=5)
+    p.add_argument("--min-split", type=_POSITIVE, default=2, help="smallest node worth splitting")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("which", help="rank methods for a proof state")
     p.add_argument("model")
     p.add_argument("vector", help="[1,0,...] literal or a file with one vector per line")
-    p.add_argument("-k", type=int, default=15, help="entries to print")
+    p.add_argument("-k", type=_POSITIVE, default=15, help="entries to print")
     p.add_argument("--json", action="store_true", help="JSON lines, full precision")
     p.set_defaults(func=cmd_which)
 
@@ -276,12 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="hold out a split and score coincidence rates")
     p.add_argument("database")
-    p.add_argument("--fraction", type=float, default=0.10, help="evaluation fraction")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--top", type=int, default=15, help="largest rank reported")
+    p.add_argument("--fraction", type=_open_fraction, default=0.10, help="evaluation fraction")
+    p.add_argument("--seed", type=_NONNEGATIVE, default=0)
+    p.add_argument("--top", type=_POSITIVE, default=15, help="largest rank reported")
     p.add_argument("--out-dir", default=".", help="where report files go")
-    p.add_argument("--max-depth", type=int, default=5)
-    p.add_argument("--min-split", type=int, default=2)
+    p.add_argument("--max-depth", type=_POSITIVE, default=5)
+    p.add_argument("--min-split", type=_POSITIVE, default=2)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("prune", help="list the feature indices the model branches on")
@@ -292,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a synthetic database from a planted config")
     p.add_argument("config")
     p.add_argument("n", type=int, help="number of points")
-    p.add_argument("seed", type=int)
+    p.add_argument("seed", type=_NONNEGATIVE)
     p.add_argument("-o", "--output", help="write here instead of stdout")
     p.set_defaults(func=cmd_gen)
 

@@ -154,11 +154,18 @@ def parse_database(text: str | bytes) -> Corpus:
     """Parse database text into a validated corpus.
 
     Raises MalformedLineError / InconsistentWidthError with the 1-based
-    line number on bad records and EmptyDatabaseError when no data lines
-    remain after skipping blanks and comments.
+    line number on bad records (bytes that are not UTF-8 included) and
+    EmptyDatabaseError when no data lines remain after skipping blanks and
+    comments.
     """
     if isinstance(text, (bytes, bytearray)):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_no = text.count(b"\n", 0, exc.start) + 1
+            raise MalformedLineError(
+                line_no, f"not valid UTF-8 (byte 0x{text[exc.start]:02x})"
+            ) from None
     methods: list[str] = []
     bits = bytearray()
     width = -1

@@ -200,8 +200,11 @@ def best_split(dataset: BinaryDataset, candidate_features: Iterable[int] | None 
         candidates = sorted({int(j) for j in candidate_features})
         if candidates and not (0 <= candidates[0] and candidates[-1] < feature_count):
             raise ValueError("candidate feature out of range")
-    idx = np.arange(n, dtype=np.int64)
-    n_true, pos_true, pos = _kernels.node_counts(dataset.features, dataset.labels, idx)
+    n_true, pos_true, pos = _kernels.node_counts(
+        _kernels.pack_bits(dataset.features.T),
+        _kernels.pack_bits(dataset.labels),
+        _kernels.pack_bits(np.ones(n, dtype=np.uint8)),
+    )
     choice = _choose_split(n_true.tolist(), pos_true.tolist(), n, pos, candidates)
     if choice is None:
         return None
@@ -209,8 +212,7 @@ def best_split(dataset: BinaryDataset, candidate_features: Iterable[int] | None 
     return BestSplit(j, num / den)
 
 
-def _grow(X, y, idx, pos, depth, cfg) -> TreeNode:
-    n = idx.shape[0]
+def _grow(Xp, yp, mask, n, pos, depth, cfg) -> TreeNode:
     if (
         depth >= cfg.max_depth
         or n < cfg.min_points_to_split
@@ -218,30 +220,35 @@ def _grow(X, y, idx, pos, depth, cfg) -> TreeNode:
         or pos == n
     ):
         return Leaf(pos / n, n)
-    n_true, pos_true, _ = _kernels.node_counts(X, y, idx)
+    n_true, pos_true, _ = _kernels.node_counts(Xp, yp, mask)
     nt = n_true.tolist()
     pt = pos_true.tolist()
-    choice = _choose_split(nt, pt, n, pos, range(X.shape[1]))
+    choice = _choose_split(nt, pt, n, pos, range(Xp.shape[0]))
     if choice is None:
         return Leaf(pos / n, n)
     j = choice[0]
-    idx_false, idx_true = _kernels.partition(X, idx, j, nt[j])
-    pos_true_j = pt[j]
+    mask_false, mask_true = _kernels.partition(Xp, mask, j)
     return Internal(
         j,
-        _grow(X, y, idx_false, pos - pos_true_j, depth + 1, cfg),
-        _grow(X, y, idx_true, pos_true_j, depth + 1, cfg),
+        _grow(Xp, yp, mask_false, n - nt[j], pos - pt[j], depth + 1, cfg),
+        _grow(Xp, yp, mask_true, nt[j], pt[j], depth + 1, cfg),
     )
+
+
+def _grow_tree(Xp, dataset: BinaryDataset, cfg: TrainConfig) -> TreeNode:
+    """Grow one tree over ``Xp``, the packed feature columns of its dataset."""
+    n = len(dataset)
+    root = _kernels.pack_bits(np.ones(n, dtype=np.uint8))
+    yp = _kernels.pack_bits(dataset.labels)
+    return _grow(Xp, yp, root, n, dataset.positives, 0, cfg)
 
 
 def build_tree(dataset: BinaryDataset, cfg: TrainConfig | None = None) -> TreeNode:
     """Grow one regression tree for a method's binary dataset."""
     cfg = cfg or TrainConfig()
-    n = len(dataset)
-    if n == 0:
+    if len(dataset) == 0:
         raise EmptyDatasetError()
-    idx = np.arange(n, dtype=np.int64)
-    return _grow(dataset.features, dataset.labels, idx, dataset.positives, 0, cfg)
+    return _grow_tree(_kernels.pack_bits(dataset.features.T), dataset, cfg)
 
 
 def resolve_threads(explicit: int | None = None) -> int:
@@ -267,8 +274,9 @@ def train(
 ) -> ModelSet:
     """Train one tree per method observed in the corpus.
 
-    Methods are independent, so they may be trained on a thread pool; the
-    merge is name-sorted and every tree depends only on its own dataset,
+    The feature columns are packed once and shared by every tree. Methods
+    are independent, so they may be trained on a thread pool; the merge is
+    name-sorted and every tree depends only on its own dataset,
     which keeps the result identical for any thread count.
     """
     cfg = cfg or TrainConfig()
@@ -276,12 +284,13 @@ def train(
         raise EmptyDatasetError("corpus has no points")
     datasets = single_target_split(corpus)
     names = sorted(datasets)
+    Xp = _kernels.pack_bits(corpus.features.T)
     workers = resolve_threads(threads)
     if workers > 1 and len(names) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            built = list(pool.map(lambda name: build_tree(datasets[name], cfg), names))
+            built = list(pool.map(lambda name: _grow_tree(Xp, datasets[name], cfg), names))
     else:
-        built = [build_tree(datasets[name], cfg) for name in names]
+        built = [_grow_tree(Xp, datasets[name], cfg) for name in names]
     return ModelSet(
         corpus.feature_count,
         dict(zip(names, built)),

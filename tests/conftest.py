@@ -1,19 +1,6 @@
-import pytest
-
-
 def pytest_runtest_logreport(report):
     # One visible pass/fail line per acceptance criterion.
     if report.when == "call" and "test_acceptance.py" in report.nodeid:
         name = report.nodeid.split("::")[-1]
         outcome = "PASS" if report.passed else "FAIL"
         print(f"\nACCEPTANCE {name}: {outcome}", flush=True)
-
-
-@pytest.fixture
-def kernel_backend():
-    """Restore the kernel selection after a test that rebinds it."""
-    from pamper import _kernels
-
-    original = _kernels.backend_name
-    yield _kernels
-    _kernels.select(original)

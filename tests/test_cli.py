@@ -256,8 +256,37 @@ def test_malformed_inputs_exit_2(tmp_path, model, capsys):
     bad_db.write_text("simp [1,0]\n", encoding="utf-8")
     assert main(["stats", str(bad_db)]) == 2
     assert "line 1" in capsys.readouterr().err
+    bad_db.write_bytes(b"simp, [1,0]\nsimp, [\xff\xfe]\n")
+    assert main(["stats", str(bad_db)]) == 2
+    assert "line 2" in capsys.readouterr().err
     assert main(["which", model, "[1,2]"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["which", "{model}", "[1,0]", "-k", "0"],
+        ["which", "{model}", "[1,0]", "-k", "two"],
+        ["evaluate", "{db}", "--fraction", "1.5"],
+        ["evaluate", "{db}", "--fraction", "nan"],
+        ["evaluate", "{db}", "--top", "0"],
+        ["evaluate", "{db}", "--seed", "-1"],
+        ["evaluate", "{db}", "--min-split", "0"],
+        ["train", "{db}", "{out}", "--max-depth", "0"],
+        ["train", "{db}", "{out}", "--min-split", "0"],
+        ["train", "{db}", "{out}", "--catalog", "{db}"],
+        ["gen", "{db}", "5", "-1"],
+    ],
+)
+def test_bad_flag_values_exit_2(tmp_path, db, model, capsys, argv):
+    paths = {"db": db, "model": model, "out": str(tmp_path / "out.txt")}
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(**paths) for arg in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and "Traceback" not in err
+    assert not (tmp_path / "out.txt").exists()
 
 
 def test_inspect_summary(model, capsys):

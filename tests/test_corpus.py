@@ -44,6 +44,13 @@ def test_parse_accepts_bytes():
     assert c.method_names == ("simp",)
 
 
+def test_parse_rejects_non_utf8_bytes_with_line_number():
+    with pytest.raises(MalformedLineError) as info:
+        parse_database(b"simp, [1,0]\r\nauto, [\xff\xfe]\nsimp, [0,1]\n")
+    assert info.value.line_no == 2
+    assert "UTF-8" in str(info.value)
+
+
 def test_parse_empty_database():
     with pytest.raises(EmptyDatabaseError):
         parse_database("# only a comment\n\n")

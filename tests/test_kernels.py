@@ -1,130 +1,110 @@
 import numpy as np
-import pytest
 
 from pamper import _kernels
-from pamper._kernels import pure
+from pamper.trees import Internal, Leaf, train
 
-compiled = pytest.importorskip(
-    "pamper._kernels._ct", reason="compiled kernel extension not built"
-)
+from oracles import brute_force_best_split, leaf_regions, random_corpus
 
 
-def _case(rng, n_max=80, f_max=12):
-    n = int(rng.integers(1, n_max + 1))
-    f = int(rng.integers(1, f_max + 1))
-    X = np.ascontiguousarray((rng.random((n, f)) < rng.uniform(0.1, 0.9)), dtype=np.uint8)
-    y = np.ascontiguousarray((rng.random(n) < 0.5), dtype=np.uint8)
-    size = int(rng.integers(0, n + 1))
-    idx = np.ascontiguousarray(
-        np.sort(rng.choice(n, size=size, replace=False)), dtype=np.int64
+def _unpack(words, n):
+    """Row mask of a packed bitset, asserting its padding bits are clear."""
+    bits = np.unpackbits(words.view(np.uint8), bitorder="little").astype(bool)
+    assert not bits[n:].any()
+    return bits[:n]
+
+
+def _numpy_counts(X, y, rows):
+    pos_rows = rows & (y != 0)
+    return (
+        X[rows].sum(axis=0, dtype=np.int64),
+        X[pos_rows].sum(axis=0, dtype=np.int64),
+        int(pos_rows.sum()),
     )
-    return X, y, idx
 
 
-def _assert_counts_equal(a, b):
-    an, ap, at = a
-    bn, bp, bt = b
-    assert np.array_equal(np.asarray(an), np.asarray(bn))
-    assert np.array_equal(np.asarray(ap), np.asarray(bp))
-    assert at == bt
+def _check(X, y, rows):
+    n = X.shape[0]
+    Xp, yp, mask = _kernels.pack_bits(X.T), _kernels.pack_bits(y), _kernels.pack_bits(rows)
+    assert Xp.shape == (X.shape[1], -(-n // 64)) and Xp.dtype == np.uint64
+    n_true, pos_true, pos = _kernels.node_counts(Xp, yp, mask)
+    want_n, want_pos, want_p = _numpy_counts(X, y, rows.astype(bool))
+    assert n_true.tolist() == want_n.tolist()
+    assert pos_true.tolist() == want_pos.tolist()
+    assert pos == want_p
+    for j in range(X.shape[1]):
+        side_false, side_true = _kernels.partition(Xp, mask, j)
+        bit = X[:, j] != 0
+        assert _unpack(side_false, n).tolist() == (rows.astype(bool) & ~bit).tolist()
+        assert _unpack(side_true, n).tolist() == (rows.astype(bool) & bit).tolist()
 
 
-def test_backends_agree_on_random_inputs():
+def _case(rng, n):
+    f = int(rng.integers(1, 13))
+    X = (rng.random((n, f)) < rng.uniform(0.1, 0.9)).astype(np.uint8)
+    y = (rng.random(n) < rng.uniform(0.0, 0.6)).astype(np.uint8)
+    rows = (rng.random(n) < rng.uniform(0.0, 1.0)).astype(np.uint8)
+    return X, y, rows
+
+
+def test_counts_and_partitions_match_numpy_on_random_subsets():
     rng = np.random.default_rng(17)
     for _ in range(150):
-        X, y, idx = _case(rng)
-        _assert_counts_equal(
-            pure.node_counts(X, y, idx), compiled.node_counts(X, y, idx)
-        )
-        if idx.size:
-            n_true = np.asarray(pure.node_counts(X, y, idx)[0])
-            feature = int(rng.integers(0, X.shape[1]))
-            pf, pt = pure.partition(X, idx, feature, int(n_true[feature]))
-            cf, ct = compiled.partition(X, idx, feature, int(n_true[feature]))
-            assert np.array_equal(np.asarray(pf), np.asarray(cf))
-            assert np.array_equal(np.asarray(pt), np.asarray(ct))
+        _check(*_case(rng, int(rng.integers(1, 300))))
 
 
-def test_backends_agree_on_edges():
-    X = np.array([[1, 0, 1], [1, 0, 0], [1, 0, 1]], dtype=np.uint8)
-    y = np.array([1, 0, 1], dtype=np.uint8)
-    cases = [
-        np.array([], dtype=np.int64),
-        np.array([0], dtype=np.int64),
-        np.array([0, 1, 2], dtype=np.int64),
-    ]
-    for idx in cases:
-        _assert_counts_equal(
-            pure.node_counts(X, y, idx), compiled.node_counts(X, y, idx)
-        )
-    idx = np.array([0, 1, 2], dtype=np.int64)
-    for feature in range(3):
-        n_true = int(np.asarray(pure.node_counts(X, y, idx)[0])[feature])
-        pf, pt = pure.partition(X, idx, feature, n_true)
-        cf, ct = compiled.partition(X, idx, feature, n_true)
-        assert np.asarray(pf).tolist() == np.asarray(cf).tolist()
-        assert np.asarray(pt).tolist() == np.asarray(ct).tolist()
-    # all-set column keeps order, all-clear column empties the true side
-    assert np.asarray(pure.partition(X, idx, 0, 3)[1]).tolist() == [0, 1, 2]
-    assert np.asarray(compiled.partition(X, idx, 1, 0)[1]).tolist() == []
-
-
-def test_partition_preserves_order():
+def test_word_boundaries_and_extreme_masks():
     rng = np.random.default_rng(19)
-    for _ in range(50):
-        X, y, idx = _case(rng)
-        if not idx.size:
-            continue
-        feature = int(rng.integers(0, X.shape[1]))
-        n_true = int(np.asarray(compiled.node_counts(X, y, idx)[0])[feature])
-        side_false, side_true = compiled.partition(X, idx, feature, n_true)
-        merged = sorted(np.asarray(side_false).tolist() + np.asarray(side_true).tolist())
-        assert merged == idx.tolist()
-        bits = X[np.asarray(side_true), feature]
-        assert bits.all() or bits.size == 0
+    for n in (1, 7, 8, 63, 64, 65, 128, 130):
+        X, y, _ = _case(rng, n)
+        _check(X, y, np.zeros(n, dtype=np.uint8))
+        _check(X, y, np.ones(n, dtype=np.uint8))
 
 
 def test_kernels_accept_readonly_arrays():
-    X = np.array([[1, 0], [0, 1]], dtype=np.uint8)
-    y = np.array([1, 0], dtype=np.uint8)
-    idx = np.array([0, 1], dtype=np.int64)
-    X.setflags(write=False)
-    y.setflags(write=False)
-    idx.setflags(write=False)
-    _assert_counts_equal(
-        pure.node_counts(X, y, idx), compiled.node_counts(X, y, idx)
-    )
+    X = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.uint8)
+    Xp = _kernels.pack_bits(X.T)
+    yp = _kernels.pack_bits(np.array([1, 0, 1], dtype=np.uint8))
+    mask = _kernels.pack_bits(np.ones(3, dtype=np.uint8))
+    for arr in (Xp, yp, mask):
+        arr.setflags(write=False)
+    n_true, pos_true, pos = _kernels.node_counts(Xp, yp, mask)
+    assert (n_true.tolist(), pos_true.tolist(), pos) == ([2, 2], [2, 1], 2)
+    side_false, side_true = _kernels.partition(Xp, mask, 0)
+    assert _unpack(side_false, 3).tolist() == [False, True, False]
+    assert _unpack(side_true, 3).tolist() == [True, False, True]
 
 
-def test_select_rebinding(kernel_backend):
-    kernel_backend.select("pure")
-    assert kernel_backend.backend_name == "pure"
-    assert kernel_backend.node_counts is pure.node_counts
-    kernel_backend.select("compiled")
-    assert kernel_backend.backend_name == "compiled"
-    assert kernel_backend.node_counts is compiled.node_counts
-    with pytest.raises(ValueError):
-        kernel_backend.select("gpu")
+def test_partitions_replay_the_oracle_leaf_regions():
+    rng = np.random.default_rng(23)
+    for _ in range(30):
+        corpus = random_corpus(rng, max_points=200)
+        X = corpus.features
+        n = X.shape[0]
+        Xp = _kernels.pack_bits(X.T)
+        for tree in train(corpus, threads=1).trees.values():
+            masks = {}
+            stack = [(tree, _kernels.pack_bits(np.ones(n, dtype=np.uint8)))]
+            while stack:
+                node, mask = stack.pop()
+                if isinstance(node, Leaf):
+                    masks[id(node)] = _unpack(mask, n)
+                else:
+                    side_false, side_true = _kernels.partition(Xp, mask, node.feature)
+                    stack += [(node.when_false, side_false), (node.when_true, side_true)]
+            for leaf, region in leaf_regions(tree, X):
+                assert masks[id(leaf)].tolist() == region.tolist()
+                assert leaf.count == int(region.sum())
 
 
-def test_available_backends_lists_both():
-    assert _kernels.available_backends() == ["pure", "compiled"]
-
-
-def test_trees_identical_across_backends(kernel_backend):
-    from pamper.corpus import Corpus
-    from pamper.trees import model_to_text, train
-
+def test_train_root_matches_brute_force_split():
     rng = np.random.default_rng(29)
-    X = (rng.random((400, 9)) < 0.4).astype(np.uint8)
-    names = tuple(
-        np.asarray(["simp", "auto", "blast"], dtype=object)[
-            rng.integers(0, 3, 400)
-        ].tolist()
-    )
-    corpus = Corpus(names, X, 9)
-    kernel_backend.select("pure")
-    pure_model = train(corpus)
-    kernel_backend.select("compiled")
-    compiled_model = train(corpus)
-    assert model_to_text(pure_model) == model_to_text(compiled_model)
+    for _ in range(40):
+        corpus = random_corpus(rng, max_points=60)
+        rows = corpus.features.tolist()
+        for name, tree in train(corpus, threads=1).trees.items():
+            labels = [int(m == name) for m in corpus.method_names]
+            want = brute_force_best_split(labels, rows)
+            if want is None:
+                assert isinstance(tree, Leaf)
+            else:
+                assert isinstance(tree, Internal) and tree.feature == want[0]
