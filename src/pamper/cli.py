@@ -24,7 +24,7 @@ from .corpus import (
     parse_vector,
     serialize_database,
 )
-from .errors import PamperError
+from .errors import MalformedLineError, PamperError, decode_utf8
 from .evaluate import (
     SplitSpec,
     render_csv,
@@ -53,10 +53,6 @@ from .trees import (
 )
 
 
-def _read_text(path: str) -> str:
-    return Path(path).read_bytes().decode("utf-8")
-
-
 def _read_corpus(path: str):
     return parse_database(Path(path).read_bytes())
 
@@ -64,21 +60,22 @@ def _read_corpus(path: str):
 def _read_model(path: str) -> ModelSet:
     from .trees import model_from_text
 
-    return model_from_text(_read_text(path))
+    return model_from_text(Path(path).read_bytes())
 
 
 def _attach_catalog(model: ModelSet, catalog_path: str | None) -> ModelSet:
     if not catalog_path:
         return model
-    catalog = parse_feature_catalog(_read_text(catalog_path))
+    catalog = parse_feature_catalog(Path(catalog_path).read_bytes())
     return ModelSet(model.feature_count, dict(model.trees), catalog, model.max_depth)
 
 
 def _read_vectors(source: str, feature_count: int) -> list[np.ndarray]:
     if source.lstrip().startswith("["):
         return [parse_vector(source, feature_count)]
+    text = decode_utf8(Path(source).read_bytes(), MalformedLineError)
     vectors = []
-    for line_no, raw in enumerate(_read_text(source).split("\n"), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -207,7 +204,7 @@ def cmd_prune(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    model = parse_planted_config(_read_text(args.config))
+    model = parse_planted_config(Path(args.config).read_bytes())
     corpus = generate(model, args.n, args.seed)
     text = serialize_database(corpus)
     if args.output:

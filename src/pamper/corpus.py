@@ -33,6 +33,7 @@ from .errors import (
     InconsistentWidthError,
     MalformedLineError,
     VectorWidthMismatchError,
+    decode_utf8,
 )
 
 METHOD_TOKEN = re.compile(r"[A-Za-z0-9_'.\-]+\Z")
@@ -158,14 +159,7 @@ def parse_database(text: str | bytes) -> Corpus:
     EmptyDatabaseError when no data lines remain after skipping blanks and
     comments.
     """
-    if isinstance(text, (bytes, bytearray)):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line_no = text.count(b"\n", 0, exc.start) + 1
-            raise MalformedLineError(
-                line_no, f"not valid UTF-8 (byte 0x{text[exc.start]:02x})"
-            ) from None
+    text = decode_utf8(text, MalformedLineError)
     methods: list[str] = []
     bits = bytearray()
     width = -1
@@ -267,9 +261,11 @@ EMPTY_CATALOG = FeatureCatalog({})
 
 
 def parse_feature_catalog(text: str | bytes) -> FeatureCatalog:
-    """Parse ``<index><TAB><description>`` lines; empty input is valid."""
-    if isinstance(text, (bytes, bytearray)):
-        text = text.decode("utf-8")
+    """Parse ``<index><TAB><description>`` lines; empty input is valid.
+
+    Bytes that are not UTF-8 raise BadIndexError with their line number.
+    """
+    text = decode_utf8(text, BadIndexError)
     descriptions: dict[int, str] = {}
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()

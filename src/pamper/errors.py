@@ -2,8 +2,10 @@
 
 Everything user-facing derives from :class:`PamperError` so the CLI can map
 input problems to a single exit code. Parse errors carry the 1-based line
-number of the offending input line.
+number of the offending input line; ``decode_utf8`` reports a byte that is
+not UTF-8 the same way, as the parse error of the file being read.
 """
+from __future__ import annotations
 
 
 class PamperError(Exception):
@@ -125,3 +127,19 @@ class NoEvalPointsError(PamperError):
 
     def __init__(self):
         super().__init__("split produced no evaluation points")
+
+
+def decode_utf8(data: str | bytes, error: type[PamperError]) -> str:
+    """Decode an input file's bytes; text passes through unchanged.
+
+    A byte sequence that is not UTF-8 raises ``error(line_no, reason)``,
+    the caller's own line-numbered parse error, with the 1-based line of
+    the first bad byte.
+    """
+    if not isinstance(data, (bytes, bytearray)):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise error(line_no, f"not valid UTF-8 (byte 0x{data[exc.start]:02x})") from None

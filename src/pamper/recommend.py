@@ -135,48 +135,55 @@ def render_explanation(expl: Explanation) -> str:
     return "\n".join(lines)
 
 
-class ModelArena:
-    """Flattened trees for vectorized evaluation of many vectors at once.
+# Rows stepped through the trees together; bounds the (rows, trees) temporaries.
+_BLOCK_ROWS = 1024
 
-    Node records live in parallel arrays; leaves carry feature -1 and point
-    their child slots at themselves, so a fixed number of descend steps
-    parks every lane at its leaf.
+
+class ModelArena:
+    """All trees of a model in one node table, evaluated together.
+
+    Nodes are numbered level by level across every tree, so the M roots
+    are slots ``0 .. M-1`` in name order and the i-th internal node's
+    children are slots ``M + 2i`` (bit clear) and ``M + 2i + 1`` (bit set).
+    Node ``s`` branches on ``feature[s]`` and its children sit at
+    ``child[2*s]`` and ``child[2*s + 1]``; a leaf points both child slots
+    at itself and holds its expectation in ``value[s]``. ``expectations``
+    steps a (rows, trees) cursor matrix ``depth`` times, one gather per
+    step, which parks every cursor at its leaf.
     """
 
     def __init__(self, model: ModelSet):
-        names = list(model.trees.keys())
-        feature: list[int] = []
-        child_false: list[int] = []
-        child_true: list[int] = []
+        feature: list[int] = []  # -1 marks a leaf until the child table is built
         value: list[float] = []
-        roots: list[int] = []
-
-        def add(node: TreeNode) -> int:
-            slot = len(feature)
-            if isinstance(node, Leaf):
-                feature.append(-1)
-                child_false.append(slot)
-                child_true.append(slot)
-                value.append(node.expectation)
-                return slot
-            feature.append(node.feature)
-            child_false.append(0)
-            child_true.append(0)
-            value.append(0.0)
-            child_false[slot] = add(node.when_false)
-            child_true[slot] = add(node.when_true)
-            return slot
-
-        for name in names:
-            roots.append(add(model.trees[name]))
-        self.names = names
+        level = list(model.trees.values())
+        depth = 0
+        while True:
+            below: list[TreeNode] = []
+            for node in level:
+                if isinstance(node, Leaf):
+                    feature.append(-1)
+                    value.append(node.expectation)
+                else:
+                    feature.append(node.feature)
+                    value.append(0.0)
+                    below += (node.when_false, node.when_true)
+            if not below:
+                break
+            level = below
+            depth += 1
+        self.names = list(model.trees.keys())
         self.feature_count = model.feature_count
-        self.max_depth = model.max_depth
-        self.feature = np.asarray(feature, dtype=np.int32)
-        self.child_false = np.asarray(child_false, dtype=np.int32)
-        self.child_true = np.asarray(child_true, dtype=np.int32)
+        self.depth = depth
+        self.feature = np.asarray(feature, dtype=np.intp)
+        internal = self.feature >= 0
+        first = np.where(
+            internal,
+            len(self.names) + 2 * (np.cumsum(internal) - 1),
+            np.arange(self.feature.size),
+        )
+        self.child = np.stack([first, first + internal], axis=1).reshape(-1)
+        self.feature[~internal] = 0  # any column will do: both children are the leaf
         self.value = np.asarray(value, dtype=np.float64)
-        self.roots = np.asarray(roots, dtype=np.int32)
 
     def expectations(self, matrix: np.ndarray) -> np.ndarray:
         """(B, F) query matrix -> (B, M) expectation matrix, names order."""
@@ -185,20 +192,16 @@ class ModelArena:
             raise VectorWidthMismatchError(
                 V.shape[1] if V.ndim == 2 else -1, self.feature_count
             )
-        batch = V.shape[0]
-        out = np.empty((batch, len(self.names)), dtype=np.float64)
-        rows = np.arange(batch)
-        for t in range(len(self.names)):
-            cur = np.full(batch, self.roots[t], dtype=np.int32)
-            for _ in range(self.max_depth):
-                f = self.feature[cur]
-                internal = f >= 0
-                if not internal.any():
-                    break
-                bits = V[rows, np.where(internal, f, 0)]
-                nxt = np.where(bits != 0, self.child_true[cur], self.child_false[cur])
-                cur = np.where(internal, nxt, cur)
-            out[:, t] = self.value[cur]
+        roots = np.arange(len(self.names))
+        out = np.empty((V.shape[0], roots.size), dtype=np.float64)
+        for start in range(0, V.shape[0], _BLOCK_ROWS):
+            block = V[start:start + _BLOCK_ROWS]
+            bits = block.reshape(-1)
+            row_base = np.arange(0, bits.size, self.feature_count)[:, None]
+            cur = np.broadcast_to(roots, (block.shape[0], roots.size))
+            for _ in range(self.depth):
+                cur = self.child[2 * cur + bits[row_base + self.feature[cur]]]
+            out[start:start + block.shape[0]] = self.value[cur]
         return out
 
     def batch_which(self, matrix: np.ndarray, k: int = 15) -> list[Recommendation]:
@@ -211,15 +214,16 @@ class ModelArena:
         # Columns are name-sorted, so a stable sort on -E breaks ties by name.
         order = np.argsort(-E, axis=1, kind="stable")[:, :keep]
         values = np.take_along_axis(E, order, axis=1)
-        names_arr = np.asarray(self.names, dtype=object)
-        picked = names_arr[order]
-        out = []
-        for i in range(E.shape[0]):
-            out.append(
-                Recommendation(
-                    tuple(zip(picked[i].tolist(), values[i].tolist())), total
-                )
-            )
+        picked = np.asarray(self.names, dtype=object)[order]
+        out: list[Recommendation] = []
+        # One .tolist() per block of rows: per row is slower, and whole-batch
+        # lists would sit in memory beside the finished recommendations.
+        for start in range(0, len(picked), _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            out += [
+                Recommendation(tuple(zip(row_names, row_values)), total)
+                for row_names, row_values in zip(picked[rows].tolist(), values[rows].tolist())
+            ]
         return out
 
     def batch_rank(self, matrix: np.ndarray, method_cols: np.ndarray) -> np.ndarray:
@@ -232,6 +236,3 @@ class ModelArena:
         tied_before = ((E == target) & (cols < method_cols[:, None])).sum(axis=1)
         return 1 + greater + tied_before
 
-
-def sorted_model_names(model: ModelSet) -> list[str]:
-    return list(model.trees.keys())

@@ -35,6 +35,7 @@ from .errors import (
     InvalidDistributionError,
     PamperError,
     PlantedConfigError,
+    decode_utf8,
 )
 
 _SUM_TOL = 1e-9
@@ -265,9 +266,11 @@ def _parse_fallback(line: str, line_no: int) -> dict[str, float]:
 
 
 def parse_planted_config(text: str | bytes) -> PlantedModel:
-    """Parse and validate a planted-model config file."""
-    if isinstance(text, (bytes, bytearray)):
-        text = text.decode("utf-8")
+    """Parse and validate a planted-model config file.
+
+    Bytes that are not UTF-8 raise PlantedConfigError with their line number.
+    """
+    text = decode_utf8(text, PlantedConfigError)
     feature_count: int | None = None
     noise = 0.0
     rules: list[PlantedRule] = []

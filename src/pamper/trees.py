@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _kernels
 from .corpus import EMPTY_CATALOG, METHOD_TOKEN, Corpus, FeatureCatalog
-from .errors import EmptyDatasetError, ModelParseError, PamperError
+from .errors import EmptyDatasetError, ModelParseError, PamperError, decode_utf8
 from .preprocess import BinaryDataset, single_target_split
 
 
@@ -97,7 +97,7 @@ class ModelSet:
         for name, tree in ordered.items():
             if not METHOD_TOKEN.match(name):
                 raise ValueError(f"invalid method name: {name!r}")
-            _check_tree(tree, self.feature_count, self.max_depth, depth=0)
+            _check_tree(tree, self.feature_count, self.max_depth)
         self.catalog.check_range(self.feature_count)
         object.__setattr__(self, "trees", MappingProxyType(ordered))
 
@@ -112,24 +112,29 @@ class ModelSet:
         )
 
 
-def _check_tree(node: TreeNode, feature_count: int, max_depth: int, depth: int) -> None:
-    if isinstance(node, Leaf):
-        if not (0.0 <= node.expectation <= 1.0):
-            raise ValueError(f"leaf expectation {node.expectation!r} outside [0, 1]")
-        if node.count < 0:
-            raise ValueError("leaf count must be nonnegative")
-        return
-    if isinstance(node, Internal):
-        if depth >= max_depth:
-            raise ValueError(f"tree exceeds depth limit {max_depth}")
-        if not 0 <= node.feature < feature_count:
-            raise ValueError(
-                f"feature {node.feature} out of range for {feature_count} features"
-            )
-        _check_tree(node.when_false, feature_count, max_depth, depth + 1)
-        _check_tree(node.when_true, feature_count, max_depth, depth + 1)
-        return
-    raise TypeError(f"not a tree node: {node!r}")
+def _check_tree(tree: TreeNode, feature_count: int, max_depth: int) -> None:
+    level = [tree]
+    depth = 0
+    while level:
+        below: list[TreeNode] = []
+        for node in level:
+            if isinstance(node, Leaf):
+                if not (0.0 <= node.expectation <= 1.0):
+                    raise ValueError(f"leaf expectation {node.expectation!r} outside [0, 1]")
+                if node.count < 0:
+                    raise ValueError("leaf count must be nonnegative")
+            elif isinstance(node, Internal):
+                if depth >= max_depth:
+                    raise ValueError(f"tree exceeds depth limit {max_depth}")
+                if not 0 <= node.feature < feature_count:
+                    raise ValueError(
+                        f"feature {node.feature} out of range for {feature_count} features"
+                    )
+                below += (node.when_false, node.when_true)
+            else:
+                raise TypeError(f"not a tree node: {node!r}")
+        level = below
+        depth += 1
 
 
 def rss(points) -> float:
@@ -302,43 +307,58 @@ def train(
 def used_features(model: ModelSet) -> set[int]:
     """Every feature index that branches some tree in the model."""
     found: set[int] = set()
-
-    def walk(node: TreeNode) -> None:
-        if isinstance(node, Internal):
-            found.add(node.feature)
-            walk(node.when_false)
-            walk(node.when_true)
-
-    for tree in model.trees.values():
-        walk(tree)
+    level = list(model.trees.values())
+    while level:
+        below: list[TreeNode] = []
+        for node in level:
+            if isinstance(node, Internal):
+                found.add(node.feature)
+                below += (node.when_false, node.when_true)
+        level = below
     return found
 
 
 def tree_stats(tree: TreeNode) -> TreeStats:
     """Internal-node count, leaf count, and depth of one tree."""
-    if isinstance(tree, Leaf):
-        return TreeStats(0, 1, 0)
-    left = tree_stats(tree.when_false)
-    right = tree_stats(tree.when_true)
-    return TreeStats(
-        1 + left.internal + right.internal,
-        left.leaves + right.leaves,
-        1 + max(left.depth, right.depth),
-    )
+    internal = leaves = 0
+    depth = -1
+    level = [tree]
+    while level:
+        depth += 1
+        below: list[TreeNode] = []
+        for node in level:
+            if isinstance(node, Internal):
+                internal += 1
+                below += (node.when_false, node.when_true)
+            else:
+                leaves += 1
+        level = below
+    return TreeStats(internal, leaves, depth)
 
 
 _HEADER = re.compile(r"pamper-model v1 features=(\d+) depth=(\d+)\s*$")
 
 
-def _format_node(node: TreeNode, out: list[str]) -> None:
-    if isinstance(node, Leaf):
+def _format_tree(tree: TreeNode) -> str:
+    out: list[str] = []
+    todo: list = []  # when_true branches still to write, each above a None closing its parent
+    node = tree
+    while True:
+        if isinstance(node, Internal):
+            out.append(f"N({node.feature},")
+            todo.append(None)
+            todo.append(node.when_true)
+            node = node.when_false
+            continue
         out.append(f"L({node.expectation!r},{node.count})")
-    else:
-        out.append(f"N({node.feature},")
-        _format_node(node.when_false, out)
-        out.append(",")
-        _format_node(node.when_true, out)
-        out.append(")")
+        while todo:
+            node = todo.pop()
+            if node is not None:
+                out.append(",")
+                break
+            out.append(")")
+        else:
+            return "".join(out)
 
 
 def model_to_text(model: ModelSet) -> str:
@@ -351,68 +371,104 @@ def model_to_text(model: ModelSet) -> str:
         f"pamper-model v1 features={model.feature_count} depth={model.max_depth}"
     ]
     for name, tree in model.trees.items():
-        parts: list[str] = []
-        _format_node(tree, parts)
-        lines.append(f"{name}\t{''.join(parts)}")
+        lines.append(f"{name}\t{_format_tree(tree)}")
     return "\n".join(lines) + "\n"
 
 
-def _scan_until(text: str, pos: int, stop: str, line_no: int, what: str) -> tuple[str, int]:
-    end = text.find(stop, pos)
-    if end < 0:
-        raise ModelParseError(line_no, f"missing {stop!r} after {what}")
-    return text[pos:end], end + 1
+def _column(pieces: list[str], i: int, offset: int = 0) -> int:
+    """1-based column of ``offset`` characters into piece ``i`` of a body cut at ','."""
+    return sum(map(len, pieces[:i])) + i + offset + 1
 
 
-def _parse_node(text, pos, line_no, feature_count, max_depth, depth):
-    if text.startswith("L(", pos):
-        token, pos = _scan_until(text, pos + 2, ",", line_no, "expectation")
+def _parse_tree(body: str, line_no: int, feature_count: int, max_depth: int) -> TreeNode:
+    """Parse one tree body in a single pass, with an explicit stack.
+
+    The grammar is ``node := "L(" expectation "," count ")"`` or
+    ``"N(" feature "," node "," node ")"``. The body is cut at every ``,``;
+    each piece is then an ``N(<feature>`` or ``L(<expectation>`` opener, or
+    a leaf's ``<count>)`` followed by one more ``)`` per node it closes. No
+    number that holds ``(``, ``)`` or ``,`` converts, so cutting at the
+    delimiters accepts exactly what scanning each number up to its own
+    terminator would.
+    """
+    pieces = body.split(",")
+    last = len(pieces) - 1
+    stack: list[list] = []  # open nodes as [feature, when_false or None], outermost first
+    i = 0
+    while True:
+        piece = pieces[i]
+        head = piece[:2]
+        if head == "N(":
+            if len(stack) >= max_depth:
+                raise ModelParseError(line_no, f"tree deeper than declared depth {max_depth}")
+            if i == last:
+                raise ModelParseError(line_no, "missing ',' after feature")
+            try:
+                feature = int(piece[2:])
+            except ValueError:
+                raise ModelParseError(line_no, f"bad feature index: {piece[2:]!r}") from None
+            if not 0 <= feature < feature_count:
+                raise ModelParseError(
+                    line_no, f"feature {feature} out of range for {feature_count} features"
+                )
+            stack.append([feature, None])
+            i += 1
+            continue
+        if head != "L(":
+            raise ModelParseError(line_no, f"expected node at column {_column(pieces, i)}")
+        if i == last:
+            raise ModelParseError(line_no, "missing ',' after expectation")
         try:
-            expectation = float(token)
+            expectation = float(piece[2:])
         except ValueError:
-            raise ModelParseError(line_no, f"bad expectation: {token!r}") from None
+            raise ModelParseError(line_no, f"bad expectation: {piece[2:]!r}") from None
         if not (0.0 <= expectation <= 1.0):
-            raise ModelParseError(line_no, f"expectation {token} outside [0, 1]")
-        token, pos = _scan_until(text, pos, ")", line_no, "count")
+            raise ModelParseError(line_no, f"expectation {piece[2:]} outside [0, 1]")
+        i += 1
+        token, sep, rest = pieces[i].partition(")")
+        if not sep:
+            raise ModelParseError(line_no, "missing ')' after count")
         try:
             count = int(token)
         except ValueError:
             raise ModelParseError(line_no, f"bad count: {token!r}") from None
         if count < 0:
             raise ModelParseError(line_no, "negative count")
-        return Leaf(expectation, count), pos
-    if text.startswith("N(", pos):
-        if depth >= max_depth:
-            raise ModelParseError(line_no, f"tree deeper than declared depth {max_depth}")
-        token, pos = _scan_until(text, pos + 2, ",", line_no, "feature")
-        try:
-            feature = int(token)
-        except ValueError:
-            raise ModelParseError(line_no, f"bad feature index: {token!r}") from None
-        if not 0 <= feature < feature_count:
-            raise ModelParseError(
-                line_no, f"feature {feature} out of range for {feature_count} features"
-            )
-        when_false, pos = _parse_node(text, pos, line_no, feature_count, max_depth, depth + 1)
-        if pos >= len(text) or text[pos] != ",":
-            raise ModelParseError(line_no, "expected ',' between branches")
-        when_true, pos = _parse_node(text, pos + 1, line_no, feature_count, max_depth, depth + 1)
-        if pos >= len(text) or text[pos] != ")":
-            raise ModelParseError(line_no, "expected ')' to close branch")
-        return Internal(feature, when_false, when_true), pos + 1
-    raise ModelParseError(line_no, f"expected node at column {pos + 1}")
+        node: TreeNode = Leaf(expectation, count)
+        junk = rest.lstrip(")")
+        closes = len(rest) - len(junk)
+        while stack:
+            top = stack[-1]
+            if top[1] is None:
+                if closes or junk or i == last:
+                    raise ModelParseError(line_no, "expected ',' between branches")
+                top[1] = node
+                break
+            if not closes:
+                raise ModelParseError(line_no, "expected ')' to close branch")
+            closes -= 1
+            stack.pop()
+            node = Internal(top[0], top[1], node)
+        else:
+            if closes or junk or i != last:
+                column = _column(pieces, i, len(token) + 1 + len(rest) - len(junk) - closes)
+                raise ModelParseError(line_no, f"trailing characters at column {column}")
+            return node
+        i += 1
 
 
 def model_from_text(text: str | bytes) -> ModelSet:
     """Parse model text; raises ModelParseError with the offending line."""
-    if isinstance(text, (bytes, bytearray)):
-        text = text.decode("utf-8")
+    text = decode_utf8(text, ModelParseError)
     lines = text.split("\n")
-    if not lines or not _HEADER.match(lines[0].rstrip("\r")):
-        raise ModelParseError(1, "bad header, expected 'pamper-model v1 features=<F> depth=<D>'")
     match = _HEADER.match(lines[0].rstrip("\r"))
-    feature_count = int(match.group(1))
-    max_depth = int(match.group(2))
+    if not match:
+        raise ModelParseError(1, "bad header, expected 'pamper-model v1 features=<F> depth=<D>'")
+    try:
+        feature_count = int(match.group(1))
+        max_depth = int(match.group(2))
+    except ValueError:  # more digits than int() converts
+        raise ModelParseError(1, "header number too long") from None
     if feature_count < 1:
         raise ModelParseError(1, "feature count must be positive")
     if max_depth < 1:
@@ -429,10 +485,7 @@ def model_from_text(text: str | bytes) -> ModelSet:
             raise ModelParseError(line_no, f"invalid method name: {name!r}")
         if name in trees:
             raise ModelParseError(line_no, f"duplicate method: {name}")
-        node, end = _parse_node(body, 0, line_no, feature_count, max_depth, 0)
-        if end != len(body):
-            raise ModelParseError(line_no, f"trailing characters at column {end + 1}")
-        trees[name] = node
+        trees[name] = _parse_tree(body, line_no, feature_count, max_depth)
     return ModelSet(feature_count, trees, EMPTY_CATALOG, max_depth)
 
 
@@ -450,5 +503,5 @@ def load_model(source) -> ModelSet:
     """Read a model from a path or file object."""
     if hasattr(source, "read"):
         return model_from_text(source.read())
-    with open(source, "r", encoding="utf-8", newline="") as handle:
+    with open(source, "rb") as handle:
         return model_from_text(handle.read())

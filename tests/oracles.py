@@ -6,11 +6,13 @@ package's optimized paths have something honest to be compared against.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import numpy as np
 
-from pamper.corpus import Corpus
+from pamper.corpus import EMPTY_CATALOG, METHOD_TOKEN, Corpus
+from pamper.errors import ModelParseError, decode_utf8
 from pamper.preprocess import BinaryDataset
 from pamper.trees import Internal, Leaf, ModelSet
 
@@ -132,3 +134,91 @@ def random_model(rng, max_methods: int = 8, max_features: int = 12) -> ModelSet:
         trees[name] = random_tree(rng, n_feat, int(rng.integers(0, 5)))
     max_depth = max(1, max(tree_depth(t) for t in trees.values()))
     return ModelSet(n_feat, trees, max_depth=max_depth)
+
+
+# --- reference model parser: recursive descent, one scan per token ---
+
+_HEADER = re.compile(r"pamper-model v1 features=(\d+) depth=(\d+)\s*$")
+
+
+def _scan_until(text: str, pos: int, stop: str, line_no: int, what: str) -> tuple[str, int]:
+    end = text.find(stop, pos)
+    if end < 0:
+        raise ModelParseError(line_no, f"missing {stop!r} after {what}")
+    return text[pos:end], end + 1
+
+
+def _parse_node(text, pos, line_no, feature_count, max_depth, depth):
+    if text.startswith("L(", pos):
+        token, pos = _scan_until(text, pos + 2, ",", line_no, "expectation")
+        try:
+            expectation = float(token)
+        except ValueError:
+            raise ModelParseError(line_no, f"bad expectation: {token!r}") from None
+        if not (0.0 <= expectation <= 1.0):
+            raise ModelParseError(line_no, f"expectation {token} outside [0, 1]")
+        token, pos = _scan_until(text, pos, ")", line_no, "count")
+        try:
+            count = int(token)
+        except ValueError:
+            raise ModelParseError(line_no, f"bad count: {token!r}") from None
+        if count < 0:
+            raise ModelParseError(line_no, "negative count")
+        return Leaf(expectation, count), pos
+    if text.startswith("N(", pos):
+        if depth >= max_depth:
+            raise ModelParseError(line_no, f"tree deeper than declared depth {max_depth}")
+        token, pos = _scan_until(text, pos + 2, ",", line_no, "feature")
+        try:
+            feature = int(token)
+        except ValueError:
+            raise ModelParseError(line_no, f"bad feature index: {token!r}") from None
+        if not 0 <= feature < feature_count:
+            raise ModelParseError(
+                line_no, f"feature {feature} out of range for {feature_count} features"
+            )
+        when_false, pos = _parse_node(text, pos, line_no, feature_count, max_depth, depth + 1)
+        if pos >= len(text) or text[pos] != ",":
+            raise ModelParseError(line_no, "expected ',' between branches")
+        when_true, pos = _parse_node(text, pos + 1, line_no, feature_count, max_depth, depth + 1)
+        if pos >= len(text) or text[pos] != ")":
+            raise ModelParseError(line_no, "expected ')' to close branch")
+        return Internal(feature, when_false, when_true), pos + 1
+    raise ModelParseError(line_no, f"expected node at column {pos + 1}")
+
+
+def reference_model_from_text(text: str | bytes) -> ModelSet:
+    """Model text parsed by recursive descent, each token found with str.find.
+
+    The ground truth for ``trees.model_from_text``: both must accept the
+    same texts, build equal models, and reject on the same line. Recursion
+    limits it to shallow trees.
+    """
+    text = decode_utf8(text, ModelParseError)
+    lines = text.split("\n")
+    match = _HEADER.match(lines[0].rstrip("\r"))
+    if not match:
+        raise ModelParseError(1, "bad header, expected 'pamper-model v1 features=<F> depth=<D>'")
+    feature_count = int(match.group(1))
+    max_depth = int(match.group(2))
+    if feature_count < 1:
+        raise ModelParseError(1, "feature count must be positive")
+    if max_depth < 1:
+        raise ModelParseError(1, "depth must be positive")
+    trees = {}
+    for line_no, raw in enumerate(lines[1:], start=2):
+        line = raw.rstrip("\r")
+        if not line.strip():
+            continue
+        name, sep, body = line.partition("\t")
+        if not sep:
+            raise ModelParseError(line_no, "expected '<method><TAB><tree>'")
+        if not METHOD_TOKEN.match(name):
+            raise ModelParseError(line_no, f"invalid method name: {name!r}")
+        if name in trees:
+            raise ModelParseError(line_no, f"duplicate method: {name}")
+        node, end = _parse_node(body, 0, line_no, feature_count, max_depth, 0)
+        if end != len(body):
+            raise ModelParseError(line_no, f"trailing characters at column {end + 1}")
+        trees[name] = node
+    return ModelSet(feature_count, trees, EMPTY_CATALOG, max_depth)

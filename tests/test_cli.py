@@ -7,7 +7,7 @@ import pytest
 
 from pamper.cli import main
 from pamper.corpus import parse_database
-from pamper.trees import load_model
+from pamper.trees import load_model, save_model
 
 DB_TEXT = "simp, [1,0]\nsimp, [1,1]\nauto, [0,1]\nauto, [0,0]\n"
 
@@ -261,6 +261,87 @@ def test_malformed_inputs_exit_2(tmp_path, model, capsys):
     assert "line 2" in capsys.readouterr().err
     assert main(["which", model, "[1,2]"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "kind,argv",
+    [
+        ("model", ["inspect", "{bad}"]),
+        ("model", ["which", "{bad}", "[1,0]"]),
+        ("catalog", ["why", "{model}", "[1,0]", "simp", "--catalog", "{bad}"]),
+        ("catalog", ["prune", "{model}", "--catalog", "{bad}"]),
+        ("config", ["gen", "{bad}", "5", "1"]),
+        ("vectors", ["which", "{model}", "{bad}"]),
+        ("vectors", ["rank", "{model}", "{bad}", "simp"]),
+    ],
+)
+def test_non_utf8_inputs_exit_2(tmp_path, model, capsys, kind, argv):
+    # Line 1 of each file is valid; line 2 holds a byte that is not UTF-8.
+    # test_malformed_inputs_exit_2 covers the database.
+    first_line = {
+        "model": b"pamper-model v1 features=2 depth=5\n",
+        "catalog": b"0\tthe goal is an equation\n",
+        "config": b"features = 2\n",
+        "vectors": b"[1,0]\n",
+    }[kind]
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(first_line + b"x\xff\n")
+    assert main([arg.format(bad=bad, model=model) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pamper: line 2: not valid UTF-8 (byte 0xff)")
+    assert "Traceback" not in err
+
+
+def _deep_model_text(depth: int) -> str:
+    # One path of `depth` distinct features, each taken when its bit is clear.
+    body = "".join(f"N({i}," for i in range(depth)) + "L(0.5,1)" + ",L(0.25,2))" * depth
+    return f"pamper-model v1 features={depth} depth={depth}\nm\t{body}\nn\tL(0.75,3)\n"
+
+
+def test_deep_model_commands_and_round_trip(tmp_path, capsys):
+    depth = 3000
+    text = _deep_model_text(depth)
+    path = tmp_path / "deep.txt"
+    path.write_text(text, encoding="utf-8")
+    zeros = "[" + ",".join("0" * depth) + "]"
+    first = "[1" + ",0" * (depth - 1) + "]"
+
+    assert main(["inspect", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        f"  m: depth={depth} splits={depth} leaves={depth + 1}",
+        "  n: depth=0 splits=0 leaves=1",
+    ]
+    assert main(["which", str(path), zeros]) == 0
+    assert capsys.readouterr().out == (
+        "Promising methods for this proof goal are:\n"
+        "  n with expectation of 0.7500\n"
+        "  m with expectation of 0.5000\n"
+    )
+    assert main(["which", str(path), first, "-k", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ranked"] == [{"method": "n", "expectation": 0.75}]
+    assert main(["why", str(path), zeros, "m"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == depth
+    assert lines[-1] == f"Because it is not true that feature #{depth - 1} holds."
+    assert main(["prune", str(path)]) == 0
+    assert capsys.readouterr().out == "".join(f"{i}\n" for i in range(depth))
+
+    saved = tmp_path / "saved.txt"
+    save_model(load_model(str(path)), str(saved))
+    assert saved.read_text(encoding="utf-8") == text
+
+
+@pytest.mark.parametrize("declared,code", [(3001, 0), (5, 2)])
+def test_deep_nesting_exits_0_or_2(tmp_path, capsys, declared, code):
+    # 3000 nested N(0, on one line, under a header that allows or forbids it.
+    body = "N(0," * 3000 + "L(0,1)" + ",L(1,1))" * 3000
+    path = tmp_path / "deep.txt"
+    path.write_text(f"pamper-model v1 features=1 depth={declared}\nm\t{body}\n", encoding="utf-8")
+    assert main(["inspect", str(path)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:
+        assert err == "pamper: line 2: tree deeper than declared depth 5\n"
 
 
 @pytest.mark.parametrize(

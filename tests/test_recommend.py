@@ -3,6 +3,7 @@ import pytest
 
 from pamper.corpus import FeatureCatalog
 from pamper.errors import UnknownMethodError, VectorWidthMismatchError
+from pamper import recommend
 from pamper.recommend import (
     ModelArena,
     as_vector,
@@ -11,7 +12,6 @@ from pamper.recommend import (
     render_explanation,
     render_rank,
     render_recommendation,
-    sorted_model_names,
     which_method,
     why_method,
 )
@@ -181,10 +181,6 @@ def test_render_rank_golden():
     assert render_rank("simp", rank, total) == "simp 1 out of 3"
 
 
-def test_sorted_model_names():
-    assert sorted_model_names(_hand_model()) == ["auto", "blast", "simp"]
-
-
 def _random_batch(rng, model, max_rows: int = 12):
     rows = int(rng.integers(1, max_rows + 1))
     return rng.integers(0, 2, (rows, model.feature_count)).astype(np.uint8)
@@ -239,3 +235,45 @@ def test_arena_k_below_one():
     arena = ModelArena(_hand_model())
     with pytest.raises(ValueError):
         arena.batch_which(np.zeros((1, 2), dtype=np.uint8), k=0)
+
+
+def test_arena_columns_are_name_sorted():
+    arena = ModelArena(_hand_model())
+    assert arena.names == ["auto", "blast", "simp"]
+    assert arena.depth == 1
+
+
+def test_arena_across_row_blocks():
+    # Row counts around the block size, plus an empty batch, all agree with
+    # a plain walk of each tree, float for float, and with which_method.
+    rng = np.random.default_rng(47)
+    model = random_model(rng, max_methods=8, max_features=12)
+    arena = ModelArena(model)
+    block = recommend._BLOCK_ROWS
+    for rows in (0, 1, block - 1, block, block + 1, 2 * block + 3):
+        V = rng.integers(0, 2, (rows, model.feature_count)).astype(np.uint8)
+        E = arena.expectations(V)
+        assert E.shape == (rows, len(model.trees))
+        want = np.array(
+            [[walk_tree(model.trees[name], row) for name in arena.names] for row in V]
+        ).reshape(rows, len(model.trees))
+        assert np.array_equal(E.view(np.uint64), want.view(np.uint64))
+        assert arena.batch_which(V, k=3) == [which_method(model, row, k=3) for row in V]
+
+
+def test_arena_steps_only_as_deep_as_the_trees():
+    model = ModelSet(
+        3,
+        {"a": Internal(2, Leaf(0.25, 1), Internal(0, Leaf(0.5, 1), Leaf(0.75, 1))),
+         "b": Leaf(0.125, 4)},
+        max_depth=9,
+    )
+    arena = ModelArena(model)
+    assert arena.depth == 2
+    E = arena.expectations(np.array([[0, 0, 0], [1, 0, 1], [0, 1, 1]], dtype=np.uint8))
+    assert E.tolist() == [[0.25, 0.125], [0.75, 0.125], [0.5, 0.125]]
+
+
+def test_arena_of_an_empty_model():
+    arena = ModelArena(ModelSet(2, {}))
+    assert arena.expectations(np.zeros((3, 2), dtype=np.uint8)).shape == (3, 0)

@@ -332,6 +332,41 @@ def test_model_parse_errors(text, line_no):
     assert info.value.line_no == line_no
 
 
+def test_model_parse_error_on_non_utf8_bytes():
+    with pytest.raises(ModelParseError) as info:
+        model_from_text(b"pamper-model v1 features=1 depth=1\na\tL(1,1)\nb\tL(\xff,1)\n")
+    assert info.value.line_no == 3
+    assert "not valid UTF-8" in str(info.value)
+
+
+def test_model_header_with_too_many_digits_is_a_parse_error():
+    with pytest.raises(ModelParseError) as info:
+        model_from_text("pamper-model v1 features=" + "9" * 5000 + " depth=1\n")
+    assert info.value.line_no == 1
+
+
+def _chain(depth: int, leaf: Leaf) -> Internal:
+    # Built bottom-up, so no recursion is needed at any depth.
+    node = leaf
+    for feature in reversed(range(depth)):
+        node = Internal(feature, node, Leaf(0.25, 2))
+    return node
+
+
+def test_deep_trees_walk_without_recursion():
+    depth = 5000
+    tree = _chain(depth, Leaf(0.5, 1))
+    assert tree_stats(tree) == (depth, depth + 1, depth)
+    model = ModelSet(depth, {"m": tree}, max_depth=depth)
+    assert used_features(model) == set(range(depth))
+    text = model_to_text(model)
+    again = model_from_text(text)
+    assert model_to_text(again) == text
+    assert tree_stats(again.trees["m"]) == (depth, depth + 1, depth)
+    with pytest.raises(ValueError, match="depth limit"):
+        ModelSet(depth, {"m": tree}, max_depth=depth - 1)
+
+
 def test_model_save_load_identity_property():
     rng = np.random.default_rng(90210)
     for _ in range(120):
