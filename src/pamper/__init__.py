@@ -8,7 +8,6 @@ coincidence rates.
 from . import errors
 from .corpus import (
     Corpus,
-    DataPoint,
     FeatureCatalog,
     corpus_stats,
     parse_database,
@@ -27,12 +26,11 @@ from .evaluate import (
     run_evaluation,
     split_corpus,
 )
-from .preprocess import BinaryDataset, dump_binary_dataset, single_target_split
+from .preprocess import BinaryDataset, single_target_split
 from .recommend import (
     Explanation,
     ModelArena,
     Recommendation,
-    evaluate_tree,
     rank_method,
     render_explanation,
     render_rank,
@@ -66,7 +64,6 @@ __all__ = [
     "BestSplit",
     "BinaryDataset",
     "Corpus",
-    "DataPoint",
     "EvaluationReport",
     "Explanation",
     "FeatureCatalog",
@@ -84,9 +81,7 @@ __all__ = [
     "best_split",
     "build_tree",
     "corpus_stats",
-    "dump_binary_dataset",
     "errors",
-    "evaluate_tree",
     "generate",
     "load_model",
     "model_from_text",

@@ -36,6 +36,7 @@ from .evaluate import (
 )
 from .recommend import (
     ModelArena,
+    rank_method,
     render_explanation,
     render_rank,
     render_recommendation,
@@ -55,12 +56,6 @@ from .trees import (
 
 def _read_corpus(path: str):
     return parse_database(Path(path).read_bytes())
-
-
-def _read_model(path: str) -> ModelSet:
-    from .trees import model_from_text
-
-    return model_from_text(Path(path).read_bytes())
 
 
 def _attach_catalog(model: ModelSet, catalog_path: str | None) -> ModelSet:
@@ -107,13 +102,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    model = _read_model(args.model)
+    model = load_model(args.model)
     _print_model_summary(model)
     return 0
 
 
 def cmd_which(args) -> int:
-    model = _read_model(args.model)
+    model = load_model(args.model)
     vectors = _read_vectors(args.vector, model.feature_count)
     arena = ModelArena(model)
     matrix = np.stack(vectors) if len(vectors) > 1 else vectors[0][None, :]
@@ -136,10 +131,8 @@ def cmd_which(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    model = _read_model(args.model)
+    model = load_model(args.model)
     vectors = _read_vectors(args.vector, model.feature_count)
-    from .recommend import rank_method
-
     for vector in vectors:
         rank, total = rank_method(model, vector, args.method)
         if args.json:
@@ -150,7 +143,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_why(args) -> int:
-    model = _attach_catalog(_read_model(args.model), args.catalog)
+    model = _attach_catalog(load_model(args.model), args.catalog)
     vectors = _read_vectors(args.vector, model.feature_count)
     for vector in vectors:
         expl = why_method(model, vector, args.method)
@@ -196,7 +189,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_prune(args) -> int:
-    model = _attach_catalog(_read_model(args.model), args.catalog)
+    model = _attach_catalog(load_model(args.model), args.catalog)
     for index in sorted(used_features(model)):
         description = model.catalog.descriptions.get(index)
         print(f"{index}\t{description}" if description else str(index))

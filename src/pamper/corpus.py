@@ -22,7 +22,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -37,13 +36,6 @@ from .errors import (
 )
 
 METHOD_TOKEN = re.compile(r"[A-Za-z0-9_'.\-]+\Z")
-
-
-class DataPoint(NamedTuple):
-    """One observed proof-method application: name plus its feature bits."""
-
-    method: str
-    features: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,18 +90,6 @@ class Corpus:
             and np.array_equal(self.features, other.features)
         )
 
-    def point(self, i: int) -> DataPoint:
-        return DataPoint(self.method_names[i], self.features[i])
-
-    def iter_points(self) -> Iterator[DataPoint]:
-        for name, row in zip(self.method_names, self.features):
-            yield DataPoint(name, row)
-
-    @property
-    def points(self) -> tuple[DataPoint, ...]:
-        """Materialized record tuple; prefer iter_points on big corpora."""
-        return tuple(self.iter_points())
-
     @cached_property
     def method_counts(self) -> dict[str, int]:
         """Occurrence count per distinct method name."""
@@ -146,8 +126,6 @@ def _parse_record(line: str, line_no: int) -> tuple[str, bytearray]:
     if not (vec.startswith("[") and vec.endswith("]")):
         raise MalformedLineError(line_no, "feature vector must be bracketed")
     row = _parse_bits(vec[1:-1], line_no)
-    if not row:
-        raise MalformedLineError(line_no, "feature vector is empty")
     return method, row
 
 
@@ -199,8 +177,6 @@ def parse_vector(text: str, feature_count: int | None = None, line_no: int = 1) 
     if not (vec.startswith("[") and vec.endswith("]")):
         raise MalformedLineError(line_no, "feature vector must be bracketed")
     row = _parse_bits(vec[1:-1], line_no)
-    if not row:
-        raise MalformedLineError(line_no, "feature vector is empty")
     arr = np.frombuffer(bytes(row), dtype=np.uint8).copy()
     if feature_count is not None and arr.size != feature_count:
         raise VectorWidthMismatchError(arr.size, feature_count)

@@ -9,17 +9,11 @@ methods x points, never methods x points x features.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .corpus import Corpus
 from .errors import EmptyDatasetError
-
-
-class BinaryLabeledPoint(NamedTuple):
-    label: float
-    features: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,14 +38,6 @@ class BinaryDataset:
     def __len__(self) -> int:
         return self.labels.shape[0]
 
-    def iter_points(self) -> Iterator[BinaryLabeledPoint]:
-        for label, row in zip(self.labels, self.features):
-            yield BinaryLabeledPoint(float(label), row)
-
-    @property
-    def points(self) -> tuple[BinaryLabeledPoint, ...]:
-        return tuple(self.iter_points())
-
 
 def single_target_split(corpus: Corpus) -> dict[str, BinaryDataset]:
     """One BinaryDataset per distinct method, keyed and ordered by name.
@@ -73,11 +59,3 @@ def single_target_split(corpus: Corpus) -> dict[str, BinaryDataset]:
         )
     return datasets
 
-
-def dump_binary_dataset(dataset: BinaryDataset) -> str:
-    """Debug rendering: ``used,`` / ``not,`` lines in database syntax."""
-    out = []
-    for label, row in zip(dataset.labels, dataset.features):
-        tag = "used" if label else "not"
-        out.append(f"{tag}, [{','.join('1' if b else '0' for b in row.tolist())}]\n")
-    return "".join(out)

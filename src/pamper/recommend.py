@@ -1,20 +1,22 @@
 """Queries against a trained model: rankings, ranks, and explanations.
 
-Every method's tree is evaluated on the query vector and methods are
-ordered by descending expectation, ties broken by ascending name. The
-explanation for a method is its root-to-leaf decision path rendered one
-sentence per step.
+Methods are ordered by descending expectation at the leaf the query
+vector reaches in their tree, ties broken by ascending name. Rankings of
+every method step all trees together through a ModelArena; a single
+method's rank and its explanation walk that method's tree, and the
+explanation is the root-to-leaf decision path rendered one sentence per
+step.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from ._format import sig4
 from .errors import UnknownMethodError, VectorWidthMismatchError
-from .trees import Internal, Leaf, ModelSet, TreeNode
+from .trees import Internal, Leaf, ModelSet, TreeNode, _levels
 
 
 @dataclass(frozen=True)
@@ -40,57 +42,56 @@ class Explanation:
     expectation: float
 
 
-def as_vector(v, feature_count: int | None = None) -> np.ndarray:
-    """Normalize a query vector to uint8 and check its width."""
-    arr = np.ascontiguousarray(v, dtype=np.uint8)
-    if arr.ndim != 1:
-        raise ValueError("query vector must be one-dimensional")
-    if arr.size and arr.max() > 1:
+def _checked_bits(v, ndim: int, feature_count: int | None) -> np.ndarray:
+    """Check a query vector (``ndim`` 1) or matrix (``ndim`` 2); return it as uint8.
+
+    Every entry must be 0 or 1, checked before the cast so that no value
+    wraps into range, and the last axis must hold ``feature_count`` entries
+    when that is given.
+    """
+    arr = np.asarray(v)
+    if arr.ndim != ndim:
+        raise ValueError(f"query {'vector' if ndim == 1 else 'matrix'} must be {ndim}-dimensional")
+    if arr.size and not ((arr == 0) | (arr == 1)).all():
         raise ValueError("query vector entries must be 0 or 1")
-    if feature_count is not None and arr.size != feature_count:
-        raise VectorWidthMismatchError(arr.size, feature_count)
-    return arr
+    if feature_count is not None and arr.shape[-1] != feature_count:
+        raise VectorWidthMismatchError(arr.shape[-1], feature_count)
+    return np.ascontiguousarray(arr, dtype=np.uint8)
 
 
-def evaluate_tree(tree: TreeNode, v, feature_count: int | None = None) -> float:
-    """Expectation at the leaf the vector reaches."""
-    arr = as_vector(v, feature_count)
+def as_vector(v, feature_count: int | None = None) -> np.ndarray:
+    """Normalize a query vector to uint8 and check its entries and width."""
+    return _checked_bits(v, 1, feature_count)
+
+
+def _walk(tree: TreeNode, bits) -> tuple[Leaf, list[tuple[int, bool]]]:
+    """The leaf ``bits`` reaches in ``tree``, and the (feature, bit) tests on the way."""
+    path: list[tuple[int, bool]] = []
     node = tree
     while isinstance(node, Internal):
-        if node.feature >= arr.size:
-            raise VectorWidthMismatchError(arr.size, node.feature + 1)
-        node = node.when_true if arr[node.feature] else node.when_false
-    return node.expectation
-
-
-def _full_ranking(model: ModelSet, arr: np.ndarray) -> list[tuple[str, float]]:
-    items = [
-        (name, evaluate_tree(tree, arr)) for name, tree in model.trees.items()
-    ]
-    items.sort(key=lambda item: (-item[1], item[0]))
-    return items
+        bit = bool(bits[node.feature])
+        path.append((node.feature, bit))
+        node = node.when_true if bit else node.when_false
+    return node, path
 
 
 def which_method(model: ModelSet, v, k: int = 15) -> Recommendation:
-    """Top-k methods for a proof state, ordered as described above."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    arr = as_vector(v, model.feature_count)
-    ranking = _full_ranking(model, arr)
-    return Recommendation(tuple(ranking[:k]), len(ranking))
+    """Top-k methods for one proof state, ordered as described above.
+
+    Builds a ModelArena on every call; hold one arena for many vectors.
+    """
+    return ModelArena(model).batch_which(as_vector(v, model.feature_count)[None, :], k)[0]
 
 
 def rank_method(model: ModelSet, v, method: str) -> tuple[int, int]:
     """1-based rank of one method in the full ordering, plus the total."""
     if method not in model.trees:
         raise UnknownMethodError(method)
-    arr = as_vector(v, model.feature_count)
-    target = evaluate_tree(model.trees[method], arr)
+    bits = as_vector(v, model.feature_count).tolist()
+    target = _walk(model.trees[method], bits)[0].expectation
     rank = 1
     for name, tree in model.trees.items():
-        if name == method:
-            continue
-        expectation = evaluate_tree(tree, arr)
+        expectation = _walk(tree, bits)[0].expectation
         if expectation > target or (expectation == target and name < method):
             rank += 1
     return rank, len(model.trees)
@@ -100,16 +101,12 @@ def why_method(model: ModelSet, v, method: str) -> Explanation:
     """Decision path the vector takes through one method's tree."""
     if method not in model.trees:
         raise UnknownMethodError(method)
-    arr = as_vector(v, model.feature_count)
-    steps: list[ExplanationStep] = []
-    node = model.trees[method]
-    while isinstance(node, Internal):
-        value = bool(arr[node.feature])
-        steps.append(
-            ExplanationStep(node.feature, value, model.catalog.describe(node.feature))
-        )
-        node = node.when_true if value else node.when_false
-    return Explanation(method, tuple(steps), node.expectation)
+    bits = as_vector(v, model.feature_count).tolist()
+    leaf, path = _walk(model.trees[method], bits)
+    steps = tuple(
+        ExplanationStep(feature, bit, model.catalog.describe(feature)) for feature, bit in path
+    )
+    return Explanation(method, steps, leaf.expectation)
 
 
 def render_recommendation(rec: Recommendation) -> str:
@@ -155,10 +152,8 @@ class ModelArena:
     def __init__(self, model: ModelSet):
         feature: list[int] = []  # -1 marks a leaf until the child table is built
         value: list[float] = []
-        level = list(model.trees.values())
-        depth = 0
-        while True:
-            below: list[TreeNode] = []
+        depth = 0  # an empty model has no levels
+        for depth, level in enumerate(_levels(model.trees.values())):
             for node in level:
                 if isinstance(node, Leaf):
                     feature.append(-1)
@@ -166,11 +161,6 @@ class ModelArena:
                 else:
                     feature.append(node.feature)
                     value.append(0.0)
-                    below += (node.when_false, node.when_true)
-            if not below:
-                break
-            level = below
-            depth += 1
         self.names = list(model.trees.keys())
         self.feature_count = model.feature_count
         self.depth = depth
@@ -187,11 +177,7 @@ class ModelArena:
 
     def expectations(self, matrix: np.ndarray) -> np.ndarray:
         """(B, F) query matrix -> (B, M) expectation matrix, names order."""
-        V = np.ascontiguousarray(matrix, dtype=np.uint8)
-        if V.ndim != 2 or V.shape[1] != self.feature_count:
-            raise VectorWidthMismatchError(
-                V.shape[1] if V.ndim == 2 else -1, self.feature_count
-            )
+        V = _checked_bits(matrix, 2, self.feature_count)
         roots = np.arange(len(self.names))
         out = np.empty((V.shape[0], roots.size), dtype=np.float64)
         for start in range(0, V.shape[0], _BLOCK_ROWS):

@@ -89,14 +89,6 @@ class PlantedModel:
             raise InvalidDistributionError("rule weights sum past 1")
         _check_distribution(self.fallback)
 
-    def match(self, vector) -> int | None:
-        """Index of the first rule whose pattern the vector satisfies."""
-        bits = np.asarray(vector)
-        for i, rule in enumerate(self.rules):
-            if all(bool(bits[j]) == want for j, want in rule.pattern.items()):
-                return i
-        return None
-
 
 def _check_distribution(dist) -> None:
     if not dist:

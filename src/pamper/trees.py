@@ -1,6 +1,6 @@
 """Per-method regression trees over boolean feature vectors.
 
-Trees are grown top-down by recursive binary splitting. At each node every
+Trees are grown top-down by binary splitting. At each node every
 feature is scored by the summed residual sum of squares (RSS) of the two
 sides it induces; the feature with the lowest post-split RSS wins, ties
 going to the lowest feature index. Growth stops at the depth limit, on
@@ -22,7 +22,7 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -112,11 +112,24 @@ class ModelSet:
         )
 
 
-def _check_tree(tree: TreeNode, feature_count: int, max_depth: int) -> None:
-    level = [tree]
-    depth = 0
+def _levels(roots: Iterable[TreeNode]) -> Iterator[list[TreeNode]]:
+    """Yield ``roots``, then their children, and so on, one level at a time.
+
+    Each level lists the children of the level above in order, the
+    ``when_false`` child before the ``when_true`` child.
+    """
+    level = list(roots)
     while level:
+        yield level
         below: list[TreeNode] = []
+        for node in level:
+            if isinstance(node, Internal):
+                below += (node.when_false, node.when_true)
+        level = below
+
+
+def _check_tree(tree: TreeNode, feature_count: int, max_depth: int) -> None:
+    for depth, level in enumerate(_levels([tree])):
         for node in level:
             if isinstance(node, Leaf):
                 if not (0.0 <= node.expectation <= 1.0):
@@ -130,11 +143,8 @@ def _check_tree(tree: TreeNode, feature_count: int, max_depth: int) -> None:
                     raise ValueError(
                         f"feature {node.feature} out of range for {feature_count} features"
                     )
-                below += (node.when_false, node.when_true)
             else:
                 raise TypeError(f"not a tree node: {node!r}")
-        level = below
-        depth += 1
 
 
 def rss(points) -> float:
@@ -217,27 +227,46 @@ def best_split(dataset: BinaryDataset, candidate_features: Iterable[int] | None 
     return BestSplit(j, num / den)
 
 
-def _grow(Xp, yp, mask, n, pos, depth, cfg) -> TreeNode:
-    if (
-        depth >= cfg.max_depth
-        or n < cfg.min_points_to_split
-        or pos == 0
-        or pos == n
-    ):
-        return Leaf(pos / n, n)
-    n_true, pos_true, _ = _kernels.node_counts(Xp, yp, mask)
-    nt = n_true.tolist()
-    pt = pos_true.tolist()
-    choice = _choose_split(nt, pt, n, pos, range(Xp.shape[0]))
-    if choice is None:
-        return Leaf(pos / n, n)
-    j = choice[0]
-    mask_false, mask_true = _kernels.partition(Xp, mask, j)
-    return Internal(
-        j,
-        _grow(Xp, yp, mask_false, n - nt[j], pos - pt[j], depth + 1, cfg),
-        _grow(Xp, yp, mask_true, nt[j], pt[j], depth + 1, cfg),
-    )
+def _grow(Xp, yp, mask, n, pos, cfg) -> TreeNode:
+    """Grow the tree of a root mask depth-first, false side first, on an explicit stack.
+
+    ``todo`` holds nodes still to grow as ``(mask, n, pos, depth)`` and, under
+    each split node's two children, its feature; popping the feature joins
+    the last two finished subtrees into an Internal node.
+    """
+    todo: list = [(mask, n, pos, 0)]
+    done: list[TreeNode] = []
+    while todo:
+        item = todo.pop()
+        if isinstance(item, int):
+            when_true = done.pop()
+            when_false = done.pop()
+            done.append(Internal(item, when_false, when_true))
+            continue
+        mask, n, pos, depth = item
+        if (
+            depth >= cfg.max_depth
+            or n < cfg.min_points_to_split
+            or pos == 0
+            or pos == n
+        ):
+            done.append(Leaf(pos / n, n))
+            continue
+        n_true, pos_true, _ = _kernels.node_counts(Xp, yp, mask)
+        nt = n_true.tolist()
+        pt = pos_true.tolist()
+        choice = _choose_split(nt, pt, n, pos, range(Xp.shape[0]))
+        if choice is None:
+            done.append(Leaf(pos / n, n))
+            continue
+        j = choice[0]
+        mask_false, mask_true = _kernels.partition(Xp, mask, j)
+        todo += (
+            j,
+            (mask_true, nt[j], pt[j], depth + 1),
+            (mask_false, n - nt[j], pos - pt[j], depth + 1),
+        )
+    return done.pop()
 
 
 def _grow_tree(Xp, dataset: BinaryDataset, cfg: TrainConfig) -> TreeNode:
@@ -245,7 +274,7 @@ def _grow_tree(Xp, dataset: BinaryDataset, cfg: TrainConfig) -> TreeNode:
     n = len(dataset)
     root = _kernels.pack_bits(np.ones(n, dtype=np.uint8))
     yp = _kernels.pack_bits(dataset.labels)
-    return _grow(Xp, yp, root, n, dataset.positives, 0, cfg)
+    return _grow(Xp, yp, root, n, dataset.positives, cfg)
 
 
 def build_tree(dataset: BinaryDataset, cfg: TrainConfig | None = None) -> TreeNode:
@@ -306,33 +335,21 @@ def train(
 
 def used_features(model: ModelSet) -> set[int]:
     """Every feature index that branches some tree in the model."""
-    found: set[int] = set()
-    level = list(model.trees.values())
-    while level:
-        below: list[TreeNode] = []
-        for node in level:
-            if isinstance(node, Internal):
-                found.add(node.feature)
-                below += (node.when_false, node.when_true)
-        level = below
-    return found
+    return {
+        node.feature
+        for level in _levels(model.trees.values())
+        for node in level
+        if isinstance(node, Internal)
+    }
 
 
 def tree_stats(tree: TreeNode) -> TreeStats:
     """Internal-node count, leaf count, and depth of one tree."""
     internal = leaves = 0
-    depth = -1
-    level = [tree]
-    while level:
-        depth += 1
-        below: list[TreeNode] = []
-        for node in level:
-            if isinstance(node, Internal):
-                internal += 1
-                below += (node.when_false, node.when_true)
-            else:
-                leaves += 1
-        level = below
+    for depth, level in enumerate(_levels([tree])):
+        branching = sum(isinstance(node, Internal) for node in level)
+        internal += branching
+        leaves += len(level) - branching
     return TreeStats(internal, leaves, depth)
 
 

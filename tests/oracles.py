@@ -56,6 +56,12 @@ def walk_tree(tree, bits) -> float:
     return node.expectation
 
 
+def ranking(model, bits) -> list[tuple[str, float]]:
+    """Every method with its walked expectation, highest first, ties by name."""
+    walked = [(name, walk_tree(tree, bits)) for name, tree in model.trees.items()]
+    return sorted(walked, key=lambda item: (-item[1], item[0]))
+
+
 def leaf_regions(tree, X):
     """Yield (leaf, row mask) pairs by replaying every root-to-leaf path."""
     stack = [(tree, np.ones(X.shape[0], dtype=bool))]
@@ -107,13 +113,18 @@ def random_corpus(rng, max_points: int = 40, max_features: int = 10) -> Corpus:
     return Corpus(tuple(names), X, n_feat)
 
 
-def random_tree(rng, n_feat: int, depth_left: int):
+def random_tree(rng, n_feat: int, depth_left: int, values=None):
+    """Random tree; leaf expectations are uniform, or drawn from ``values``."""
     if depth_left == 0 or rng.random() < 0.35:
-        return Leaf(float(rng.random()), int(rng.integers(1, 50)))
+        if values is None:
+            expectation = float(rng.random())
+        else:
+            expectation = float(values[int(rng.integers(0, len(values)))])
+        return Leaf(expectation, int(rng.integers(1, 50)))
     return Internal(
         int(rng.integers(0, n_feat)),
-        random_tree(rng, n_feat, depth_left - 1),
-        random_tree(rng, n_feat, depth_left - 1),
+        random_tree(rng, n_feat, depth_left - 1, values),
+        random_tree(rng, n_feat, depth_left - 1, values),
     )
 
 
@@ -123,7 +134,7 @@ def tree_depth(tree) -> int:
     return 1 + max(tree_depth(tree.when_false), tree_depth(tree.when_true))
 
 
-def random_model(rng, max_methods: int = 8, max_features: int = 12) -> ModelSet:
+def random_model(rng, max_methods: int = 8, max_features: int = 12, values=None) -> ModelSet:
     n_feat = int(rng.integers(1, max_features + 1))
     count = int(rng.integers(1, max_methods + 1))
     names = []
@@ -131,7 +142,7 @@ def random_model(rng, max_methods: int = 8, max_features: int = 12) -> ModelSet:
         names.append(f"{base}{i}" if base != "-" else f"minus{i}")
     trees = {}
     for name in names:
-        trees[name] = random_tree(rng, n_feat, int(rng.integers(0, 5)))
+        trees[name] = random_tree(rng, n_feat, int(rng.integers(0, 5)), values)
     max_depth = max(1, max(tree_depth(t) for t in trees.values()))
     return ModelSet(n_feat, trees, max_depth=max_depth)
 

@@ -86,6 +86,11 @@ def test_which_width_mismatch_exits_2(model, capsys):
     assert capsys.readouterr().err.startswith("pamper: ")
 
 
+def test_which_empty_vector_exits_2(model, capsys):
+    assert main(["which", model, "[]"]) == 2
+    assert capsys.readouterr().err == "pamper: line 1: feature flag must be 0 or 1, got ''\n"
+
+
 def test_rank_golden_and_json(model, capsys):
     assert main(["rank", model, "[1,0]", "simp"]) == 0
     assert capsys.readouterr().out == "simp 1 out of 2\n"

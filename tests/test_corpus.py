@@ -65,22 +65,26 @@ def test_parse_inconsistent_width_reports_line():
 
 
 @pytest.mark.parametrize(
-    "line",
+    "line,message",
     [
-        "justaname",
-        "a, 1,0",
-        "a, [1,2]",
-        "a, []",
-        "a, [1,]",
-        "bad name, [1]",
-        "a; [1]",
-        ", [1]",
+        pytest.param(line, message, id=line)
+        for line, message in [
+            ("justaname", "expected '<method>, [<bits>]'"),
+            ("a, 1,0", "feature vector must be bracketed"),
+            ("a, [1,2]", "feature flag must be 0 or 1, got '2'"),
+            ("a, []", "feature flag must be 0 or 1, got ''"),
+            ("a, [1,]", "feature flag must be 0 or 1, got ''"),
+            ("bad name, [1]", "invalid method name: 'bad name'"),
+            ("a; [1]", "expected '<method>, [<bits>]'"),
+            (", [1]", "invalid method name: ''"),
+        ]
     ],
 )
-def test_parse_malformed_lines(line):
+def test_parse_malformed_lines(line, message):
     with pytest.raises(MalformedLineError) as info:
         parse_database(f"ok, [1]\n{line}\n")
     assert info.value.line_no == 2
+    assert str(info.value) == f"line 2: {message}"
 
 
 def test_method_token_grammar_allows_odd_names():
@@ -124,13 +128,10 @@ def test_parse_is_total_under_fuzz():
             )
 
 
-def test_features_are_read_only_and_shared():
+def test_features_are_read_only():
     c = parse_database("a, [1,0]\nb, [0,1]\n")
     with pytest.raises(ValueError):
         c.features[0, 0] = 0
-    assert c.point(1).method == "b"
-    assert [p.method for p in c.iter_points()] == ["a", "b"]
-    assert len(c.points) == 2
 
 
 def test_take_preserves_order_given():

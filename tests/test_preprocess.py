@@ -3,7 +3,7 @@ import pytest
 
 from pamper.corpus import parse_database
 from pamper.errors import EmptyDatasetError
-from pamper.preprocess import dump_binary_dataset, single_target_split
+from pamper.preprocess import single_target_split
 
 from oracles import random_corpus
 
@@ -15,9 +15,7 @@ def test_two_method_corpus_yields_mirrored_labels():
     assert split["induct"].labels.tolist() == [1, 0]
     assert split["auto"].labels.tolist() == [0, 1]
     assert split["induct"].positives == 1
-    first = split["induct"].points[0]
-    assert first.label == 1.0
-    assert first.features.tolist() == [1, 0, 1]
+    assert split["induct"].features.tolist() == [[1, 0, 1], [0, 1, 0]]
 
 
 def test_single_method_corpus_all_positive():
@@ -64,8 +62,3 @@ def test_empty_corpus_rejected():
     with pytest.raises(EmptyDatasetError):
         single_target_split(empty)
 
-
-def test_dump_uses_used_not_tags():
-    c = parse_database("a, [1,0]\nb, [0,1]\n")
-    ds = single_target_split(c)["a"]
-    assert dump_binary_dataset(ds) == "used, [1,0]\nnot, [0,1]\n"

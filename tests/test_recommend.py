@@ -6,8 +6,8 @@ from pamper.errors import UnknownMethodError, VectorWidthMismatchError
 from pamper import recommend
 from pamper.recommend import (
     ModelArena,
+    Recommendation,
     as_vector,
-    evaluate_tree,
     rank_method,
     render_explanation,
     render_rank,
@@ -17,7 +17,7 @@ from pamper.recommend import (
 )
 from pamper.trees import Internal, Leaf, ModelSet
 
-from oracles import random_model, random_tree, walk_tree
+from oracles import random_model, ranking, walk_tree
 
 
 def _hand_model():
@@ -29,39 +29,22 @@ def _hand_model():
     return ModelSet(2, trees, max_depth=1)
 
 
-def test_evaluate_tree_leaf_constant():
-    assert evaluate_tree(Leaf(0.4119, 7), [0, 1, 0]) == 0.4119
-    assert evaluate_tree(Leaf(1.0, 2), []) == 1.0
-
-
-def test_evaluate_tree_branches():
-    tree = Internal(1, Leaf(0.0, 4), Leaf(1.0, 4))
-    assert evaluate_tree(tree, [0, 1]) == 1.0
-    assert evaluate_tree(tree, [1, 0]) == 0.0
-
-
-def test_evaluate_tree_matches_independent_walk():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        n_feat = int(rng.integers(1, 10))
-        tree = random_tree(rng, n_feat, int(rng.integers(0, 6)))
-        bits = rng.integers(0, 2, n_feat).astype(np.uint8)
-        assert evaluate_tree(tree, bits) == walk_tree(tree, bits.tolist())
-
-
-def test_evaluate_tree_width_mismatch():
-    tree = Internal(3, Leaf(0.0, 1), Leaf(1.0, 1))
-    with pytest.raises(VectorWidthMismatchError):
-        evaluate_tree(tree, [1, 0])
-    with pytest.raises(VectorWidthMismatchError):
-        evaluate_tree(Leaf(0.5, 1), [1, 0], feature_count=3)
-
-
 def test_as_vector_rejections():
     with pytest.raises(ValueError):
         as_vector([[1, 0]])
     with pytest.raises(ValueError):
         as_vector([0, 2, 1])
+    with pytest.raises(ValueError, match="0 or 1"):
+        as_vector(np.array([256, 1]))  # would wrap to 0 as uint8
+    with pytest.raises(ValueError, match="0 or 1"):
+        as_vector([0.5, 1.0])
+    assert as_vector([True, False, 1.0]).tolist() == [1, 0, 1]
+
+
+@pytest.mark.parametrize("bad", [[2, 0], [-1, 0]], ids=["two", "minus-one"])
+def test_which_rejects_entries_other_than_0_and_1(bad):
+    with pytest.raises(ValueError, match="0 or 1"):
+        which_method(_hand_model(), np.array(bad, dtype=np.int64))
 
 
 def test_which_ordering_and_name_ties():
@@ -88,21 +71,47 @@ def test_which_truncation_and_prefix():
         which_method(model, [1, 0], k=0)
 
 
-def test_which_checks_vector_width():
+def test_queries_check_vector_width():
     with pytest.raises(VectorWidthMismatchError):
         which_method(_hand_model(), [1], k=1)
+    with pytest.raises(VectorWidthMismatchError):
+        rank_method(_hand_model(), [1, 0, 0], "auto")
+    with pytest.raises(VectorWidthMismatchError):
+        why_method(_hand_model(), [1], "simp")
 
 
-def test_rank_consistent_with_full_ranking():
+# Leaves drawn from three values make most rankings hold ties broken by name.
+TIED = pytest.mark.parametrize("values", [None, (0.0, 0.5, 1.0)], ids=["uniform", "ties"])
+
+
+@TIED
+def test_rank_consistent_with_full_ranking(values):
     rng = np.random.default_rng(23)
     for _ in range(60):
-        model = random_model(rng)
+        model = random_model(rng, values=values)
         v = rng.integers(0, 2, model.feature_count).astype(np.uint8)
         full = which_method(model, v, k=len(model.trees))
+        assert list(full.ranked) == ranking(model, v.tolist())
         for pos, (name, _) in enumerate(full.ranked):
             rank, total = rank_method(model, v, name)
             assert rank == pos + 1
             assert total == len(model.trees)
+
+
+def test_why_path_matches_oracle_walk():
+    rng = np.random.default_rng(31)
+    for _ in range(60):
+        model = random_model(rng)
+        v = rng.integers(0, 2, model.feature_count).astype(np.uint8)
+        for name, tree in model.trees.items():
+            expl = why_method(model, v, name)
+            assert expl.expectation == walk_tree(tree, v.tolist())
+            node = tree
+            for step in expl.steps:
+                assert step.feature == node.feature
+                assert step.value is bool(v[node.feature])
+                node = node.when_true if step.value else node.when_false
+            assert isinstance(node, Leaf)
 
 
 def test_rank_unknown_method():
@@ -186,7 +195,7 @@ def _random_batch(rng, model, max_rows: int = 12):
     return rng.integers(0, 2, (rows, model.feature_count)).astype(np.uint8)
 
 
-def test_arena_expectations_match_single_path():
+def test_arena_expectations_match_oracle_walk():
     rng = np.random.default_rng(37)
     for _ in range(60):
         model = random_model(rng)
@@ -196,25 +205,28 @@ def test_arena_expectations_match_single_path():
         assert E.shape == (V.shape[0], len(model.trees))
         for i in range(V.shape[0]):
             for t, name in enumerate(arena.names):
-                assert E[i, t] == evaluate_tree(model.trees[name], V[i])
+                assert E[i, t] == walk_tree(model.trees[name], V[i].tolist())
 
 
-def test_arena_batch_which_matches_single_path():
+@TIED
+def test_arena_batch_which_matches_oracle_ranking(values):
     rng = np.random.default_rng(41)
     for _ in range(40):
-        model = random_model(rng)
+        model = random_model(rng, values=values)
         arena = ModelArena(model)
         V = _random_batch(rng, model)
         k = int(rng.integers(1, len(model.trees) + 3))
         got = arena.batch_which(V, k=k)
         for i, rec in enumerate(got):
-            assert rec == which_method(model, V[i], k=k)
+            want = ranking(model, V[i].tolist())
+            assert rec == Recommendation(tuple(want[:k]), len(want))
 
 
-def test_arena_batch_rank_matches_single_path():
+@TIED
+def test_arena_batch_rank_matches_oracle_ranking(values):
     rng = np.random.default_rng(43)
     for _ in range(40):
-        model = random_model(rng)
+        model = random_model(rng, values=values)
         arena = ModelArena(model)
         col_of = {name: i for i, name in enumerate(arena.names)}
         V = _random_batch(rng, model)
@@ -222,13 +234,38 @@ def test_arena_batch_rank_matches_single_path():
         cols = np.asarray([col_of[name] for name in picks])
         ranks = arena.batch_rank(V, cols)
         for i, name in enumerate(picks):
-            assert ranks[i] == rank_method(model, V[i], name)[0]
+            want = [method for method, _ in ranking(model, V[i].tolist())]
+            assert ranks[i] == 1 + want.index(name)
 
 
 def test_arena_width_mismatch():
     arena = ModelArena(_hand_model())
     with pytest.raises(VectorWidthMismatchError):
         arena.expectations(np.zeros((2, 3), dtype=np.uint8))
+    with pytest.raises(ValueError):
+        arena.expectations(np.zeros(2, dtype=np.uint8))
+
+
+def _two_tree_model():
+    # Tree "a" sits in slot 0 and tree "b" in slot 1; a's children follow.
+    return ModelSet(
+        2, {"a": Internal(0, Leaf(0.25, 1), Leaf(0.75, 1)), "b": Leaf(0.1, 1)}, max_depth=1
+    )
+
+
+def test_arena_rejects_entry_2():
+    # A 2 once stepped to child[2*slot + 2], the next slot's child.
+    arena = ModelArena(_two_tree_model())
+    with pytest.raises(ValueError, match="0 or 1"):
+        arena.expectations(np.array([[2, 0]]))
+    assert arena.expectations(np.array([[1, 0]])).tolist() == [[0.75, 0.1]]
+
+
+def test_arena_rejects_entry_minus_one():
+    # An int64 -1 once wrapped to 255 as uint8 and indexed past the table.
+    arena = ModelArena(_two_tree_model())
+    with pytest.raises(ValueError, match="0 or 1"):
+        arena.expectations(np.array([[-1, 0]], dtype=np.int64))
 
 
 def test_arena_k_below_one():
@@ -245,7 +282,7 @@ def test_arena_columns_are_name_sorted():
 
 def test_arena_across_row_blocks():
     # Row counts around the block size, plus an empty batch, all agree with
-    # a plain walk of each tree, float for float, and with which_method.
+    # a plain walk of each tree, float for float, and with its ranking.
     rng = np.random.default_rng(47)
     model = random_model(rng, max_methods=8, max_features=12)
     arena = ModelArena(model)
@@ -258,7 +295,9 @@ def test_arena_across_row_blocks():
             [[walk_tree(model.trees[name], row) for name in arena.names] for row in V]
         ).reshape(rows, len(model.trees))
         assert np.array_equal(E.view(np.uint64), want.view(np.uint64))
-        assert arena.batch_which(V, k=3) == [which_method(model, row, k=3) for row in V]
+        assert [rec.ranked for rec in arena.batch_which(V, k=3)] == [
+            tuple(ranking(model, row)[:3]) for row in V
+        ]
 
 
 def test_arena_steps_only_as_deep_as_the_trees():

@@ -71,18 +71,6 @@ def test_validate_rejections():
         _model([], {"b": 1.0}, features=0).validate()
 
 
-def test_match_first_rule_wins():
-    model = _model(
-        [
-            PlantedRule({0: True}, {"a": 1.0}, 0.3),
-            PlantedRule({0: True, 1: True}, {"b": 1.0}, 0.3),
-        ],
-        {"c": 1.0},
-    )
-    assert model.match([1, 1, 0, 0]) == 0
-    assert model.match([0, 1, 0, 0]) is None
-
-
 def test_generate_single_rule_covers_everything():
     model = _model([PlantedRule({0: True}, {"a": 1.0}, 1.0)], {"b": 1.0}, features=3)
     c = generate(model, 50, seed=0)

@@ -1,10 +1,11 @@
 import io
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from pamper.corpus import FeatureCatalog, parse_database
+from pamper.corpus import Corpus, FeatureCatalog, parse_database
 from pamper.errors import BadIndexError, EmptyDatasetError, ModelParseError
 from pamper.preprocess import single_target_split
 from pamper.trees import (
@@ -365,6 +366,34 @@ def test_deep_trees_walk_without_recursion():
     assert tree_stats(again.trees["m"]) == (depth, depth + 1, depth)
     with pytest.raises(ValueError, match="depth limit"):
         ModelSet(depth, {"m": tree}, max_depth=depth - 1)
+
+
+def _frame_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_train_grows_chains_deeper_than_the_recursion_limit():
+    # Row i sets only bit i and labels alternate, so each split peels off one
+    # "a" row: both trees are chains n/2 deep on features 0, 2, 4, ...
+    n = 600
+    corpus = Corpus(tuple("ab"[i % 2] for i in range(n)), np.eye(n, dtype=np.uint8), n)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 100)
+    try:
+        model = train(corpus, TrainConfig(max_depth=n), threads=1)
+    finally:
+        sys.setrecursionlimit(limit)
+    want = {}
+    for name, peeled, rest in (("a", 1.0, 0.0), ("b", 0.0, 1.0)):
+        node = Leaf(rest, n // 2)
+        for feature in reversed(range(0, n, 2)):
+            node = Internal(feature, node, Leaf(peeled, 1))
+        want[name] = node
+    assert tree_stats(model.trees["a"]) == (n // 2, n // 2 + 1, n // 2)
+    assert model_to_text(model) == model_to_text(ModelSet(n, want, max_depth=n))
 
 
 def test_model_save_load_identity_property():
