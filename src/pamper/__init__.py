@@ -13,6 +13,7 @@ from .corpus import (
     parse_database,
     parse_feature_catalog,
     parse_vector,
+    parse_vectors,
     serialize_database,
 )
 from .evaluate import (
@@ -51,7 +52,6 @@ from .trees import (
     load_model,
     model_from_text,
     model_to_text,
-    rss,
     save_model,
     train,
     tree_stats,
@@ -90,6 +90,7 @@ __all__ = [
     "parse_feature_catalog",
     "parse_planted_config",
     "parse_vector",
+    "parse_vectors",
     "rank_method",
     "render_csv",
     "render_explanation",
@@ -98,7 +99,6 @@ __all__ = [
     "render_rank",
     "render_recommendation",
     "render_table",
-    "rss",
     "run_evaluation",
     "save_model",
     "serialize_database",

@@ -22,9 +22,10 @@ from .corpus import (
     parse_database,
     parse_feature_catalog,
     parse_vector,
+    parse_vectors,
     serialize_database,
 )
-from .errors import MalformedLineError, PamperError, decode_utf8
+from .errors import PamperError
 from .evaluate import (
     SplitSpec,
     render_csv,
@@ -65,17 +66,11 @@ def _attach_catalog(model: ModelSet, catalog_path: str | None) -> ModelSet:
     return ModelSet(model.feature_count, dict(model.trees), catalog, model.max_depth)
 
 
-def _read_vectors(source: str, feature_count: int) -> list[np.ndarray]:
+def _read_vectors(source: str, feature_count: int) -> np.ndarray:
     if source.lstrip().startswith("["):
-        return [parse_vector(source, feature_count)]
-    text = decode_utf8(Path(source).read_bytes(), MalformedLineError)
-    vectors = []
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        vectors.append(parse_vector(line, feature_count, line_no))
-    if not vectors:
+        return parse_vector(source, feature_count)[None, :]
+    vectors = parse_vectors(Path(source).read_bytes(), feature_count)
+    if not len(vectors):
         raise PamperError(f"no vectors found in {source}")
     return vectors
 
@@ -110,9 +105,7 @@ def cmd_inspect(args) -> int:
 def cmd_which(args) -> int:
     model = load_model(args.model)
     vectors = _read_vectors(args.vector, model.feature_count)
-    arena = ModelArena(model)
-    matrix = np.stack(vectors) if len(vectors) > 1 else vectors[0][None, :]
-    for rec in arena.batch_which(matrix, args.k):
+    for rec in ModelArena(model).batch_which(vectors, args.k):
         if args.json:
             print(
                 json.dumps(

@@ -8,7 +8,8 @@ The method name comes first, then a bracketed vector of 0/1 feature flags.
 Spaces around the comma, brackets, and flags are tolerated, and both LF and
 CRLF line endings are accepted. Blank lines and lines whose first non-space
 character is ``#`` are skipped. The vector width of the first record fixes
-the feature count for the whole file; later records must agree.
+the feature count for the whole file; later records must agree. A vector
+file holds one bracketed vector per line under the same line rules.
 
 A feature catalog is a separate tab-separated file mapping feature indices
 to human-readable descriptions, used when rendering explanations::
@@ -31,6 +32,7 @@ from .errors import (
     EmptyDatabaseError,
     InconsistentWidthError,
     MalformedLineError,
+    PamperError,
     VectorWidthMismatchError,
     decode_utf8,
 )
@@ -102,9 +104,27 @@ class Corpus:
         return Corpus(names, np.ascontiguousarray(self.features[idx]), self.feature_count)
 
 
-def _parse_bits(inner: str, line_no: int) -> bytearray:
+def data_lines(data: str | bytes, error: type[PamperError]) -> list[tuple[int, str]]:
+    """The data lines of an input file as ``(line_no, stripped line)``, 1-based.
+
+    Bytes are decoded by ``decode_utf8``, so one that is not UTF-8 raises
+    ``error`` with its line number. Lines are split at LF and stripped (a CR
+    before the LF goes with the other surrounding whitespace); blank lines
+    and lines whose first non-space character is ``#`` are skipped. The
+    result is a list so that the decoded text is freed before the caller
+    parses the lines.
+    """
+    lines = map(str.strip, decode_utf8(data, error).split("\n"))
+    return [(n, line) for n, line in enumerate(lines, start=1) if line and line[0] != "#"]
+
+
+def _parse_bits(text: str, line_no: int) -> bytearray:
+    """The 0/1 flags of one bracketed vector such as ``[1, 0, 1]``."""
+    vec = text.strip()
+    if not (vec.startswith("[") and vec.endswith("]")):
+        raise MalformedLineError(line_no, "feature vector must be bracketed")
     row = bytearray()
-    for token in inner.split(","):
+    for token in vec[1:-1].split(","):
         bit = token.strip()
         if bit == "0":
             row.append(0)
@@ -122,11 +142,7 @@ def _parse_record(line: str, line_no: int) -> tuple[str, bytearray]:
     method = head.strip()
     if not METHOD_TOKEN.match(method):
         raise MalformedLineError(line_no, f"invalid method name: {method!r}")
-    vec = rest.strip()
-    if not (vec.startswith("[") and vec.endswith("]")):
-        raise MalformedLineError(line_no, "feature vector must be bracketed")
-    row = _parse_bits(vec[1:-1], line_no)
-    return method, row
+    return method, _parse_bits(rest, line_no)
 
 
 def parse_database(text: str | bytes) -> Corpus:
@@ -137,14 +153,12 @@ def parse_database(text: str | bytes) -> Corpus:
     EmptyDatabaseError when no data lines remain after skipping blanks and
     comments.
     """
-    text = decode_utf8(text, MalformedLineError)
+    lines = data_lines(text, MalformedLineError)
+    del text  # a caller that hands over its bytes gets them freed before the records are parsed
     methods: list[str] = []
     bits = bytearray()
     width = -1
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in lines:
         method, row = _parse_record(line, line_no)
         if width < 0:
             width = len(row)
@@ -154,7 +168,7 @@ def parse_database(text: str | bytes) -> Corpus:
         bits += row
     if width < 0:
         raise EmptyDatabaseError()
-    X = np.frombuffer(bytes(bits), dtype=np.uint8).reshape(len(methods), width).copy()
+    X = np.frombuffer(bits, dtype=np.uint8).reshape(len(methods), width)
     return Corpus(tuple(methods), X, width)
 
 
@@ -166,21 +180,38 @@ def serialize_database(corpus: Corpus) -> str:
     return "".join(out)
 
 
-def parse_vector(text: str, feature_count: int | None = None, line_no: int = 1) -> np.ndarray:
+def parse_vector(text: str, feature_count: int | None = None) -> np.ndarray:
     """Parse one bracketed feature-vector literal, e.g. ``[1,0,1]``.
 
     The grammar matches the database bracket syntax. When feature_count is
     given the width is checked and VectorWidthMismatchError raised on
     disagreement.
     """
-    vec = text.strip()
-    if not (vec.startswith("[") and vec.endswith("]")):
-        raise MalformedLineError(line_no, "feature vector must be bracketed")
-    row = _parse_bits(vec[1:-1], line_no)
-    arr = np.frombuffer(bytes(row), dtype=np.uint8).copy()
-    if feature_count is not None and arr.size != feature_count:
-        raise VectorWidthMismatchError(arr.size, feature_count)
-    return arr
+    row = _parse_bits(text, 1)
+    if feature_count is not None and len(row) != feature_count:
+        raise VectorWidthMismatchError(len(row), feature_count)
+    return np.frombuffer(row, dtype=np.uint8)
+
+
+def parse_vectors(data: str | bytes, feature_count: int) -> np.ndarray:
+    """Parse a vector file, one bracketed vector per line, into a (rows, F) uint8 matrix.
+
+    Lines follow the database rules (blank and ``#`` lines skipped, LF or
+    CRLF). A bad line raises MalformedLineError, and a vector whose width is
+    not ``feature_count`` raises VectorWidthMismatchError, each with its
+    1-based line number. A file without data lines gives zero rows.
+    """
+    lines = data_lines(data, MalformedLineError)
+    del data  # as in parse_database
+    bits = bytearray()
+    rows = 0
+    for line_no, line in lines:
+        row = _parse_bits(line, line_no)
+        if len(row) != feature_count:
+            raise VectorWidthMismatchError(len(row), feature_count, line_no)
+        bits += row
+        rows += 1
+    return np.frombuffer(bits, dtype=np.uint8).reshape(rows, feature_count)
 
 
 def corpus_stats(corpus: Corpus) -> list[tuple[str, int, float]]:
@@ -241,12 +272,8 @@ def parse_feature_catalog(text: str | bytes) -> FeatureCatalog:
 
     Bytes that are not UTF-8 raise BadIndexError with their line number.
     """
-    text = decode_utf8(text, BadIndexError)
     descriptions: dict[int, str] = {}
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in data_lines(text, BadIndexError):
         head, sep, rest = line.partition("\t")
         if not sep:
             raise BadIndexError(line_no, "expected '<index><TAB><description>'")

@@ -12,23 +12,24 @@ class PamperError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class MalformedLineError(PamperError):
-    """A database or vector line does not match the record grammar."""
+class _LineError(PamperError):
+    """An input problem at a 1-based line, or at no line when ``line_no`` is None."""
 
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"line {line_no}: {reason}")
+    def __init__(self, line_no: int | None, reason: str):
+        super().__init__(reason if line_no is None else f"line {line_no}: {reason}")
         self.line_no = line_no
         self.reason = reason
 
 
-class InconsistentWidthError(PamperError):
+class MalformedLineError(_LineError):
+    """A database or vector line does not match the record grammar."""
+
+
+class InconsistentWidthError(_LineError):
     """A feature vector disagrees with the width fixed by the first record."""
 
     def __init__(self, line_no: int, got: int, want: int):
-        super().__init__(
-            f"line {line_no}: feature vector has {got} entries, expected {want}"
-        )
-        self.line_no = line_no
+        super().__init__(line_no, f"feature vector has {got} entries, expected {want}")
         self.got = got
         self.want = want
 
@@ -48,14 +49,8 @@ class DuplicateIndexError(PamperError):
         self.index = index
 
 
-class BadIndexError(PamperError):
+class BadIndexError(_LineError):
     """A feature index is unparsable, negative, or out of range."""
-
-    def __init__(self, line_no: int | None, reason: str):
-        prefix = f"line {line_no}: " if line_no is not None else ""
-        super().__init__(prefix + reason)
-        self.line_no = line_no
-        self.reason = reason
 
 
 class EmptyDatasetError(PamperError):
@@ -65,20 +60,18 @@ class EmptyDatasetError(PamperError):
         super().__init__(message)
 
 
-class ModelParseError(PamperError):
+class ModelParseError(_LineError):
     """A model file violates the serialization grammar."""
 
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"line {line_no}: {reason}")
-        self.line_no = line_no
-        self.reason = reason
 
+class VectorWidthMismatchError(_LineError):
+    """A query vector's width differs from the model's feature count.
 
-class VectorWidthMismatchError(PamperError):
-    """A query vector's width differs from the model's feature count."""
+    ``line_no`` is the vector's line in a vector file, None for a literal.
+    """
 
-    def __init__(self, got: int, want: int):
-        super().__init__(f"vector has {got} entries, model expects {want}")
+    def __init__(self, got: int, want: int, line_no: int | None = None):
+        super().__init__(line_no, f"vector has {got} entries, model expects {want}")
         self.got = got
         self.want = want
 
@@ -106,13 +99,8 @@ class InvalidDistributionError(PamperError):
     """A planted distribution has negative mass or does not sum to one."""
 
 
-class PlantedConfigError(PamperError):
+class PlantedConfigError(_LineError):
     """A planted-model config file violates its grammar."""
-
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"line {line_no}: {reason}")
-        self.line_no = line_no
-        self.reason = reason
 
 
 class NoTrainPointsError(PamperError):

@@ -29,14 +29,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .corpus import METHOD_TOKEN, Corpus
-from .errors import (
-    BadIndexError,
-    InvalidDistributionError,
-    PamperError,
-    PlantedConfigError,
-    decode_utf8,
-)
+from .corpus import METHOD_TOKEN, Corpus, data_lines
+from .errors import BadIndexError, InvalidDistributionError, PamperError, PlantedConfigError
 
 _SUM_TOL = 1e-9
 
@@ -262,15 +256,11 @@ def parse_planted_config(text: str | bytes) -> PlantedModel:
 
     Bytes that are not UTF-8 raise PlantedConfigError with their line number.
     """
-    text = decode_utf8(text, PlantedConfigError)
     feature_count: int | None = None
     noise = 0.0
     rules: list[PlantedRule] = []
     fallback: dict[str, float] | None = None
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in data_lines(text, PlantedConfigError):
         if line.startswith("rule") and (len(line) == 4 or not line[4].isalnum()):
             rules.append(_parse_rule(line, line_no))
         elif line.startswith("fallback") and (len(line) == 8 or not line[8].isalnum()):

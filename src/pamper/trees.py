@@ -107,7 +107,8 @@ class ModelSet:
         return (
             self.feature_count == other.feature_count
             and self.max_depth == other.max_depth
-            and dict(self.trees) == dict(other.trees)
+            and list(self.trees) == list(other.trees)
+            and _same_trees(self.trees.values(), other.trees.values())
             and self.catalog == other.catalog
         )
 
@@ -128,6 +129,25 @@ def _levels(roots: Iterable[TreeNode]) -> Iterator[list[TreeNode]]:
         level = below
 
 
+def _same_trees(a: Iterable[TreeNode], b: Iterable[TreeNode]) -> bool:
+    """Whether two equally long sequences of trees are equal node for node.
+
+    The trees are compared level by level. Nodes at the same place in a
+    level must agree in type and in feature, or in expectation and count;
+    then their children line up, and the levels below have equal lengths.
+    """
+    for level_a, level_b in zip(_levels(a), _levels(b)):
+        for x, y in zip(level_a, level_b):
+            if type(x) is not type(y):
+                return False
+            if isinstance(x, Internal):
+                if x.feature != y.feature:
+                    return False
+            elif (x.expectation, x.count) != (y.expectation, y.count):
+                return False
+    return True
+
+
 def _check_tree(tree: TreeNode, feature_count: int, max_depth: int) -> None:
     for depth, level in enumerate(_levels([tree])):
         for node in level:
@@ -145,28 +165,6 @@ def _check_tree(tree: TreeNode, feature_count: int, max_depth: int) -> None:
                     )
             else:
                 raise TypeError(f"not a tree node: {node!r}")
-
-
-def rss(points) -> float:
-    """Residual sum of squares of 0/1 labels about their mean.
-
-    Accepts a BinaryDataset or any array-like of 0/1 labels; the empty
-    slice has RSS 0.
-    """
-    if isinstance(points, BinaryDataset):
-        n = len(points)
-        pos = points.positives
-    else:
-        arr = np.asarray(points, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValueError("labels must be one-dimensional")
-        if arr.size and not np.all((arr == 0.0) | (arr == 1.0)):
-            raise ValueError("labels must be 0 or 1")
-        n = arr.size
-        pos = int(arr.sum())
-    if n == 0:
-        return 0.0
-    return pos * (n - pos) / n
 
 
 def _choose_split(n_true, pos_true, n, pos, candidates):
@@ -301,10 +299,7 @@ def resolve_threads(explicit: int | None = None) -> int:
 
 
 def train(
-    corpus: Corpus,
-    cfg: TrainConfig | None = None,
-    catalog: FeatureCatalog | None = None,
-    threads: int | None = None,
+    corpus: Corpus, cfg: TrainConfig | None = None, *, threads: int | None = None
 ) -> ModelSet:
     """Train one tree per method observed in the corpus.
 
@@ -325,12 +320,7 @@ def train(
             built = list(pool.map(lambda name: _grow_tree(Xp, datasets[name], cfg), names))
     else:
         built = [_grow_tree(Xp, datasets[name], cfg) for name in names]
-    return ModelSet(
-        corpus.feature_count,
-        dict(zip(names, built)),
-        catalog if catalog is not None else EMPTY_CATALOG,
-        cfg.max_depth,
-    )
+    return ModelSet(corpus.feature_count, dict(zip(names, built)), EMPTY_CATALOG, cfg.max_depth)
 
 
 def used_features(model: ModelSet) -> set[int]:

@@ -1,15 +1,19 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pamper
 from pamper.cli import main
-from pamper.corpus import parse_database
+from pamper.corpus import parse_database, parse_vector, parse_vectors
 from pamper.trees import load_model, save_model
 
 DB_TEXT = "simp, [1,0]\nsimp, [1,1]\nauto, [0,1]\nauto, [0,0]\n"
+VECTORS_TEXT = "# queries\n[1,0]\n\n[0,1]\n"
 
 WHICH_BLOCK = (
     "Promising methods for this proof goal are:\n"
@@ -62,7 +66,7 @@ def test_which_literal_golden(model, capsys):
 
 def test_which_batch_file_and_k(tmp_path, model, capsys):
     vectors = tmp_path / "vectors.txt"
-    vectors.write_text("# queries\n[1,0]\n\n[0,1]\n", encoding="utf-8")
+    vectors.write_text(VECTORS_TEXT, encoding="utf-8")
     assert main(["which", model, str(vectors), "-k", "1"]) == 0
     out = capsys.readouterr().out
     assert out == (
@@ -71,6 +75,24 @@ def test_which_batch_file_and_k(tmp_path, model, capsys):
         "Promising methods for this proof goal are:\n"
         "  auto with expectation of 1.000\n"
     )
+
+
+def test_parse_vectors_matches_stacked_literals():
+    lines = [line for line in VECTORS_TEXT.splitlines() if line.startswith("[")]
+    want = np.stack([parse_vector(line, 2) for line in lines])
+    got = parse_vectors(VECTORS_TEXT, 2)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, want)
+
+
+def test_which_vector_file_errors_exit_2(tmp_path, model, capsys):
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("[1,0]\n# wide\n[1,0,1]\n", encoding="utf-8")
+    assert main(["which", model, str(vectors)]) == 2
+    assert capsys.readouterr().err == "pamper: line 3: vector has 3 entries, model expects 2\n"
+    vectors.write_text("# nothing here\n\n", encoding="utf-8")
+    assert main(["which", model, str(vectors)]) == 2
+    assert capsys.readouterr().err == f"pamper: no vectors found in {vectors}\n"
 
 
 def test_which_json(model, capsys):
@@ -83,7 +105,7 @@ def test_which_json(model, capsys):
 
 def test_which_width_mismatch_exits_2(model, capsys):
     assert main(["which", model, "[1,0,1]"]) == 2
-    assert capsys.readouterr().err.startswith("pamper: ")
+    assert capsys.readouterr().err == "pamper: vector has 3 entries, model expects 2\n"
 
 
 def test_which_empty_vector_exits_2(model, capsys):
@@ -383,10 +405,14 @@ def test_inspect_summary(model, capsys):
 
 
 def test_module_entry_point(tmp_path, db, model):
+    # The child imports the package this test imported, installed or not.
+    src = str(Path(pamper.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "pamper.cli", "which", model, "[1,0]"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == WHICH_BLOCK

@@ -8,6 +8,7 @@ from pamper.corpus import (
     parse_database,
     parse_feature_catalog,
     parse_vector,
+    parse_vectors,
     serialize_database,
 )
 from pamper._format import quantize_percents
@@ -18,8 +19,10 @@ from pamper.errors import (
     InconsistentWidthError,
     MalformedLineError,
     PamperError,
+    PlantedConfigError,
     VectorWidthMismatchError,
 )
+from pamper.synth import parse_planted_config
 
 from oracles import random_corpus
 
@@ -174,10 +177,73 @@ def test_corpus_stats_rounded_percents_sum_close_to_100():
 def test_parse_vector_literal_and_width():
     v = parse_vector(" [ 1 , 0 , 1 ] ")
     assert v.tolist() == [1, 0, 1]
-    with pytest.raises(VectorWidthMismatchError):
+    with pytest.raises(VectorWidthMismatchError) as info:
         parse_vector("[1,0]", feature_count=3)
+    assert str(info.value) == "vector has 2 entries, model expects 3"
     with pytest.raises(MalformedLineError):
         parse_vector("1,0,1")
+    with pytest.raises(VectorWidthMismatchError) as info:
+        parse_vectors("[1,0,1]\n\n[1,0]\n", 3)
+    assert info.value.line_no == 3
+    assert str(info.value) == "line 3: vector has 2 entries, model expects 3"
+    assert parse_vectors("# none\n", 3).shape == (0, 3)
+
+
+def _read_database(data):
+    corpus = parse_database(data)
+    return corpus.method_names, corpus.features.tolist()
+
+
+def _read_catalog(data):
+    return dict(parse_feature_catalog(data).descriptions)
+
+
+def _read_config(data):
+    model = parse_planted_config(data)
+    return model.feature_count, [dict(rule.pattern) for rule in model.rules], dict(model.fallback)
+
+
+def _read_vectors(data):
+    return parse_vectors(data, 2).tolist()
+
+
+SKIPPED_LINES = ["", "   \t", "# comment", "  # indented comment"]
+
+
+@pytest.mark.parametrize(
+    "read,lines,want,bad,error",
+    [
+        pytest.param(
+            _read_database, ["simp, [1,0]", " auto , [0, 1] "], (("simp", "auto"), [[1, 0], [0, 1]]),
+            "auto [0,1]", MalformedLineError, id="database",
+        ),
+        pytest.param(
+            _read_catalog, ["0\tthe goal is an equation", "1\t has a quantifier "],
+            {0: "the goal is an equation", 1: "has a quantifier"},
+            "x\tdesc", BadIndexError, id="catalog",
+        ),
+        pytest.param(
+            _read_config, ["features = 2", "rule 0.5 : 1=1 -> simp:1.0", "fallback : auto:1.0"],
+            (2, [{1: True}], {"auto": 1.0}),
+            "rule 0.5", PlantedConfigError, id="config",
+        ),
+        pytest.param(
+            _read_vectors, ["[1,0]", " [ 0 , 1 ]"], [[1, 0], [0, 1]],
+            "[1,2]", MalformedLineError, id="vectors",
+        ),
+    ],
+)
+def test_readers_share_the_data_line_rules(read, lines, want, bad, error):
+    # Blank, whitespace-only and '#' lines around every data line, CRLF endings.
+    def framed(rows):
+        return "".join(f"{line}\r\n" for row in rows for line in SKIPPED_LINES + [row])
+
+    assert read("\n".join(lines)) == want
+    assert read(framed(lines)) == want
+    assert read(framed(lines).encode("utf-8")) == want
+    with pytest.raises(error) as info:
+        read(framed(lines[:-1] + [bad, bad]))
+    assert info.value.line_no == len(lines) * (len(SKIPPED_LINES) + 1)
 
 
 def test_catalog_parse_describe_and_fallback():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pamper.corpus import parse_database, parse_feature_catalog
+from pamper.corpus import parse_database, parse_feature_catalog, parse_vectors
 from pamper.errors import ModelParseError, PamperError
 from pamper.synth import parse_planted_config
 from pamper.trees import model_from_text, model_to_text
@@ -97,7 +97,13 @@ INPUT_ALPHABET = st.sampled_from(
     list("01234567 89.,()[]NL\t\n\r=-:#_e+") + ["features", "noise", "rule", "fallback",
     "zipf", "->", "pamper-model v1 ", "depth=", "simp", "\xff", "é"]
 )
-PARSERS = [model_from_text, parse_feature_catalog, parse_planted_config, parse_database]
+PARSERS = [
+    model_from_text,
+    parse_feature_catalog,
+    parse_planted_config,
+    parse_database,
+    lambda data: parse_vectors(data, 3),
+]
 
 
 def assert_only_pamper_errors(data: bytes) -> None:

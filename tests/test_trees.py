@@ -18,7 +18,6 @@ from pamper.trees import (
     load_model,
     model_from_text,
     model_to_text,
-    rss,
     save_model,
     train,
     tree_stats,
@@ -33,34 +32,6 @@ from oracles import (
     random_model,
     walk_tree,
 )
-
-
-# --- rss ---
-
-def test_rss_hand_values():
-    assert rss([]) == 0.0
-    assert rss([1.0, 1.0, 1.0]) == 0.0
-    assert rss([1.0, 0.0]) == 0.5
-    assert rss([1.0, 0.0, 0.0, 0.0]) == 0.75
-
-
-def test_rss_accepts_dataset():
-    ds = make_binary_dataset(np.zeros((2, 1), np.uint8), np.array([1, 0], np.uint8))
-    assert rss(ds) == 0.5
-
-
-def test_rss_rejects_non_binary():
-    with pytest.raises(ValueError):
-        rss([0.5])
-
-
-def test_rss_matches_direct_formula_property():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        y = (rng.random(int(rng.integers(1, 80))) < rng.uniform(0.1, 0.9)).astype(float)
-        mean = y.mean()
-        direct = float(((y - mean) ** 2).sum())
-        assert rss(y) == pytest.approx(direct, abs=1e-12)
 
 
 # --- best_split ---
@@ -239,17 +210,15 @@ def test_train_thread_counts_agree():
     assert train(c, threads=1) == train(c, threads=8)
 
 
-def test_train_rejects_catalog_out_of_range():
-    c = parse_database("a, [1]\n")
+def test_model_set_rejects_catalog_out_of_range():
     with pytest.raises(BadIndexError):
-        train(c, catalog=FeatureCatalog({5: "nope"}))
+        ModelSet(1, {"a": Leaf(1.0, 1)}, FeatureCatalog({5: "nope"}))
 
 
 def test_train_keeps_catalog_and_depth():
     c = parse_database("a, [1,0]\n")
-    model = train(c, TrainConfig(max_depth=3), FeatureCatalog({1: "desc"}))
+    model = train(c, TrainConfig(max_depth=3))
     assert model.max_depth == 3
-    assert model.catalog.describe(1) == "desc"
     assert model.feature_count == 2
 
 
@@ -366,6 +335,26 @@ def test_deep_trees_walk_without_recursion():
     assert tree_stats(again.trees["m"]) == (depth, depth + 1, depth)
     with pytest.raises(ValueError, match="depth limit"):
         ModelSet(depth, {"m": tree}, max_depth=depth - 1)
+
+
+def test_deep_models_compare_without_recursion():
+    depth = 3000
+    model = ModelSet(depth, {"m": _chain(depth, Leaf(0.5, 1))}, max_depth=depth)
+    same = ModelSet(depth, {"m": _chain(depth, Leaf(0.5, 1))}, max_depth=depth)
+    assert model == same
+    for deepest in (Leaf(0.5, 2), Leaf(0.75, 1)):
+        other = ModelSet(depth, {"m": _chain(depth, deepest)}, max_depth=depth)
+        assert model != other
+
+
+def test_model_equality_checks_names_shape_and_fields():
+    tree = Internal(0, Leaf(0.0, 1), Leaf(1.0, 1))
+    model = ModelSet(2, {"a": tree, "b": Leaf(0.5, 2)})
+    assert model == ModelSet(2, {"b": Leaf(0.5, 2), "a": tree})
+    assert model != ModelSet(2, {"a": tree, "c": Leaf(0.5, 2)})
+    assert model != ModelSet(2, {"a": Internal(1, Leaf(0.0, 1), Leaf(1.0, 1)), "b": Leaf(0.5, 2)})
+    assert model != ModelSet(2, {"a": Leaf(0.5, 2), "b": tree})
+    assert model != ModelSet(2, {"a": tree, "b": Internal(0, Leaf(0.5, 1), Leaf(0.5, 1))})
 
 
 def _frame_depth() -> int:
