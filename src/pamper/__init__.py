@@ -41,13 +41,11 @@ from .recommend import (
 )
 from .synth import PlantedModel, PlantedRule, generate, parse_planted_config, zipf_imbalance
 from .trees import (
-    BestSplit,
     Internal,
     Leaf,
     ModelSet,
     TrainConfig,
     TreeNode,
-    best_split,
     build_tree,
     load_model,
     model_from_text,
@@ -61,7 +59,6 @@ from .trees import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BestSplit",
     "BinaryDataset",
     "Corpus",
     "EvaluationReport",
@@ -78,7 +75,6 @@ __all__ = [
     "SplitSpec",
     "TrainConfig",
     "TreeNode",
-    "best_split",
     "build_tree",
     "corpus_stats",
     "errors",

@@ -2,16 +2,18 @@
 
 Learning "which method fits this proof state" is recast as one binary
 regression problem per method: a point's label is 1.0 for the method that
-was actually applied and 0.0 in every other method's dataset. The label
-vectors share the corpus's feature matrix, so memory grows with
-methods x points, never methods x points x features.
+was actually applied and 0.0 in every other method's dataset. The feature
+columns are packed into bitsets once and every dataset shares that one
+array, so memory grows with methods x points, never methods x points x
+features.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from .corpus import Corpus
 from .errors import EmptyDatasetError
 
@@ -20,20 +22,22 @@ from .errors import EmptyDatasetError
 class BinaryDataset:
     """One method's binary view of the corpus.
 
-    ``features`` is the corpus matrix itself (shared, read-only);
-    ``labels`` holds this method's 0/1 labels in corpus order.
+    ``columns`` holds the corpus's feature columns as packed bitsets, one
+    row of ``uint64`` words per feature (see ``_kernels.pack_bits``); all
+    datasets of a corpus share the one read-only array. ``labels`` holds
+    this method's 0/1 labels in corpus order, and ``positives`` is their
+    sum.
     """
 
     method: str
     labels: np.ndarray
-    features: np.ndarray
-    positives: int
+    columns: np.ndarray
+    positives: int = field(init=False)
 
     def __post_init__(self):
-        if self.labels.shape != (self.features.shape[0],):
-            raise ValueError("labels and features disagree on point count")
-        if self.positives != int(self.labels.sum()):
-            raise ValueError("positives does not match the label vector")
+        if self.columns.shape[1] != -(-self.labels.shape[0] // 64):
+            raise ValueError("labels and columns disagree on point count")
+        object.__setattr__(self, "positives", int(self.labels.sum()))
 
     def __len__(self) -> int:
         return self.labels.shape[0]
@@ -48,14 +52,13 @@ def single_target_split(corpus: Corpus) -> dict[str, BinaryDataset]:
     """
     if len(corpus) == 0:
         raise EmptyDatasetError("corpus has no points")
+    columns = _kernels.pack_bits(corpus.features.T)
+    columns.setflags(write=False)
     names = np.asarray(corpus.method_names, dtype=object)
     vocab, inverse = np.unique(names, return_inverse=True)
     datasets: dict[str, BinaryDataset] = {}
     for target, name in enumerate(vocab.tolist()):
         labels = (inverse == target).astype(np.uint8)
         labels.setflags(write=False)
-        datasets[name] = BinaryDataset(
-            name, labels, corpus.features, int(labels.sum())
-        )
+        datasets[name] = BinaryDataset(name, labels, columns)
     return datasets
-

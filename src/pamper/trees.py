@@ -11,9 +11,7 @@ read as the expectation that the method applies there.
 For 0/1 labels a region's RSS collapses to positives*(size-positives)/size,
 so split selection runs entirely on integer counts. Comparisons between
 candidate splits cross-multiply the exact rationals, which makes the chosen
-feature and tie-break independent of floating-point rounding; the reported
-split RSS is the correctly rounded quotient of the exact numerator and
-denominator.
+feature and tie-break independent of floating-point rounding.
 """
 from __future__ import annotations
 
@@ -32,21 +30,44 @@ from .errors import EmptyDatasetError, ModelParseError, PamperError, decode_utf8
 from .preprocess import BinaryDataset, single_target_split
 
 
-@dataclass(frozen=True)
-class Leaf:
+class _Node:
+    """Equality and repr for tree nodes, by iterative walks that work at any depth.
+
+    Two nodes are equal when their whole trees are equal; the repr is the
+    node's model text. Each node class hashes only its own fields, which is
+    consistent with that equality.
+    """
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, _Node):
+            return NotImplemented
+        return _same_trees([self], [other])
+
+    def __repr__(self) -> str:
+        return _format_tree(self)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Leaf(_Node):
     """Terminal region: mean label (expectation) and point count."""
 
     expectation: float
     count: int
 
+    def __hash__(self) -> int:
+        return hash((self.expectation, self.count))
 
-@dataclass(frozen=True)
-class Internal:
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Internal(_Node):
     """Branch on one feature: bit clear goes left, bit set goes right."""
 
     feature: int
     when_false: "TreeNode"
     when_true: "TreeNode"
+
+    def __hash__(self) -> int:
+        return hash(self.feature)
 
 
 TreeNode = Union[Leaf, Internal]
@@ -62,11 +83,6 @@ class TrainConfig:
             raise ValueError("max_depth must be at least 1")
         if self.min_points_to_split < 1:
             raise ValueError("min_points_to_split must be at least 1")
-
-
-class BestSplit(NamedTuple):
-    feature: int
-    split_rss: float
 
 
 class TreeStats(NamedTuple):
@@ -167,17 +183,15 @@ def _check_tree(tree: TreeNode, feature_count: int, max_depth: int) -> None:
                 raise TypeError(f"not a tree node: {node!r}")
 
 
-def _choose_split(n_true, pos_true, n, pos, candidates):
-    """Exact-arithmetic argmin over candidate features.
+def _choose_split(n_true, pos_true, n, pos):
+    """Exact-arithmetic argmin of the post-split RSS over every feature.
 
-    ``candidates`` must iterate in ascending order. Returns
-    (feature, rss_numerator, rss_denominator) with the post-split RSS equal
-    to numerator/denominator exactly, or None when no candidate strictly
-    beats the node's own RSS (degenerate one-sided splits can never win).
+    Returns the feature with the lowest RSS, ties going to the lowest index,
+    or None when no feature strictly beats the node's own RSS (degenerate
+    one-sided splits can never win).
     """
     best = None
-    for j in candidates:
-        nt = n_true[j]
+    for j, nt in enumerate(n_true):
         nf = n - nt
         if nt == 0 or nf == 0:
             continue
@@ -192,37 +206,7 @@ def _choose_split(n_true, pos_true, n, pos, candidates):
     num, den, j = best
     if num * n >= pos * (n - pos) * den:
         return None
-    return j, num, den
-
-
-def best_split(dataset: BinaryDataset, candidate_features: Iterable[int] | None = None):
-    """Best single-feature split of the whole dataset, or None.
-
-    Scores every candidate feature by summed two-side RSS and returns the
-    minimizer with ties broken toward the lowest feature index, as a
-    BestSplit(feature, split_rss). None means no feature strictly reduces
-    the dataset's own RSS.
-    """
-    n = len(dataset)
-    if n == 0:
-        raise EmptyDatasetError()
-    feature_count = dataset.features.shape[1]
-    if candidate_features is None:
-        candidates = range(feature_count)
-    else:
-        candidates = sorted({int(j) for j in candidate_features})
-        if candidates and not (0 <= candidates[0] and candidates[-1] < feature_count):
-            raise ValueError("candidate feature out of range")
-    n_true, pos_true, pos = _kernels.node_counts(
-        _kernels.pack_bits(dataset.features.T),
-        _kernels.pack_bits(dataset.labels),
-        _kernels.pack_bits(np.ones(n, dtype=np.uint8)),
-    )
-    choice = _choose_split(n_true.tolist(), pos_true.tolist(), n, pos, candidates)
-    if choice is None:
-        return None
-    j, num, den = choice
-    return BestSplit(j, num / den)
+    return j
 
 
 def _grow(Xp, yp, mask, n, pos, cfg) -> TreeNode:
@@ -253,11 +237,10 @@ def _grow(Xp, yp, mask, n, pos, cfg) -> TreeNode:
         n_true, pos_true, _ = _kernels.node_counts(Xp, yp, mask)
         nt = n_true.tolist()
         pt = pos_true.tolist()
-        choice = _choose_split(nt, pt, n, pos, range(Xp.shape[0]))
-        if choice is None:
+        j = _choose_split(nt, pt, n, pos)
+        if j is None:
             done.append(Leaf(pos / n, n))
             continue
-        j = choice[0]
         mask_false, mask_true = _kernels.partition(Xp, mask, j)
         todo += (
             j,
@@ -267,20 +250,15 @@ def _grow(Xp, yp, mask, n, pos, cfg) -> TreeNode:
     return done.pop()
 
 
-def _grow_tree(Xp, dataset: BinaryDataset, cfg: TrainConfig) -> TreeNode:
-    """Grow one tree over ``Xp``, the packed feature columns of its dataset."""
-    n = len(dataset)
-    root = _kernels.pack_bits(np.ones(n, dtype=np.uint8))
-    yp = _kernels.pack_bits(dataset.labels)
-    return _grow(Xp, yp, root, n, dataset.positives, cfg)
-
-
 def build_tree(dataset: BinaryDataset, cfg: TrainConfig | None = None) -> TreeNode:
     """Grow one regression tree for a method's binary dataset."""
     cfg = cfg or TrainConfig()
-    if len(dataset) == 0:
+    n = len(dataset)
+    if n == 0:
         raise EmptyDatasetError()
-    return _grow_tree(_kernels.pack_bits(dataset.features.T), dataset, cfg)
+    root = _kernels.pack_bits(np.ones(n, dtype=np.uint8))
+    yp = _kernels.pack_bits(dataset.labels)
+    return _grow(dataset.columns, yp, root, n, dataset.positives, cfg)
 
 
 def resolve_threads(explicit: int | None = None) -> int:
@@ -303,23 +281,21 @@ def train(
 ) -> ModelSet:
     """Train one tree per method observed in the corpus.
 
-    The feature columns are packed once and shared by every tree. Methods
-    are independent, so they may be trained on a thread pool; the merge is
-    name-sorted and every tree depends only on its own dataset,
-    which keeps the result identical for any thread count.
+    This is ``single_target_split`` followed by ``build_tree`` on each
+    method's dataset. Methods are independent, so they may be trained on a
+    thread pool; the datasets come name-sorted and every tree depends only
+    on its own dataset, which keeps the result identical for any thread
+    count.
     """
     cfg = cfg or TrainConfig()
-    if len(corpus) == 0:
-        raise EmptyDatasetError("corpus has no points")
     datasets = single_target_split(corpus)
-    names = sorted(datasets)
-    Xp = _kernels.pack_bits(corpus.features.T)
+    names = list(datasets)
     workers = resolve_threads(threads)
     if workers > 1 and len(names) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            built = list(pool.map(lambda name: _grow_tree(Xp, datasets[name], cfg), names))
+            built = list(pool.map(lambda name: build_tree(datasets[name], cfg), names))
     else:
-        built = [_grow_tree(Xp, datasets[name], cfg) for name in names]
+        built = [build_tree(datasets[name], cfg) for name in names]
     return ModelSet(corpus.feature_count, dict(zip(names, built)), EMPTY_CATALOG, cfg.max_depth)
 
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from pamper._kernels import pack_bits
 from pamper.corpus import EMPTY_CATALOG, METHOD_TOKEN, Corpus
 from pamper.errors import ModelParseError, decode_utf8
 from pamper.preprocess import BinaryDataset
@@ -76,11 +77,11 @@ def leaf_regions(tree, X):
 
 
 def make_binary_dataset(X, y, method: str = "m") -> BinaryDataset:
-    Xr = np.ascontiguousarray(X, dtype=np.uint8)
-    Xr.setflags(write=False)
+    columns = pack_bits(np.asarray(X, dtype=np.uint8).T)
+    columns.setflags(write=False)
     yr = np.ascontiguousarray(y, dtype=np.uint8)
     yr.setflags(write=False)
-    return BinaryDataset(method, yr, Xr, int(yr.sum()))
+    return BinaryDataset(method, yr, columns)
 
 
 def random_dataset(rng, max_points: int = 64, max_features: int = 8):

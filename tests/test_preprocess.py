@@ -8,6 +8,12 @@ from pamper.preprocess import single_target_split
 from oracles import random_corpus
 
 
+def _unpacked(ds):
+    """The dataset's packed feature columns as a (points, features) 0/1 matrix."""
+    bits = np.unpackbits(ds.columns.view(np.uint8), axis=1, count=len(ds), bitorder="little")
+    return bits.T
+
+
 def test_two_method_corpus_yields_mirrored_labels():
     c = parse_database("induct, [1,0,1]\nauto, [0,1,0]\n")
     split = single_target_split(c)
@@ -15,7 +21,7 @@ def test_two_method_corpus_yields_mirrored_labels():
     assert split["induct"].labels.tolist() == [1, 0]
     assert split["auto"].labels.tolist() == [0, 1]
     assert split["induct"].positives == 1
-    assert split["induct"].features.tolist() == [[1, 0, 1], [0, 1, 0]]
+    assert _unpacked(split["induct"]).tolist() == [[1, 0, 1], [0, 1, 0]]
 
 
 def test_single_method_corpus_all_positive():
@@ -52,8 +58,10 @@ def test_conservation_and_order_property():
 
 def test_feature_storage_is_shared_not_copied():
     c = parse_database("a, [1,0]\nb, [0,1]\n")
-    for ds in single_target_split(c).values():
-        assert ds.features is c.features
+    a, b = single_target_split(c).values()
+    assert a.columns is b.columns
+    assert not a.columns.flags.writeable
+    assert np.array_equal(_unpacked(a), c.features)
 
 
 def test_empty_corpus_rejected():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pamper import trees
 from pamper.corpus import Corpus, FeatureCatalog, parse_database
 from pamper.errors import BadIndexError, EmptyDatasetError, ModelParseError
 from pamper.preprocess import single_target_split
@@ -13,7 +14,6 @@ from pamper.trees import (
     Leaf,
     ModelSet,
     TrainConfig,
-    best_split,
     build_tree,
     load_model,
     model_from_text,
@@ -34,61 +34,40 @@ from oracles import (
 )
 
 
-# --- best_split ---
+# --- root split choice ---
 
-def test_best_split_perfect_feature():
+def _stump(X, y):
+    """The depth-1 tree: its root is the best split, or a leaf when none helps."""
+    return build_tree(make_binary_dataset(X, y), TrainConfig(max_depth=1))
+
+
+def test_root_split_perfect_feature():
     # feature 2 separates the labels exactly
     X = np.array([[0, 1, 1], [1, 0, 1], [0, 0, 0], [1, 1, 0]], np.uint8)
     y = np.array([1, 1, 0, 0], np.uint8)
-    got = best_split(make_binary_dataset(X, y))
-    assert got.feature == 2
-    assert got.split_rss == 0.0
+    assert _stump(X, y) == Internal(2, Leaf(0.0, 2), Leaf(1.0, 2))
 
 
-def test_best_split_none_when_pure():
+def test_root_split_none_when_pure():
     X = np.array([[0, 1], [1, 0]], np.uint8)
     y = np.array([1, 1], np.uint8)
-    assert best_split(make_binary_dataset(X, y)) is None
+    assert _stump(X, y) == Leaf(1.0, 2)
 
 
-def test_best_split_tie_goes_to_lowest_feature():
+def test_root_split_tie_goes_to_lowest_feature():
     # features 0 and 1 induce identical partitions; 2 is useless
     X = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 0], [0, 0, 0]], np.uint8)
     y = np.array([1, 1, 0, 0], np.uint8)
-    got = best_split(make_binary_dataset(X, y))
-    assert got.feature == 0
-    assert got.split_rss == 0.0
+    assert _stump(X, y) == Internal(0, Leaf(0.0, 2), Leaf(1.0, 2))
 
 
-def test_best_split_candidate_subset():
-    X = np.array([[0, 1, 1], [1, 0, 1], [0, 0, 0], [1, 1, 0]], np.uint8)
-    y = np.array([1, 1, 0, 0], np.uint8)
-    ds = make_binary_dataset(X, y)
-    got = best_split(ds, candidate_features=[0, 1])
-    assert got is None or got.feature in (0, 1)
-    with pytest.raises(ValueError):
-        best_split(ds, candidate_features=[5])
-
-
-def test_best_split_empty_dataset():
-    ds = make_binary_dataset(np.zeros((1, 1), np.uint8), np.zeros(1, np.uint8))
-    empty = make_binary_dataset(np.zeros((0, 1), np.uint8), np.zeros(0, np.uint8))
-    assert best_split(ds) is None
-    with pytest.raises(EmptyDatasetError):
-        best_split(empty)
-
-
-def test_best_split_matches_exact_oracle():
+def test_root_split_matches_exact_oracle():
     rng = np.random.default_rng(31337)
     for _ in range(250):
         X, y = random_dataset(rng)
-        got = best_split(make_binary_dataset(X, y))
+        tree = _stump(X, y)
         want = brute_force_best_split(y.tolist(), X.tolist())
-        if want is None:
-            assert got is None
-        else:
-            assert got.feature == want[0]
-            assert got.split_rss == float(want[1])
+        assert getattr(tree, "feature", None) == (None if want is None else want[0])
 
 
 # --- build_tree ---
@@ -197,6 +176,28 @@ def test_train_two_methods_mirrored_trees():
     model = train(c)
     assert model.trees["a"] == Internal(0, Leaf(0.0, 2), Leaf(1.0, 2))
     assert model.trees["b"] == Internal(0, Leaf(1.0, 2), Leaf(0.0, 2))
+
+
+def test_train_grows_every_tree_through_build_tree(monkeypatch):
+    grow = trees.build_tree
+    calls = []
+
+    def counting(dataset, cfg=None):
+        calls.append(dataset.method)
+        return grow(dataset, cfg)
+
+    monkeypatch.setattr(trees, "build_tree", counting)
+    c = parse_database("a, [1]\nb, [0]\nc, [1]\n")
+    for threads in (1, 2):
+        calls.clear()
+        train(c, threads=threads)
+        assert sorted(calls) == ["a", "b", "c"]
+
+
+def test_train_rejects_empty_corpus():
+    empty = parse_database("a, [1]\n").take([])
+    with pytest.raises(EmptyDatasetError, match="corpus has no points"):
+        train(empty)
 
 
 def test_train_thread_counts_agree():
@@ -345,6 +346,18 @@ def test_deep_models_compare_without_recursion():
     for deepest in (Leaf(0.5, 2), Leaf(0.75, 1)):
         other = ModelSet(depth, {"m": _chain(depth, deepest)}, max_depth=depth)
         assert model != other
+
+
+def test_deep_nodes_compare_hash_and_print_without_recursion():
+    depth = 3000
+    tree = _chain(depth, Leaf(0.5, 1))
+    same = _chain(depth, Leaf(0.5, 1))
+    assert tree == same
+    assert hash(tree) == hash(same)
+    assert tree != _chain(depth, Leaf(0.5, 2))
+    assert tree != "not a node"
+    text = model_to_text(ModelSet(depth, {"m": tree}, max_depth=depth))
+    assert text.endswith(f"\t{tree!r}\n")
 
 
 def test_model_equality_checks_names_shape_and_fields():
