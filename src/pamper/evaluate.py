@@ -86,14 +86,14 @@ def run_evaluation(
     eval_corpus: Corpus,
     cfg: TrainConfig | None = None,
     top_n: int = 15,
-    threads: int | None = None,
 ) -> tuple[ModelSet, EvaluationReport]:
     """Train on one corpus, score coincidence rates on the other.
 
     Returns the trained model and the report. Eval points of methods never
     seen in training are counted under ``unlearned`` and excluded from the
     coincidence math; per-method eval counts plus the unlearned total always
-    add up to the eval corpus size.
+    add up to the eval corpus size. Training uses the thread count that
+    ``PAMPER_THREADS`` sets (see ``resolve_threads``).
     """
     if top_n < 1:
         raise ValueError("top_n must be at least 1")
@@ -106,7 +106,7 @@ def run_evaluation(
     if len(eval_corpus) == 0:
         raise NoEvalPointsError()
 
-    model = train(train_corpus, cfg, threads=threads)
+    model = train(train_corpus, cfg)
     arena = ModelArena(model)
     col_of = {name: t for t, name in enumerate(arena.names)}
     methods = arena.names

@@ -213,8 +213,19 @@ class ModelArena:
         return out
 
     def batch_rank(self, matrix: np.ndarray, method_cols: np.ndarray) -> np.ndarray:
-        """1-based rank of method_cols[i] in row i's full ordering."""
+        """1-based rank of method_cols[i] in row i's full ordering.
+
+        ``method_cols`` holds one column index in ``[0, M)`` per query row;
+        anything else raises ValueError rather than wrap or broadcast.
+        """
         E = self.expectations(matrix)
+        method_cols = np.asarray(method_cols)
+        if method_cols.shape != (E.shape[0],):
+            raise ValueError("method_cols must be 1-dimensional with one entry per query row")
+        if method_cols.dtype.kind not in "iu" or (
+            method_cols.size and (method_cols.min() < 0 or method_cols.max() >= E.shape[1])
+        ):
+            raise ValueError(f"method_cols entries must be integers in [0, {E.shape[1]})")
         rows = np.arange(E.shape[0])
         target = E[rows, method_cols][:, None]
         cols = np.arange(E.shape[1])[None, :]

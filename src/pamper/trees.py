@@ -31,17 +31,22 @@ from .preprocess import BinaryDataset, single_target_split
 
 
 class _Node:
-    """Equality and repr for tree nodes, by iterative walks that work at any depth.
+    """A tree node is its model text: equality, hash and repr all go through it.
 
-    Two nodes are equal when their whole trees are equal; the repr is the
-    node's model text. Each node class hashes only its own fields, which is
-    consistent with that equality.
+    Two nodes are equal when ``_format_tree`` writes the same text for them,
+    and a node hashes like its text, so the writer is the only encoding of a
+    tree. The text is exact for every node ``ModelSet`` admits (see
+    ``_check_trees``). ``_format_tree`` is iterative, so trees of any depth
+    compare, hash and print without recursion.
     """
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, _Node):
             return NotImplemented
-        return _same_trees([self], [other])
+        return _format_tree(self) == _format_tree(other)
+
+    def __hash__(self) -> int:
+        return hash(_format_tree(self))
 
     def __repr__(self) -> str:
         return _format_tree(self)
@@ -54,9 +59,6 @@ class Leaf(_Node):
     expectation: float
     count: int
 
-    def __hash__(self) -> int:
-        return hash((self.expectation, self.count))
-
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Internal(_Node):
@@ -65,9 +67,6 @@ class Internal(_Node):
     feature: int
     when_false: "TreeNode"
     when_true: "TreeNode"
-
-    def __hash__(self) -> int:
-        return hash(self.feature)
 
 
 TreeNode = Union[Leaf, Internal]
@@ -79,8 +78,8 @@ class TrainConfig:
     min_points_to_split: int = 2
 
     def __post_init__(self):
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be at least 1")
+        if not _is_int(self.max_depth) or self.max_depth < 1:
+            raise ValueError(f"max_depth must be a positive int, got {self.max_depth!r}")
         if self.min_points_to_split < 1:
             raise ValueError("min_points_to_split must be at least 1")
 
@@ -96,7 +95,10 @@ class ModelSet:
     """All trained trees plus the bookkeeping queries need.
 
     ``trees`` is keyed by method name and kept name-sorted; ``max_depth``
-    records the limit used at training time.
+    records the limit used at training time. A model is its model text: two
+    models are equal when ``model_to_text`` writes the same text for both
+    and their catalogs are equal. Only values that the writer prints as text
+    the loader reads back are admitted (see ``_check_trees``).
     """
 
     feature_count: int
@@ -105,28 +107,22 @@ class ModelSet:
     max_depth: int = 5
 
     def __post_init__(self):
-        if self.feature_count < 1:
-            raise ValueError("feature count must be positive")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be at least 1")
+        if not _is_int(self.feature_count) or self.feature_count < 1:
+            raise ValueError(f"feature_count must be a positive int, got {self.feature_count!r}")
+        if not _is_int(self.max_depth) or self.max_depth < 1:
+            raise ValueError(f"max_depth must be a positive int, got {self.max_depth!r}")
         ordered = dict(sorted(self.trees.items()))
-        for name, tree in ordered.items():
+        for name in ordered:
             if not METHOD_TOKEN.match(name):
                 raise ValueError(f"invalid method name: {name!r}")
-            _check_tree(tree, self.feature_count, self.max_depth)
+        _check_trees(ordered.values(), self.feature_count, self.max_depth)
         self.catalog.check_range(self.feature_count)
         object.__setattr__(self, "trees", MappingProxyType(ordered))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModelSet):
             return NotImplemented
-        return (
-            self.feature_count == other.feature_count
-            and self.max_depth == other.max_depth
-            and list(self.trees) == list(other.trees)
-            and _same_trees(self.trees.values(), other.trees.values())
-            and self.catalog == other.catalog
-        )
+        return model_to_text(self) == model_to_text(other) and self.catalog == other.catalog
 
 
 def _levels(roots: Iterable[TreeNode]) -> Iterator[list[TreeNode]]:
@@ -145,39 +141,38 @@ def _levels(roots: Iterable[TreeNode]) -> Iterator[list[TreeNode]]:
         level = below
 
 
-def _same_trees(a: Iterable[TreeNode], b: Iterable[TreeNode]) -> bool:
-    """Whether two equally long sequences of trees are equal node for node.
+def _is_int(value) -> bool:
+    """An integer that the writer prints as digits: an ``int`` or numpy integer, not a ``bool``."""
+    return type(value) is int or isinstance(value, np.integer)
 
-    The trees are compared level by level. Nodes at the same place in a
-    level must agree in type and in feature, or in expectation and count;
-    then their children line up, and the levels below have equal lengths.
+
+def _check_trees(roots: Iterable[TreeNode], feature_count: int, max_depth: int) -> None:
+    """Check that the trees fit the header and that their model text loads back to them.
+
+    Nodes compare and hash by their text, so an expectation must be a Python
+    ``float`` in [0, 1] (``np.float64`` prints as ``np.float64(...)``, and
+    ``int`` or ``bool`` without a decimal point), and a count or feature index
+    an integer that ``_is_int`` admits. This runs on every model load, so
+    all trees share one level walk and exact types are tested inline first:
+    plain values cost one identity test each.
     """
-    for level_a, level_b in zip(_levels(a), _levels(b)):
-        for x, y in zip(level_a, level_b):
-            if type(x) is not type(y):
-                return False
-            if isinstance(x, Internal):
-                if x.feature != y.feature:
-                    return False
-            elif (x.expectation, x.count) != (y.expectation, y.count):
-                return False
-    return True
-
-
-def _check_tree(tree: TreeNode, feature_count: int, max_depth: int) -> None:
-    for depth, level in enumerate(_levels([tree])):
+    for depth, level in enumerate(_levels(roots)):
         for node in level:
             if isinstance(node, Leaf):
-                if not (0.0 <= node.expectation <= 1.0):
-                    raise ValueError(f"leaf expectation {node.expectation!r} outside [0, 1]")
-                if node.count < 0:
-                    raise ValueError("leaf count must be nonnegative")
+                expectation, count = node.expectation, node.count
+                if type(expectation) is not float or not 0.0 <= expectation <= 1.0:
+                    raise ValueError(f"expectation must be a float in [0, 1], got {expectation!r}")
+                if not (type(count) is int or _is_int(count)) or count < 0:
+                    raise ValueError(f"count must be a nonnegative int, got {count!r}")
             elif isinstance(node, Internal):
                 if depth >= max_depth:
                     raise ValueError(f"tree exceeds depth limit {max_depth}")
-                if not 0 <= node.feature < feature_count:
+                feature = node.feature
+                if not (type(feature) is int or _is_int(feature)) or not (
+                    0 <= feature < feature_count
+                ):
                     raise ValueError(
-                        f"feature {node.feature} out of range for {feature_count} features"
+                        f"feature must be an int in [0, {feature_count}), got {feature!r}"
                     )
             else:
                 raise TypeError(f"not a tree node: {node!r}")

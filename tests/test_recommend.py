@@ -238,6 +238,25 @@ def test_arena_batch_rank_matches_oracle_ranking(values):
             assert ranks[i] == 1 + want.index(name)
 
 
+def test_arena_batch_rank_checks_method_cols():
+    # A negative column once wrapped to a method at the far end, and one
+    # column for two rows broadcast that method over both.
+    arena = ModelArena(_hand_model())
+    one, two = np.zeros((1, 2), dtype=np.uint8), np.zeros((2, 2), dtype=np.uint8)
+    bad = [
+        (one, [-1]), (one, [-3]), (one, [3]), (two, [0]), (two, [0, 1, 2]),
+        (two, [[0], [1]]), (two, [0.0, 1.0]), (two, [True, False]),
+    ]
+    for V, cols in bad:
+        with pytest.raises(ValueError, match="method_cols"):
+            arena.batch_rank(V, np.asarray(cols))
+    # Names order auto, blast, simp; a zero vector ranks auto, simp, blast.
+    assert arena.batch_rank(two, np.array([0, 2])).tolist() == [1, 2]
+    assert arena.batch_rank(one, np.array([1], dtype=np.uint8)).tolist() == [3]
+    none = np.zeros((0, 2), dtype=np.uint8)
+    assert arena.batch_rank(none, np.array([], dtype=int)).tolist() == []
+
+
 def test_arena_width_mismatch():
     arena = ModelArena(_hand_model())
     with pytest.raises(VectorWidthMismatchError):

@@ -370,6 +370,77 @@ def test_model_equality_checks_names_shape_and_fields():
     assert model != ModelSet(2, {"a": tree, "b": Internal(0, Leaf(0.5, 1), Leaf(0.5, 1))})
 
 
+def _fields(node):
+    """A tree as nested tuples of its field values, the structural reading of equality."""
+    if isinstance(node, Leaf):
+        return ("L", node.expectation, node.count)
+    return ("N", node.feature, _fields(node.when_false), _fields(node.when_true))
+
+
+@pytest.mark.parametrize("values", [None, (0.0, 0.5, 1.0), (0.5,)], ids=["uniform", "ties", "one"])
+def test_equality_is_text_equality_property(values):
+    # Small seeds and small models, so that equal pairs are common.
+    rng = np.random.default_rng(1729)
+    equal_pairs = 0
+    for _ in range(80):
+        a, b = (
+            random_model(np.random.default_rng(int(rng.integers(0, 5))), 3, 2, values)
+            for _ in range(2)
+        )
+        same_text = model_to_text(a) == model_to_text(b)
+        assert (a == b) is same_text
+        assert same_text == (
+            (a.feature_count, a.max_depth, {k: _fields(t) for k, t in a.trees.items()})
+            == (b.feature_count, b.max_depth, {k: _fields(t) for k, t in b.trees.items()})
+        )
+        equal_pairs += same_text
+        for x in a.trees.values():
+            for y in b.trees.values():
+                assert (x == y) is (_fields(x) == _fields(y))
+                if x == y:
+                    assert hash(x) == hash(y)
+        for m in (a, b):
+            assert model_from_text(model_to_text(m)) == m
+    assert 10 <= equal_pairs < 80
+
+
+@pytest.mark.parametrize(
+    "build,field",
+    [
+        (lambda: ModelSet(2, {"a": Leaf(np.float64(0.5), 2)}), "expectation"),
+        (lambda: ModelSet(2, {"a": Leaf(np.float32(0.5), 2)}), "expectation"),
+        (lambda: ModelSet(2, {"a": Leaf(1, 2)}), "expectation"),
+        (lambda: ModelSet(2, {"a": Leaf(0.5, True)}), "count"),
+        (lambda: ModelSet(2, {"a": Leaf(0.5, 2.0)}), "count"),
+        (lambda: ModelSet(2, {"a": Internal(True, Leaf(0.0, 1), Leaf(1.0, 1))}), "feature"),
+        (lambda: ModelSet(2, {"a": Leaf(0.5, 2)}, max_depth=2.5), "max_depth"),
+        (lambda: ModelSet(True, {"a": Leaf(0.5, 2)}), "feature_count"),
+        (lambda: TrainConfig(max_depth=2.5), "max_depth"),
+    ],
+    ids=[
+        "float64-expectation", "float32-expectation", "int-expectation", "bool-count",
+        "float-count", "bool-feature", "float-max_depth", "bool-feature_count",
+        "train-config-float-max_depth",
+    ],
+)
+def test_only_values_written_as_loadable_text_are_admitted(build, field):
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
+def test_numpy_integers_are_admitted_and_signed_zeros_differ():
+    i64 = np.int64
+    plain = ModelSet(2, {"a": Internal(1, Leaf(0.5, 2), Leaf(1.0, 1))}, max_depth=1)
+    model = ModelSet(
+        i64(2), {"a": Internal(i64(1), Leaf(0.5, i64(2)), Leaf(1.0, 1))}, max_depth=i64(1)
+    )
+    assert model_to_text(model) == model_to_text(plain)
+    assert model == plain == model_from_text(model_to_text(model))
+    assert hash(model.trees["a"]) == hash(plain.trees["a"])
+    # Equal as numbers, but written as different text.
+    assert Leaf(-0.0, 1) != Leaf(0.0, 1)
+
+
 def _frame_depth() -> int:
     frame, depth = sys._getframe(), 0
     while frame is not None:
