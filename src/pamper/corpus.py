@@ -11,6 +11,14 @@ character is ``#`` are skipped. The vector width of the first record fixes
 the feature count for the whole file; later records must agree. A vector
 file holds one bracketed vector per line under the same line rules.
 
+An input written wholly in the canonical form that ``serialize_database``
+(and so ``pamper gen``) writes -- ASCII, every line ``<name>, [b,...,b]``
+(or ``[b,...,b]`` in a vector file) of one width and ended by LF -- is
+read by a vectorized path over the raw bytes, in row blocks. Any other
+input, valid or not, goes through the strict line parser, which is the
+only place that raises, so every accepted form, error and line number is
+the same on both paths.
+
 A feature catalog is a separate tab-separated file mapping feature indices
 to human-readable descriptions, used when rendering explanations::
 
@@ -145,6 +153,83 @@ def _parse_record(line: str, line_no: int) -> tuple[str, bytearray]:
     return method, _parse_bits(rest, line_no)
 
 
+_BLOCK_ROWS = 4096  # rows per block of the canonical reader and of the writer
+_SCAN_BYTES = 1 << 20  # bytes per block of the line-end scan
+
+
+def _line_ends(buf: np.ndarray) -> np.ndarray:
+    """Offsets of every LF in ``buf``, scanned in blocks of ``_SCAN_BYTES``."""
+    return np.concatenate([
+        np.flatnonzero(buf[at:at + _SCAN_BYTES] == 10) + at
+        for at in range(0, buf.size, _SCAN_BYTES)
+    ])
+
+
+def _canonical_records(data: str | bytes, width: int | None):
+    """The records of an input written wholly in canonical form, or None.
+
+    With ``width`` None the lines are database records ``<name>, [b,...,b]``
+    and the first line fixes the width; otherwise they are vector-file lines
+    ``[b,...,b]`` of ``width`` flags. Returns ``(names, X)``, ``names`` None
+    for a vector file, only when the input is ASCII, ends in LF, and every
+    line has exactly that form, width and a ``METHOD_TOKEN`` name: then the
+    strict parser would return the same records. Any other input gives None
+    and is left to the strict parser, so this never raises.
+
+    Each row block gathers the fixed-length tail after each line's name
+    (``, [`` or ``[``, then 2F bytes of flags, commas and ``]``) through a
+    sliding-window view, checks every byte of it in one comparison and
+    copies the flags out; distinct names are decoded and checked once.
+    """
+    if isinstance(data, str):
+        if not data.isascii():
+            return None
+        data = data.encode("ascii")
+    if not (isinstance(data, bytes) and data.endswith(b"\n") and data.isascii()):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = _line_ends(buf)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    named = width is None
+    head = b", [" if named else b"["
+    if named:
+        at = data.find(head, 0, int(ends[0]))
+        span = int(ends[0]) - at - len(head)
+        if at < 1 or span % 2:
+            return None
+        width = span // 2
+    if width < 1:
+        return None
+    tail = len(head) + 2 * width
+    lengths = ends - starts
+    if (lengths.min() <= tail) if named else (lengths != tail).any():
+        return None
+    want = np.frombuffer(head + b"0," * (width - 1) + b"0]", dtype=np.uint8)
+    keep = np.full(tail, 0xFF, dtype=np.uint8)
+    keep[len(head)::2] = 0xFE  # '0' and '1' differ only in the low bit
+    windows = np.lib.stride_tricks.sliding_window_view(buf, tail)
+    X = np.empty((len(ends), width), dtype=np.uint8)
+    names: list[str] = []
+    decoded: dict[bytes, str] = {}
+    for r0 in range(0, len(ends), _BLOCK_ROWS):
+        tail_at = ends[r0:r0 + _BLOCK_ROWS] - tail
+        block = windows[tail_at]
+        if not ((block & keep) == want).all():
+            return None
+        np.bitwise_and(block[:, len(head)::2], 1, out=X[r0:r0 + len(block)])
+        if not named:
+            continue
+        spans = map(slice, starts[r0:r0 + len(block)].tolist(), tail_at.tolist())
+        keys = list(map(data.__getitem__, spans))
+        for key in set(keys).difference(decoded):
+            name = key.decode("ascii")
+            if not METHOD_TOKEN.match(name):
+                return None
+            decoded[key] = name
+        names.extend(map(decoded.__getitem__, keys))
+    return (names if named else None), X
+
+
 def parse_database(text: str | bytes) -> Corpus:
     """Parse database text into a validated corpus.
 
@@ -153,6 +238,10 @@ def parse_database(text: str | bytes) -> Corpus:
     EmptyDatabaseError when no data lines remain after skipping blanks and
     comments.
     """
+    canonical = _canonical_records(text, None)
+    if canonical is not None:
+        names, X = canonical
+        return Corpus(tuple(names), X, X.shape[1])
     lines = data_lines(text, MalformedLineError)
     del text  # a caller that hands over its bytes gets them freed before the records are parsed
     methods: list[str] = []
@@ -173,10 +262,26 @@ def parse_database(text: str | bytes) -> Corpus:
 
 
 def serialize_database(corpus: Corpus) -> str:
-    """Render a corpus back to database text (canonical spacing, LF lines)."""
+    """Render a corpus back to database text (canonical spacing, LF lines).
+
+    Each row block fills one ``(rows, 2F+1)`` uint8 template, whose flag
+    columns take ``features + 48`` and whose other columns hold the fixed
+    ``,``, ``]`` and LF, and joins its rows with one ``<name>, [`` prefix
+    each.
+    """
+    width = 2 * corpus.feature_count + 1
+    template = np.empty((min(len(corpus), _BLOCK_ROWS), width), dtype=np.uint8)
+    template[:] = np.frombuffer(b"0," * (corpus.feature_count - 1) + b"0]\n", dtype=np.uint8)
+    prefix = {name: f"{name}, [".encode("ascii") for name in set(corpus.method_names)}
     out = []
-    for name, row in zip(corpus.method_names, corpus.features):
-        out.append(f"{name}, [{','.join('1' if b else '0' for b in row.tolist())}]\n")
+    for r0 in range(0, len(corpus), _BLOCK_ROWS):
+        rows = corpus.features[r0:r0 + _BLOCK_ROWS]
+        cells = template[:len(rows)]
+        np.add(rows, 48, out=cells[:, :-1:2])
+        parts = [b""] * (2 * len(rows))
+        parts[::2] = map(prefix.__getitem__, corpus.method_names[r0:r0 + len(rows)])
+        parts[1::2] = cells.view(f"S{width}").ravel().tolist()
+        out.append(b"".join(parts).decode("ascii"))
     return "".join(out)
 
 
@@ -201,6 +306,9 @@ def parse_vectors(data: str | bytes, feature_count: int) -> np.ndarray:
     not ``feature_count`` raises VectorWidthMismatchError, each with its
     1-based line number. A file without data lines gives zero rows.
     """
+    canonical = _canonical_records(data, feature_count)
+    if canonical is not None:
+        return canonical[1]
     lines = data_lines(data, MalformedLineError)
     del data  # as in parse_database
     bits = bytearray()

@@ -114,6 +114,15 @@ def random_corpus(rng, max_points: int = 40, max_features: int = 10) -> Corpus:
     return Corpus(tuple(names), X, n_feat)
 
 
+def reference_serialize_database(corpus: Corpus) -> str:
+    """Database text written one f-string per row: the ground truth for
+    ``corpus.serialize_database``, which must match it byte for byte."""
+    out = []
+    for name, row in zip(corpus.method_names, corpus.features):
+        out.append(f"{name}, [{','.join('1' if b else '0' for b in row.tolist())}]\n")
+    return "".join(out)
+
+
 def random_tree(rng, n_feat: int, depth_left: int, values=None):
     """Random tree; leaf expectations are uniform, or drawn from ``values``."""
     if depth_left == 0 or rng.random() < 0.35:

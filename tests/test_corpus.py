@@ -22,9 +22,10 @@ from pamper.errors import (
     PlantedConfigError,
     VectorWidthMismatchError,
 )
+from pamper import corpus as corpus_module
 from pamper.synth import parse_planted_config
 
-from oracles import random_corpus
+from oracles import random_corpus, random_method_names, reference_serialize_database
 
 
 def test_parse_single_record():
@@ -108,6 +109,127 @@ def test_round_trip_property():
         c = random_corpus(rng)
         again = parse_database(serialize_database(c))
         assert again == c
+
+
+# Names that use every METHOD_TOKEN character class.
+ODD_NAMES = ("meson'", "auto.intro", "co-auto", "simp_all", "m042", "-", "Xy'._-9")
+BLOCK = corpus_module._BLOCK_ROWS
+
+
+@pytest.mark.parametrize(
+    "rows,width",
+    [(0, 3), (7, 1), (BLOCK - 1, 5), (BLOCK, 2), (BLOCK + 1, 9), (300, 108)],
+)
+def test_writer_matches_reference_byte_for_byte(rows, width):
+    rng = np.random.default_rng(rows * 1009 + width)
+    X = (rng.random((rows, width)) < rng.uniform(0.2, 0.8)).astype(np.uint8)
+    names = random_method_names(rng, rows)
+    for i, name in zip(rng.choice(rows, size=min(rows, len(ODD_NAMES)), replace=False), ODD_NAMES):
+        names[int(i)] = name
+    c = Corpus(tuple(names), X, width)
+    text = serialize_database(c)
+    assert text == reference_serialize_database(c)
+    if rows:
+        assert parse_database(text) == c
+
+
+def _strict_parser_must_not_run(*args):
+    raise AssertionError("the strict line parser ran on canonical input")
+
+
+def _vector_file(database_text: str) -> str:
+    return "".join(line.partition(", ")[2] + "\n" for line in database_text.splitlines())
+
+
+def test_canonical_input_skips_the_strict_parser(monkeypatch):
+    for name in ("data_lines", "_parse_record", "_parse_bits"):
+        monkeypatch.setattr(corpus_module, name, _strict_parser_must_not_run)
+    rng = np.random.default_rng(808)
+    for _ in range(40):
+        c = random_corpus(rng)
+        text = serialize_database(c)
+        assert parse_database(text.encode("ascii")) == c
+        assert parse_database(text) == c  # ASCII text, as open(...).read() gives
+        vectors = _vector_file(text)
+        for data in (vectors, vectors.encode("ascii")):
+            got = parse_vectors(data, c.feature_count)
+            assert got.dtype == np.uint8 and np.array_equal(got, c.features)
+
+
+@pytest.fixture
+def strict_runs(monkeypatch):
+    runs = []
+    read = corpus_module.data_lines
+
+    def counted(data, error):
+        runs.append(error)
+        return read(data, error)
+
+    monkeypatch.setattr(corpus_module, "data_lines", counted)
+    return runs
+
+
+def _outcome(parse, data):
+    try:
+        got = parse(data)
+    except PamperError as exc:
+        return type(exc), getattr(exc, "line_no", None), str(exc)
+    if isinstance(got, Corpus):
+        return got.method_names, got.features.tolist()
+    return got.tolist()
+
+
+ROWS = (("a", "b"), [[1, 0], [0, 1]])
+
+
+@pytest.mark.parametrize(
+    "data,want",
+    [
+        pytest.param(b"a, [1,0]\r\nb, [0,1]\r\n", ROWS, id="crlf"),
+        pytest.param(b"a, [1,0]\n\n# note\nb, [0,1]\n", ROWS, id="blank-and-comment"),
+        pytest.param(b"a, [1, 0]\nb, [0,1]\n", ROWS, id="spaced-vector"),
+        pytest.param("# r\u00e9sum\u00e9\na, [1,0]\nb, [0,1]\n".encode("utf-8"), ROWS, id="non-ascii-comment"),
+        pytest.param(b"a, [1,0]\nb, [0,1]", ROWS, id="no-final-lf"),
+        pytest.param("a, [1]\n#\ud800\n", (("a",), [[1]]), id="lone-surrogate-text"),
+        pytest.param(
+            b"a, []\n", (MalformedLineError, 1, "line 1: feature flag must be 0 or 1, got ''"),
+            id="zero-width",
+        ),
+        pytest.param(
+            b"a, [1,0]\nb, [0,1]\nc, [1]\n",
+            (InconsistentWidthError, 3, "line 3: feature vector has 1 entries, expected 2"),
+            id="mixed-widths",
+        ),
+    ],
+)
+def test_other_databases_take_the_strict_parser(strict_runs, data, want):
+    assert _outcome(parse_database, data) == want
+    assert strict_runs == [MalformedLineError]
+
+
+@pytest.mark.parametrize(
+    "data,want",
+    [
+        pytest.param(b"[1,0]\r\n[0,1]\r\n", ROWS[1], id="crlf"),
+        pytest.param(b"[1,0]\n\n# note\n[0,1]\n", ROWS[1], id="blank-and-comment"),
+        pytest.param(b"[1, 0]\n[0,1]\n", ROWS[1], id="spaced-vector"),
+        pytest.param("# r\u00e9sum\u00e9\n[1,0]\n[0,1]\n".encode("utf-8"), ROWS[1], id="non-ascii-comment"),
+        pytest.param(b"[1,0]\n[0,1]", ROWS[1], id="no-final-lf"),
+        pytest.param("[1,1]\n#\ud800\n", [[1, 1]], id="lone-surrogate-text"),
+        pytest.param(
+            b"[]\n", (MalformedLineError, 1, "line 1: feature flag must be 0 or 1, got ''"),
+            id="zero-width",
+        ),
+        pytest.param(
+            b"[1,0]\n[0,1]\n[1]\n",
+            (VectorWidthMismatchError, 3, "line 3: vector has 1 entries, model expects 2"),
+            id="mixed-widths",
+        ),
+    ],
+)
+def test_other_vector_files_take_the_strict_parser(strict_runs, data, want):
+    assert _outcome(lambda d: parse_vectors(d, 2), data) == want
+    assert strict_runs == [MalformedLineError]
 
 
 def test_counts_sum_to_points_property():

@@ -1,20 +1,30 @@
 """Differential and fuzz tests for the input parsers.
 
 The model loader is compared against the recursive reference parser in
-``oracles`` on mutated model texts, and every parser is fed random bytes,
-which may only ever raise ``PamperError``.
+``oracles`` on mutated model texts, the database and vector-file readers
+against their strict line parser on mutated canonical files, and every
+parser is fed random bytes, which may only ever raise ``PamperError``.
 """
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pamper.corpus import parse_database, parse_feature_catalog, parse_vectors
+from pamper import corpus as corpus_module
+from pamper.corpus import (
+    Corpus,
+    parse_database,
+    parse_feature_catalog,
+    parse_vectors,
+    serialize_database,
+)
 from pamper.errors import ModelParseError, PamperError
 from pamper.synth import parse_planted_config
 from pamper.trees import model_from_text, model_to_text
 
-from oracles import random_model, reference_model_from_text
+from oracles import random_corpus, random_model, reference_model_from_text
 
 FUZZ = settings(max_examples=400, deadline=None, derandomize=True, database=None)
 
@@ -91,6 +101,93 @@ def test_loader_agrees_with_reference_on_edge_bodies(body):
 @given(mutated_model_texts())
 def test_loader_agrees_with_reference_on_mutated_texts(data):
     assert_same_verdict(data)
+
+
+CANONICAL_CORPORA = [
+    random_corpus(np.random.default_rng(seed), max_points=12, max_features=6) for seed in range(10)
+]
+LINE_TOKENS = [b",", b"]", b"[", b" ", b"\r", b"#", b"\n"]
+# Toggles keep a file canonical, so they are drawn more often than the rest.
+EDITS = ["toggle", "toggle", "toggle", "truncate", "flip", "insert", "delete", "width", "name"]
+NAME_EDITS = [
+    b"", b"x", b"m042", b"co-auto", b"meson'", b" simp", b"a b", b"#", b"\xc3\xa9", b"\xff", b"[1]",
+]
+
+
+@st.composite
+def mutated_canonical_files(draw):
+    """A canonical database or vector file of a random corpus, its width,
+    and whether it is a vector file, after one to four truncations, byte
+    flips, 0/1 toggles, inserts or deletes of a line token, row-width
+    changes (one flag dropped or some added), or method-name edits."""
+    corpus = draw(st.sampled_from(CANONICAL_CORPORA))
+    vectors = draw(st.booleans())
+    text = serialize_database(corpus)
+    if vectors:
+        text = "".join(line.partition(", ")[2] + "\n" for line in text.splitlines())
+    data = bytearray(text.encode("ascii"))
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(data)))
+        line = data.rfind(b"\n", 0, pos) + 1
+        edit = draw(st.sampled_from(EDITS))
+        if edit == "truncate":
+            del data[pos:]
+        elif edit == "flip" and pos < len(data):
+            data[pos] = draw(st.sampled_from(b"01,[] #\r\n") | st.integers(0, 255))
+        elif edit == "toggle":
+            at = next((i for i in range(pos, len(data)) if data[i] in b"01"), None)
+            if at is not None:
+                data[at] ^= 1
+        elif edit == "insert":
+            data[pos:pos] = draw(st.sampled_from(LINE_TOKENS))
+        elif edit == "delete":
+            token = draw(st.sampled_from(LINE_TOKENS))
+            at = data.find(token, pos)
+            if at >= 0:
+                del data[at:at + len(token)]
+        elif edit == "width":
+            close = data.find(b"]", line)
+            if close >= 2:
+                grow = draw(st.sampled_from([b"", b"0,", b"1,1,"]))
+                data[close - 2:close] = grow + data[close - 2:close] if grow else b""
+        elif edit == "name":
+            end = data.find(b"," if not vectors else b"[", line)
+            data[line:max(end, line)] = draw(st.sampled_from(NAME_EDITS))
+    return bytes(data), corpus.feature_count, vectors
+
+
+def strict_parse(parse, data):
+    with mock.patch.object(corpus_module, "_canonical_records", lambda data, width: None):
+        return parse(data)
+
+
+def assert_paths_agree(parse, data) -> None:
+    try:
+        want = strict_parse(parse, data)
+    except PamperError as exc:
+        with pytest.raises(PamperError) as info:
+            parse(data)
+        got = info.value
+        assert type(got) is type(exc)
+        assert getattr(got, "line_no", None) == getattr(exc, "line_no", None)
+        assert str(got) == str(exc)
+    else:
+        got = parse(data)
+        if isinstance(want, Corpus):
+            assert got == want
+        else:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
+@FUZZ
+@given(mutated_canonical_files())
+def test_ingest_agrees_with_the_strict_parser_on_mutated_files(case):
+    data, width, vectors = case
+    parse = (lambda d: parse_vectors(d, width)) if vectors else parse_database
+    assert_paths_agree(parse, data)
+    if data.isascii():
+        assert_paths_agree(parse, data.decode("ascii"))
 
 
 INPUT_ALPHABET = st.sampled_from(
