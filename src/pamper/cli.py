@@ -62,7 +62,7 @@ def _read_corpus(path: str):
 def _attach_catalog(model: ModelSet, catalog_path: str | None) -> ModelSet:
     if not catalog_path:
         return model
-    catalog = parse_feature_catalog(Path(catalog_path).read_bytes())
+    catalog = parse_feature_catalog(Path(catalog_path).read_bytes(), model.feature_count)
     return ModelSet(model.feature_count, dict(model.trees), catalog, model.max_depth)
 
 

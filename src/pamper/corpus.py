@@ -375,10 +375,11 @@ class FeatureCatalog:
 EMPTY_CATALOG = FeatureCatalog({})
 
 
-def parse_feature_catalog(text: str | bytes) -> FeatureCatalog:
+def parse_feature_catalog(text: str | bytes, feature_count: int | None = None) -> FeatureCatalog:
     """Parse ``<index><TAB><description>`` lines; empty input is valid.
 
-    Bytes that are not UTF-8 raise BadIndexError with their line number.
+    Bytes that are not UTF-8, and an index at or above ``feature_count``
+    when that is given, raise BadIndexError with their line number.
     """
     descriptions: dict[int, str] = {}
     for line_no, line in data_lines(text, BadIndexError):
@@ -391,6 +392,10 @@ def parse_feature_catalog(text: str | bytes) -> FeatureCatalog:
             raise BadIndexError(line_no, f"bad feature index: {head.strip()!r}") from None
         if index < 0:
             raise BadIndexError(line_no, f"negative feature index: {index}")
+        if feature_count is not None and index >= feature_count:
+            raise BadIndexError(
+                line_no, f"catalog index {index} out of range for {feature_count} features"
+            )
         description = rest.strip()
         if not description:
             raise BadIndexError(line_no, "empty description")

@@ -25,7 +25,6 @@ from .errors import (
 from .recommend import ModelArena
 from .trees import ModelSet, TrainConfig, train
 
-_CHUNK = 8192
 _FIG3_THRESHOLDS = (25, 50, 75, 90)
 
 
@@ -92,8 +91,10 @@ def run_evaluation(
     Returns the trained model and the report. Eval points of methods never
     seen in training are counted under ``unlearned`` and excluded from the
     coincidence math; per-method eval counts plus the unlearned total always
-    add up to the eval corpus size. Training uses the thread count that
-    ``PAMPER_THREADS`` sets (see ``resolve_threads``).
+    add up to the eval corpus size. Every known eval point is ranked in one
+    ``ModelArena.batch_rank`` call, which holds one ``_BLOCK_ROWS`` block of
+    (rows, methods) expectations at a time. Training uses the thread count
+    that ``PAMPER_THREADS`` sets (see ``resolve_threads``).
     """
     if top_n < 1:
         raise ValueError("top_n must be at least 1")
@@ -108,34 +109,23 @@ def run_evaluation(
 
     model = train(train_corpus, cfg)
     arena = ModelArena(model)
-    col_of = {name: t for t, name in enumerate(arena.names)}
     methods = arena.names
-
-    eval_counts = np.zeros(len(methods), dtype=np.int64)
-    rank_hits = np.zeros((len(methods), top_n), dtype=np.int64)
-    unlearned: Counter[str] = Counter()
+    col_of = {name: t for t, name in enumerate(methods)}
 
     eval_names = eval_corpus.method_names
-    cols = np.array(
-        [col_of.get(name, -1) for name in eval_names], dtype=np.int64
-    )
+    unlearned = Counter(name for name in eval_names if name not in col_of)
+    cols = np.array([col_of.get(name, -1) for name in eval_names], dtype=np.int64)
     known = cols >= 0
-    for name, is_known in zip(eval_names, known):
-        if not is_known:
-            unlearned[name] += 1
-
-    known_idx = np.flatnonzero(known)
-    for start in range(0, known_idx.size, _CHUNK):
-        sel = known_idx[start : start + _CHUNK]
-        ranks = arena.batch_rank(eval_corpus.features[sel], cols[sel])
-        for col, rank in zip(cols[sel].tolist(), ranks.tolist()):
-            eval_counts[col] += 1
-            if rank <= top_n:
-                rank_hits[col, rank - 1] += 1
+    known_cols = cols[known]
+    ranks = arena.batch_rank(eval_corpus.features[known], known_cols)
+    eval_counts = np.bincount(known_cols, minlength=len(methods))
+    rank_hits = np.zeros((len(methods), top_n), dtype=np.int64)
+    hit = ranks <= top_n
+    np.add.at(rank_hits, (known_cols[hit], ranks[hit] - 1), 1)
 
     total_train = len(train_corpus)
     total_eval = len(eval_corpus)
-    learned_eval_total = total_eval - sum(unlearned.values())
+    learned_eval_total = known_cols.size
     train_counts = train_corpus.method_counts
 
     rows = []

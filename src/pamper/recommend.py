@@ -132,7 +132,8 @@ def render_explanation(expl: Explanation) -> str:
     return "\n".join(lines)
 
 
-# Rows stepped through the trees together; bounds the (rows, trees) temporaries.
+# Rows stepped through the trees together: expectations, batch_which and
+# batch_rank each hold one block of (rows, trees) temporaries at a time.
 _BLOCK_ROWS = 1024
 
 
@@ -194,21 +195,19 @@ class ModelArena:
         """which_method over many vectors; identical ordering and ties."""
         if k < 1:
             raise ValueError("k must be at least 1")
-        E = self.expectations(matrix)
+        V = _checked_bits(matrix, 2, self.feature_count)
         total = len(self.names)
         keep = min(k, total)
-        # Columns are name-sorted, so a stable sort on -E breaks ties by name.
-        order = np.argsort(-E, axis=1, kind="stable")[:, :keep]
-        values = np.take_along_axis(E, order, axis=1)
-        picked = np.asarray(self.names, dtype=object)[order]
+        names = np.asarray(self.names, dtype=object)
         out: list[Recommendation] = []
-        # One .tolist() per block of rows: per row is slower, and whole-batch
-        # lists would sit in memory beside the finished recommendations.
-        for start in range(0, len(picked), _BLOCK_ROWS):
-            rows = slice(start, start + _BLOCK_ROWS)
+        for start in range(0, V.shape[0], _BLOCK_ROWS):
+            E = self.expectations(V[start:start + _BLOCK_ROWS])
+            # Columns are name-sorted, so a stable sort on -E breaks ties by name.
+            order = np.argsort(-E, axis=1, kind="stable")[:, :keep]
+            values = np.take_along_axis(E, order, axis=1)
             out += [
                 Recommendation(tuple(zip(row_names, row_values)), total)
-                for row_names, row_values in zip(picked[rows].tolist(), values[rows].tolist())
+                for row_names, row_values in zip(names[order].tolist(), values.tolist())
             ]
         return out
 
@@ -218,18 +217,23 @@ class ModelArena:
         ``method_cols`` holds one column index in ``[0, M)`` per query row;
         anything else raises ValueError rather than wrap or broadcast.
         """
-        E = self.expectations(matrix)
+        V = _checked_bits(matrix, 2, self.feature_count)
         method_cols = np.asarray(method_cols)
-        if method_cols.shape != (E.shape[0],):
+        total = len(self.names)
+        if method_cols.shape != (V.shape[0],):
             raise ValueError("method_cols must be 1-dimensional with one entry per query row")
         if method_cols.dtype.kind not in "iu" or (
-            method_cols.size and (method_cols.min() < 0 or method_cols.max() >= E.shape[1])
+            method_cols.size and (method_cols.min() < 0 or method_cols.max() >= total)
         ):
-            raise ValueError(f"method_cols entries must be integers in [0, {E.shape[1]})")
-        rows = np.arange(E.shape[0])
-        target = E[rows, method_cols][:, None]
-        cols = np.arange(E.shape[1])[None, :]
-        greater = (E > target).sum(axis=1)
-        tied_before = ((E == target) & (cols < method_cols[:, None])).sum(axis=1)
-        return 1 + greater + tied_before
-
+            raise ValueError(f"method_cols entries must be integers in [0, {total})")
+        ranks = np.empty(V.shape[0], dtype=np.int64)
+        cols = np.arange(total)[None, :]
+        for start in range(0, V.shape[0], _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            E = self.expectations(V[rows])
+            mine = method_cols[rows]
+            target = E[np.arange(E.shape[0]), mine][:, None]
+            greater = (E > target).sum(axis=1)
+            tied_before = ((E == target) & (cols < mine[:, None])).sum(axis=1)
+            ranks[rows] = 1 + greater + tied_before
+        return ranks

@@ -277,20 +277,15 @@ def train(
     """Train one tree per method observed in the corpus.
 
     This is ``single_target_split`` followed by ``build_tree`` on each
-    method's dataset. Methods are independent, so they may be trained on a
-    thread pool; the datasets come name-sorted and every tree depends only
-    on its own dataset, which keeps the result identical for any thread
-    count.
+    method's dataset on a pool of ``resolve_threads(threads)`` workers.
+    The datasets come name-sorted and every tree depends only on its own
+    dataset, which keeps the result identical for any thread count.
     """
     cfg = cfg or TrainConfig()
     datasets = single_target_split(corpus)
     names = list(datasets)
-    workers = resolve_threads(threads)
-    if workers > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            built = list(pool.map(lambda name: build_tree(datasets[name], cfg), names))
-    else:
-        built = [build_tree(datasets[name], cfg) for name in names]
+    with ThreadPoolExecutor(max_workers=resolve_threads(threads)) as pool:
+        built = list(pool.map(lambda name: build_tree(datasets[name], cfg), names))
     return ModelSet(corpus.feature_count, dict(zip(names, built)), EMPTY_CATALOG, cfg.max_depth)
 
 

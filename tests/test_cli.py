@@ -319,6 +319,22 @@ def test_non_utf8_inputs_exit_2(tmp_path, model, capsys, kind, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["why", "{model}", "[1,0]", "simp", "--catalog", "{catalog}"],
+        ["prune", "{model}", "--catalog", "{catalog}"],
+    ],
+)
+def test_catalog_index_out_of_range_names_its_line(tmp_path, model, capsys, argv):
+    catalog = tmp_path / "catalog.txt"
+    catalog.write_text("0\tthe goal is an equation\n5\tno such feature\n", encoding="utf-8")
+    assert main([arg.format(model=model, catalog=catalog) for arg in argv]) == 2
+    assert capsys.readouterr().err == (
+        "pamper: line 2: catalog index 5 out of range for 2 features\n"
+    )
+
+
 def _deep_model_text(depth: int) -> str:
     # One path of `depth` distinct features, each taken when its bit is clear.
     body = "".join(f"N({i}," for i in range(depth)) + "L(0.5,1)" + ",L(0.25,2))" * depth

@@ -22,6 +22,7 @@ from pamper.evaluate import (
     run_evaluation,
     split_corpus,
 )
+from pamper import recommend
 from pamper.recommend import rank_method
 
 from oracles import random_corpus
@@ -121,15 +122,37 @@ def test_run_evaluation_unlearned_tally():
     assert by_name["b"].eval_pct == 50.0
 
 
-def test_run_evaluation_matches_per_point_ranks():
-    rng = np.random.default_rng(31)
+def test_run_evaluation_unlearned_only():
+    train = Corpus(("a", "b"), np.eye(2, dtype=np.uint8), 2)
+    ev = Corpus(("zap", "zip", "zap"), np.ones((3, 2), dtype=np.uint8), 2)
+    _, report = run_evaluation(train, ev, top_n=3)
+    assert report.unlearned == {"zap": 2, "zip": 1}
+    for row in report.rows:
+        assert (row.eval_count, row.eval_pct) == (0, 0.0)
+        assert row.coincidence == (0.0, 0.0, 0.0)
+    assert report.fig3 == ((1, 0, 0, 0, 0), (2, 0, 0, 0, 0), (3, 0, 0, 0, 0))
+
+
+def _per_point_splits(rng):
     for _ in range(12):
         c = random_corpus(rng, max_points=80, max_features=6)
         if len(c) < 4:
             continue
         tr, ev = split_corpus(c, SplitSpec(eval_fraction=0.4, seed=5))
-        if len(tr) == 0 or len(ev) == 0:
-            continue
+        if len(tr) and len(ev):
+            yield tr, ev
+    # More known eval rows than one recommend._BLOCK_ROWS block.
+    n = 3 * recommend._BLOCK_ROWS
+    names = tuple(("alpha", "beta", "gamma", "delta")[i] for i in rng.integers(0, 4, n))
+    c = Corpus(names, rng.integers(0, 2, (n, 6)).astype(np.uint8), 6)
+    tr, ev = split_corpus(c, SplitSpec(eval_fraction=0.5, seed=5))
+    assert len(ev) > recommend._BLOCK_ROWS
+    yield tr, ev
+
+
+def test_run_evaluation_matches_per_point_ranks():
+    rng = np.random.default_rng(31)
+    for tr, ev in _per_point_splits(rng):
         top_n = 3
         model, report = run_evaluation(tr, ev, top_n=top_n)
 

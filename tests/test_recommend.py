@@ -263,6 +263,18 @@ def test_arena_width_mismatch():
         arena.expectations(np.zeros((2, 3), dtype=np.uint8))
     with pytest.raises(ValueError):
         arena.expectations(np.zeros(2, dtype=np.uint8))
+    # The batch queries check the whole matrix before their block loop,
+    # which a 0-row matrix never enters.
+    queries = (
+        arena.expectations,
+        lambda V: arena.batch_which(V, k=2),
+        lambda V: arena.batch_rank(V, np.zeros(len(V), dtype=int)),
+    )
+    for query in queries:
+        with pytest.raises(VectorWidthMismatchError):
+            query(np.zeros((0, 3), dtype=np.uint8))
+        with pytest.raises(ValueError, match="0 or 1"):
+            query(np.array([[0, 1], [1, 2]]))
 
 
 def _two_tree_model():
@@ -317,6 +329,36 @@ def test_arena_across_row_blocks():
         assert [rec.ranked for rec in arena.batch_which(V, k=3)] == [
             tuple(ranking(model, row)[:3]) for row in V
         ]
+        cols = rng.integers(0, len(arena.names), rows)
+        assert arena.batch_rank(V, cols).tolist() == [
+            1 + [name for name, _ in ranking(model, row)].index(arena.names[col])
+            for row, col in zip(V, cols)
+        ]
+
+
+def test_batch_queries_hand_expectations_one_block_at_a_time(monkeypatch):
+    rng = np.random.default_rng(53)
+    model = random_model(rng, max_methods=8, max_features=12)
+    arena = ModelArena(model)
+    block = recommend._BLOCK_ROWS
+    seen = []
+    expectations = ModelArena.expectations
+
+    def recording(self, matrix):
+        seen.append(len(matrix))
+        return expectations(self, matrix)
+
+    monkeypatch.setattr(ModelArena, "expectations", recording)
+    rows = 2 * block + 3
+    V = rng.integers(0, 2, (rows, model.feature_count)).astype(np.uint8)
+    for query in (
+        lambda: arena.batch_which(V, k=3),
+        lambda: arena.batch_rank(V, np.zeros(rows, dtype=int)),
+    ):
+        seen.clear()
+        query()
+        assert max(seen) <= block
+        assert sum(seen) == rows
 
 
 def test_arena_steps_only_as_deep_as_the_trees():
