@@ -23,16 +23,15 @@ def node_counts(Xp, yp, mask):
     """Per-feature bit counts over the rows in ``mask``.
 
     ``Xp`` is the (features, words) packed matrix, ``yp`` the packed labels.
-    Returns ``(n_true, pos_true, pos)``: for each feature j, ``n_true[j]``
+    Returns ``(n_true, pos_true)``: for each feature j, ``n_true[j]``
     counts node rows with bit j set and ``pos_true[j]`` counts label-1 rows
-    with bit j set; ``pos`` is the number of label-1 rows. Positives are
-    counted only over their nonzero words, which are few for rare methods.
+    with bit j set. Positives are counted only over their nonzero words,
+    which are few for rare methods.
     """
     n_true = np.bitwise_count(Xp & mask).sum(axis=1, dtype=np.int64)
     live = np.flatnonzero(mask & yp)
     pos_mask = mask[live] & yp[live]
-    pos_true = np.bitwise_count(Xp[:, live] & pos_mask).sum(axis=1, dtype=np.int64)
-    return n_true, pos_true, int(np.bitwise_count(pos_mask).sum())
+    return n_true, np.bitwise_count(Xp[:, live] & pos_mask).sum(axis=1, dtype=np.int64)
 
 
 def partition(Xp, mask, feature):

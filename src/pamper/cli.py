@@ -4,7 +4,9 @@ Exit codes: 0 on success, 2 for usage or input problems (bad flags,
 unreadable files, malformed records, unknown methods, width mismatches),
 1 for unexpected internal errors. Query vectors are written in the
 database's bracket syntax, either inline (``[1,0,1]``) or as a file with
-one vector per line. PAMPER_THREADS caps training parallelism (0 = auto).
+one vector per line. PAMPER_THREADS, the only thread setting, sets the
+training workers of train and evaluate (0 or unset = one per CPU); a
+value that is not a nonnegative integer exits 2.
 """
 from __future__ import annotations
 

@@ -379,7 +379,8 @@ def parse_feature_catalog(text: str | bytes, feature_count: int | None = None) -
     """Parse ``<index><TAB><description>`` lines; empty input is valid.
 
     Bytes that are not UTF-8, and an index at or above ``feature_count``
-    when that is given, raise BadIndexError with their line number.
+    when that is given, raise BadIndexError with their line number; an
+    index defined twice raises DuplicateIndexError at its second line.
     """
     descriptions: dict[int, str] = {}
     for line_no, line in data_lines(text, BadIndexError):
@@ -400,6 +401,6 @@ def parse_feature_catalog(text: str | bytes, feature_count: int | None = None) -
         if not description:
             raise BadIndexError(line_no, "empty description")
         if index in descriptions:
-            raise DuplicateIndexError(index)
+            raise DuplicateIndexError(line_no, index)
         descriptions[index] = description
     return FeatureCatalog(descriptions)

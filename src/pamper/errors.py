@@ -41,11 +41,11 @@ class EmptyDatabaseError(PamperError):
         super().__init__(message)
 
 
-class DuplicateIndexError(PamperError):
-    """A feature catalog defines the same index twice."""
+class DuplicateIndexError(_LineError):
+    """A feature catalog defines the same index twice, the second time at ``line_no``."""
 
-    def __init__(self, index: int):
-        super().__init__(f"duplicate feature index {index}")
+    def __init__(self, line_no: int, index: int):
+        super().__init__(line_no, f"duplicate feature index {index}")
         self.index = index
 
 

@@ -1,11 +1,10 @@
 """Queries against a trained model: rankings, ranks, and explanations.
 
 Methods are ordered by descending expectation at the leaf the query
-vector reaches in their tree, ties broken by ascending name. Rankings of
-every method step all trees together through a ModelArena; a single
-method's rank and its explanation walk that method's tree, and the
-explanation is the root-to-leaf decision path rendered one sentence per
-step.
+vector reaches in their tree, ties broken by ascending name; ``_ranks``
+counts this order. Rankings of every method step all trees together
+through a ModelArena; a single method's rank walks each tree to its leaf,
+and its explanation is its own tree's decision path, one sentence a step.
 """
 from __future__ import annotations
 
@@ -88,13 +87,8 @@ def rank_method(model: ModelSet, v, method: str) -> tuple[int, int]:
     if method not in model.trees:
         raise UnknownMethodError(method)
     bits = as_vector(v, model.feature_count).tolist()
-    target = _walk(model.trees[method], bits)[0].expectation
-    rank = 1
-    for name, tree in model.trees.items():
-        expectation = _walk(tree, bits)[0].expectation
-        if expectation > target or (expectation == target and name < method):
-            rank += 1
-    return rank, len(model.trees)
+    E = np.array([[_walk(tree, bits)[0].expectation for tree in model.trees.values()]])
+    return int(_ranks(E, np.array([list(model.trees).index(method)]))[0]), len(model.trees)
 
 
 def why_method(model: ModelSet, v, method: str) -> Explanation:
@@ -227,13 +221,18 @@ class ModelArena:
         ):
             raise ValueError(f"method_cols entries must be integers in [0, {total})")
         ranks = np.empty(V.shape[0], dtype=np.int64)
-        cols = np.arange(total)[None, :]
         for start in range(0, V.shape[0], _BLOCK_ROWS):
             rows = slice(start, start + _BLOCK_ROWS)
-            E = self.expectations(V[rows])
-            mine = method_cols[rows]
-            target = E[np.arange(E.shape[0]), mine][:, None]
-            greater = (E > target).sum(axis=1)
-            tied_before = ((E == target) & (cols < mine[:, None])).sum(axis=1)
-            ranks[rows] = 1 + greater + tied_before
+            ranks[rows] = _ranks(self.expectations(V[rows]), method_cols[rows])
         return ranks
+
+
+def _ranks(E: np.ndarray, mine: np.ndarray) -> np.ndarray:
+    """1-based rank of column ``mine[i]`` in row i of name-ordered (B, M) expectations.
+
+    A higher expectation, or an equal one under a smaller name, ranks ahead.
+    """
+    target = E[np.arange(E.shape[0]), mine][:, None]
+    greater = (E > target).sum(axis=1)
+    tied_before = ((E == target) & (np.arange(E.shape[1]) < mine[:, None])).sum(axis=1)
+    return 1 + greater + tied_before

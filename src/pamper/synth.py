@@ -20,7 +20,9 @@ Config files are plain text::
 The fallback line may instead derive a power-law distribution over listed
 methods: ``fallback zipf 1.3 : m001 m002 m003``. Blank lines and ``#``
 comments are skipped. Rule order in the file is the model's rule order;
-when a vector matches several patterns the first rule wins.
+when a vector matches several patterns the first rule wins. Rules and
+models check themselves when built, so ``generate`` needs no check of its
+own, and the parser reports a rule that fails at the rule's line.
 """
 from __future__ import annotations
 
@@ -48,10 +50,23 @@ class PlantedRule:
         object.__setattr__(
             self, "distribution", MappingProxyType(dict(self.distribution))
         )
+        if not self.weight >= 0.0:
+            raise InvalidDistributionError(f"rule weight must be nonnegative, got {self.weight!r}")
+        for index in self.pattern:
+            if index < 0:
+                raise BadIndexError(None, f"negative feature index: {index}")
+        _check_distribution(self.distribution)
 
 
 @dataclass(frozen=True, eq=False)
 class PlantedModel:
+    """Rules plus a fallback, checked when built.
+
+    A rule checks its own weight, index signs and distribution; the model
+    checks its feature count and noise, every index against
+    ``feature_count``, the weight sum and the fallback.
+    """
+
     rules: tuple[PlantedRule, ...]
     fallback: dict[str, float]
     feature_count: int
@@ -60,25 +75,20 @@ class PlantedModel:
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
         object.__setattr__(self, "fallback", MappingProxyType(dict(self.fallback)))
-
-    def validate(self) -> None:
         if self.feature_count < 1:
             raise PamperError("feature count must be positive")
         if not 0.0 <= self.noise <= 1.0:
             raise PamperError("noise must lie in [0, 1]")
         total_weight = 0.0
         for rule in self.rules:
-            if rule.weight < 0.0:
-                raise InvalidDistributionError("rule weight must be nonnegative")
             total_weight += rule.weight
             for index in rule.pattern:
-                if not 0 <= index < self.feature_count:
+                if index >= self.feature_count:
                     raise BadIndexError(
                         None,
                         f"pattern index {index} out of range for "
                         f"{self.feature_count} features",
                     )
-            _check_distribution(rule.distribution)
         if total_weight > 1.0 + _SUM_TOL:
             raise InvalidDistributionError("rule weights sum past 1")
         _check_distribution(self.fallback)
@@ -91,8 +101,10 @@ def _check_distribution(dist) -> None:
     for name, prob in dist.items():
         if not METHOD_TOKEN.match(name):
             raise InvalidDistributionError(f"invalid method name: {name!r}")
-        if prob < 0.0:
-            raise InvalidDistributionError(f"negative probability for {name}")
+        if not prob >= 0.0:
+            raise InvalidDistributionError(
+                f"probability for {name} must be nonnegative, got {prob!r}"
+            )
         total += prob
     if abs(total - 1.0) > _SUM_TOL:
         raise InvalidDistributionError(f"probabilities sum to {total!r}, expected 1")
@@ -110,7 +122,7 @@ def zipf_imbalance(methods, s: float) -> dict[str, float]:
         raise InvalidDistributionError("distribution has no methods")
     if len(set(names)) != len(names):
         raise InvalidDistributionError("duplicate method in distribution")
-    if s <= 0.0:
+    if not s > 0.0:
         raise InvalidDistributionError("zipf exponent must be positive")
     weights = [rank ** -s for rank in range(1, len(names) + 1)]
     total = sum(weights)
@@ -128,7 +140,6 @@ def _sample_methods(dist: dict[str, float], draws: np.ndarray) -> np.ndarray:
 
 def generate(model: PlantedModel, n: int, seed: int) -> Corpus:
     """Sample a corpus of n points from a planted model, deterministically."""
-    model.validate()
     if n < 1:
         raise PamperError("number of points must be positive")
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -163,6 +174,14 @@ def generate(model: PlantedModel, n: int, seed: int) -> Corpus:
     return Corpus(tuple(names.tolist()), X, model.feature_count)
 
 
+def _number(convert, text: str, line_no: int, what: str):
+    """``convert`` of the stripped text, or PlantedConfigError "bad <what>" at the line."""
+    try:
+        return convert(text.strip())
+    except ValueError:
+        raise PlantedConfigError(line_no, f"bad {what}: {text.strip()!r}") from None
+
+
 def _parse_distribution(text: str, line_no: int) -> dict[str, float]:
     dist: dict[str, float] = {}
     for part in text.split(","):
@@ -177,12 +196,7 @@ def _parse_distribution(text: str, line_no: int) -> dict[str, float]:
             raise PlantedConfigError(line_no, f"invalid method name: {name!r}")
         if name in dist:
             raise PlantedConfigError(line_no, f"duplicate method: {name}")
-        try:
-            dist[name] = float(prob_text.strip())
-        except ValueError:
-            raise PlantedConfigError(
-                line_no, f"bad probability: {prob_text.strip()!r}"
-            ) from None
+        dist[name] = _number(float, prob_text, line_no, "probability")
     return dist
 
 
@@ -195,14 +209,7 @@ def _parse_pattern(text: str, line_no: int) -> dict[int, bool]:
         index_text, sep, bit = entry.partition("=")
         if not sep or bit.strip() not in ("0", "1"):
             raise PlantedConfigError(line_no, f"expected '<index>=<0|1>', got {entry!r}")
-        try:
-            index = int(index_text.strip())
-        except ValueError:
-            raise PlantedConfigError(
-                line_no, f"bad feature index: {index_text.strip()!r}"
-            ) from None
-        if index < 0:
-            raise PlantedConfigError(line_no, f"negative feature index: {index}")
+        index = _number(int, index_text, line_no, "feature index")
         if index in pattern:
             raise PlantedConfigError(line_no, f"duplicate pattern index: {index}")
         pattern[index] = bit.strip() == "1"
@@ -214,18 +221,16 @@ def _parse_rule(line: str, line_no: int) -> PlantedRule:
     weight_text, sep, rest = body.partition(":")
     if not sep:
         raise PlantedConfigError(line_no, "expected 'rule <weight> : <pattern> -> <dist>'")
-    try:
-        weight = float(weight_text.strip())
-    except ValueError:
-        raise PlantedConfigError(
-            line_no, f"bad rule weight: {weight_text.strip()!r}"
-        ) from None
+    weight = _number(float, weight_text, line_no, "rule weight")
     pattern_text, arrow, dist_text = rest.partition("->")
     if not arrow:
         raise PlantedConfigError(line_no, "rule is missing '->'")
     pattern = _parse_pattern(pattern_text.strip(), line_no)
     dist = _parse_distribution(dist_text.strip(), line_no)
-    return PlantedRule(pattern, dist, weight)
+    try:
+        return PlantedRule(pattern, dist, weight)
+    except PamperError as exc:
+        raise PlantedConfigError(line_no, str(exc)) from None
 
 
 def _parse_fallback(line: str, line_no: int) -> dict[str, float]:
@@ -234,10 +239,7 @@ def _parse_fallback(line: str, line_no: int) -> dict[str, float]:
         spec, sep, names_text = body[len("zipf"):].partition(":")
         if not sep:
             raise PlantedConfigError(line_no, "expected 'fallback zipf <s> : <names>'")
-        try:
-            s = float(spec.strip())
-        except ValueError:
-            raise PlantedConfigError(line_no, f"bad zipf exponent: {spec.strip()!r}") from None
+        s = _number(float, spec, line_no, "zipf exponent")
         names = names_text.replace(",", " ").split()
         if not names:
             raise PlantedConfigError(line_no, "zipf fallback lists no methods")
@@ -252,9 +254,11 @@ def _parse_fallback(line: str, line_no: int) -> dict[str, float]:
 
 
 def parse_planted_config(text: str | bytes) -> PlantedModel:
-    """Parse and validate a planted-model config file.
+    """Parse a planted-model config file into a PlantedModel, which checks itself.
 
-    Bytes that are not UTF-8 raise PlantedConfigError with their line number.
+    Bytes that are not UTF-8, grammar errors and a rule that fails its own
+    checks raise PlantedConfigError with their line number; the fallback and
+    whole-model checks raise as ``PlantedModel`` does, without one.
     """
     feature_count: int | None = None
     noise = 0.0
@@ -270,17 +274,10 @@ def parse_planted_config(text: str | bytes) -> PlantedModel:
         elif "=" in line:
             key, _, value = line.partition("=")
             key = key.strip()
-            value = value.strip()
             if key == "features":
-                try:
-                    feature_count = int(value)
-                except ValueError:
-                    raise PlantedConfigError(line_no, f"bad feature count: {value!r}") from None
+                feature_count = _number(int, value, line_no, "feature count")
             elif key == "noise":
-                try:
-                    noise = float(value)
-                except ValueError:
-                    raise PlantedConfigError(line_no, f"bad noise: {value!r}") from None
+                noise = _number(float, value, line_no, "noise")
             else:
                 raise PlantedConfigError(line_no, f"unknown key: {key!r}")
         else:
@@ -289,6 +286,4 @@ def parse_planted_config(text: str | bytes) -> PlantedModel:
         raise PlantedConfigError(1, "config never sets 'features'")
     if fallback is None:
         raise PlantedConfigError(1, "config has no fallback line")
-    model = PlantedModel(tuple(rules), fallback, feature_count, noise)
-    model.validate()
-    return model
+    return PlantedModel(tuple(rules), fallback, feature_count, noise)

@@ -229,7 +229,7 @@ def _grow(Xp, yp, mask, n, pos, cfg) -> TreeNode:
         ):
             done.append(Leaf(pos / n, n))
             continue
-        n_true, pos_true, _ = _kernels.node_counts(Xp, yp, mask)
+        n_true, pos_true = _kernels.node_counts(Xp, yp, mask)
         nt = n_true.tolist()
         pt = pos_true.tolist()
         j = _choose_split(nt, pt, n, pos)
@@ -256,35 +256,36 @@ def build_tree(dataset: BinaryDataset, cfg: TrainConfig | None = None) -> TreeNo
     return _grow(dataset.columns, yp, root, n, dataset.positives, cfg)
 
 
-def resolve_threads(explicit: int | None = None) -> int:
-    """Worker count for per-method training; PAMPER_THREADS caps it, 0 = auto."""
-    if explicit is None:
-        raw = os.environ.get("PAMPER_THREADS", "0").strip() or "0"
-        try:
-            explicit = int(raw)
-        except ValueError:
-            raise PamperError(f"PAMPER_THREADS must be an integer, got {raw!r}") from None
-    if explicit < 0:
-        raise PamperError("thread count must be nonnegative")
-    if explicit == 0:
-        return os.cpu_count() or 1
-    return explicit
+def resolve_threads(_ignored: None = None) -> int:
+    """Worker count for per-method training, from PAMPER_THREADS (0 or unset = one per CPU).
+
+    PAMPER_THREADS is the only thread setting. The optional argument is
+    ignored; it keeps callers of the old ``resolve_threads(explicit)`` form,
+    such as the ``perfbench/spans.py`` tracer, working with ``None``.
+    """
+    raw = os.environ.get("PAMPER_THREADS", "0").strip() or "0"
+    try:
+        threads = int(raw)
+    except ValueError:
+        raise PamperError(f"PAMPER_THREADS must be an integer, got {raw!r}") from None
+    if threads < 0:
+        raise PamperError(f"PAMPER_THREADS must be nonnegative, got {threads}")
+    return threads or os.cpu_count() or 1
 
 
-def train(
-    corpus: Corpus, cfg: TrainConfig | None = None, *, threads: int | None = None
-) -> ModelSet:
+def train(corpus: Corpus, cfg: TrainConfig | None = None) -> ModelSet:
     """Train one tree per method observed in the corpus.
 
     This is ``single_target_split`` followed by ``build_tree`` on each
-    method's dataset on a pool of ``resolve_threads(threads)`` workers.
-    The datasets come name-sorted and every tree depends only on its own
-    dataset, which keeps the result identical for any thread count.
+    method's dataset on a pool of ``resolve_threads()`` workers, a count
+    that PAMPER_THREADS sets. The datasets come name-sorted and every tree
+    depends only on its own dataset, which keeps the result identical for
+    any thread count.
     """
     cfg = cfg or TrainConfig()
     datasets = single_target_split(corpus)
     names = list(datasets)
-    with ThreadPoolExecutor(max_workers=resolve_threads(threads)) as pool:
+    with ThreadPoolExecutor(max_workers=resolve_threads()) as pool:
         built = list(pool.map(lambda name: build_tree(datasets[name], cfg), names))
     return ModelSet(corpus.feature_count, dict(zip(names, built)), EMPTY_CATALOG, cfg.max_depth)
 

@@ -335,6 +335,54 @@ def test_catalog_index_out_of_range_names_its_line(tmp_path, model, capsys, argv
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["why", "{model}", "[1,0]", "simp", "--catalog", "{catalog}"],
+        ["prune", "{model}", "--catalog", "{catalog}"],
+    ],
+)
+def test_catalog_duplicate_index_names_its_line(tmp_path, model, capsys, argv):
+    catalog = tmp_path / "catalog.txt"
+    catalog.write_text("1\tone\n# comment\n1\talso one\n", encoding="utf-8")
+    assert main([arg.format(model=model, catalog=catalog) for arg in argv]) == 2
+    assert capsys.readouterr().err == "pamper: line 3: duplicate feature index 1\n"
+
+
+@pytest.mark.parametrize(
+    "value,message",
+    [
+        ("x", "PAMPER_THREADS must be an integer, got 'x'"),
+        ("-1", "PAMPER_THREADS must be nonnegative, got -1"),
+    ],
+)
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_bad_pamper_threads_exits_2(tmp_path, db, capsys, monkeypatch, value, message, command):
+    monkeypatch.setenv("PAMPER_THREADS", value)
+    out = tmp_path / "out"
+    argv = ["train", db, str(out)] if command == "train" else ["evaluate", db, "--out-dir", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"pamper: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config,line",
+    [
+        ("features = 3\nfallback : a:nan, b:1\n", None),
+        ("features = 3\nrule nan : 0=1 -> a:1\nfallback : a:1\n", 2),
+        ("features = 3\nfallback zipf nan : a b\n", 2),
+    ],
+)
+def test_gen_rejects_nan_in_config(tmp_path, capsys, config, line):
+    cfg = tmp_path / "planted.txt"
+    cfg.write_text(config, encoding="utf-8")
+    assert main(["gen", str(cfg), "5", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("pamper: " if line is None else f"pamper: line {line}: ")
+
+
 def _deep_model_text(depth: int) -> str:
     # One path of `depth` distinct features, each taken when its bit is clear.
     body = "".join(f"N({i}," for i in range(depth)) + "L(0.5,1)" + ",L(0.25,2))" * depth

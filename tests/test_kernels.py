@@ -15,22 +15,17 @@ def _unpack(words, n):
 
 def _numpy_counts(X, y, rows):
     pos_rows = rows & (y != 0)
-    return (
-        X[rows].sum(axis=0, dtype=np.int64),
-        X[pos_rows].sum(axis=0, dtype=np.int64),
-        int(pos_rows.sum()),
-    )
+    return X[rows].sum(axis=0, dtype=np.int64), X[pos_rows].sum(axis=0, dtype=np.int64)
 
 
 def _check(X, y, rows):
     n = X.shape[0]
     Xp, yp, mask = _kernels.pack_bits(X.T), _kernels.pack_bits(y), _kernels.pack_bits(rows)
     assert Xp.shape == (X.shape[1], -(-n // 64)) and Xp.dtype == np.uint64
-    n_true, pos_true, pos = _kernels.node_counts(Xp, yp, mask)
-    want_n, want_pos, want_p = _numpy_counts(X, y, rows.astype(bool))
+    n_true, pos_true = _kernels.node_counts(Xp, yp, mask)
+    want_n, want_pos = _numpy_counts(X, y, rows.astype(bool))
     assert n_true.tolist() == want_n.tolist()
     assert pos_true.tolist() == want_pos.tolist()
-    assert pos == want_p
     for j in range(X.shape[1]):
         side_false, side_true = _kernels.partition(Xp, mask, j)
         bit = X[:, j] != 0
@@ -67,21 +62,22 @@ def test_kernels_accept_readonly_arrays():
     mask = _kernels.pack_bits(np.ones(3, dtype=np.uint8))
     for arr in (Xp, yp, mask):
         arr.setflags(write=False)
-    n_true, pos_true, pos = _kernels.node_counts(Xp, yp, mask)
-    assert (n_true.tolist(), pos_true.tolist(), pos) == ([2, 2], [2, 1], 2)
+    n_true, pos_true = _kernels.node_counts(Xp, yp, mask)
+    assert (n_true.tolist(), pos_true.tolist()) == ([2, 2], [2, 1])
     side_false, side_true = _kernels.partition(Xp, mask, 0)
     assert _unpack(side_false, 3).tolist() == [False, True, False]
     assert _unpack(side_true, 3).tolist() == [True, False, True]
 
 
-def test_partitions_replay_the_oracle_leaf_regions():
+def test_partitions_replay_the_oracle_leaf_regions(monkeypatch):
+    monkeypatch.setenv("PAMPER_THREADS", "1")
     rng = np.random.default_rng(23)
     for _ in range(30):
         corpus = random_corpus(rng, max_points=200)
         X = corpus.features
         n = X.shape[0]
         Xp = _kernels.pack_bits(X.T)
-        for tree in train(corpus, threads=1).trees.values():
+        for tree in train(corpus).trees.values():
             masks = {}
             stack = [(tree, _kernels.pack_bits(np.ones(n, dtype=np.uint8)))]
             while stack:
@@ -96,12 +92,13 @@ def test_partitions_replay_the_oracle_leaf_regions():
                 assert leaf.count == int(region.sum())
 
 
-def test_train_root_matches_brute_force_split():
+def test_train_root_matches_brute_force_split(monkeypatch):
+    monkeypatch.setenv("PAMPER_THREADS", "1")
     rng = np.random.default_rng(29)
     for _ in range(40):
         corpus = random_corpus(rng, max_points=60)
         rows = corpus.features.tolist()
-        for name, tree in train(corpus, threads=1).trees.items():
+        for name, tree in train(corpus).trees.items():
             labels = [int(m == name) for m in corpus.method_names]
             want = brute_force_best_split(labels, rows)
             if want is None:

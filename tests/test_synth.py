@@ -45,6 +45,9 @@ def test_zipf_rejections():
         zipf_imbalance(["a", "a"], 1.0)
     with pytest.raises(InvalidDistributionError):
         zipf_imbalance(["a", "b"], 0.0)
+    for names in (["a"], ["a", "b"]):
+        with pytest.raises(InvalidDistributionError):
+            zipf_imbalance(names, float("nan"))
 
 
 def _model(rules, fallback, features=4, noise=0.0):
@@ -54,21 +57,38 @@ def _model(rules, fallback, features=4, noise=0.0):
 def test_validate_rejections():
     ok_rule = PlantedRule({0: True}, {"a": 1.0}, 0.5)
     with pytest.raises(InvalidDistributionError):
-        _model([ok_rule], {"b": 0.9}).validate()
+        _model([ok_rule], {"b": 0.9})
     with pytest.raises(InvalidDistributionError):
-        _model([ok_rule], {"b": -0.1, "c": 1.1}).validate()
+        _model([ok_rule], {"b": -0.1, "c": 1.1})
     with pytest.raises(InvalidDistributionError):
-        _model([ok_rule], {"b a d": 1.0}).validate()
+        _model([ok_rule], {"b a d": 1.0})
     with pytest.raises(InvalidDistributionError):
-        _model([ok_rule, PlantedRule({1: True}, {"a": 1.0}, 0.6)], {"b": 1.0}).validate()
+        _model([ok_rule], {"b": float("nan"), "c": 1.0})
     with pytest.raises(InvalidDistributionError):
-        _model([PlantedRule({0: True}, {"a": 1.0}, -0.1)], {"b": 1.0}).validate()
+        _model([ok_rule, PlantedRule({1: True}, {"a": 1.0}, 0.6)], {"b": 1.0})
+    with pytest.raises(InvalidDistributionError):
+        _model([PlantedRule({0: True}, {"a": 1.0}, -0.1)], {"b": 1.0})
     with pytest.raises(BadIndexError):
-        _model([PlantedRule({7: True}, {"a": 1.0}, 0.5)], {"b": 1.0}).validate()
+        _model([PlantedRule({7: True}, {"a": 1.0}, 0.5)], {"b": 1.0})
     with pytest.raises(PamperError):
-        _model([], {"b": 1.0}, noise=1.5).validate()
+        _model([], {"b": 1.0}, noise=1.5)
     with pytest.raises(PamperError):
-        _model([], {"b": 1.0}, features=0).validate()
+        _model([], {"b": 1.0}, features=0)
+
+
+def test_rule_checks_itself_without_a_model():
+    with pytest.raises(InvalidDistributionError):
+        PlantedRule({0: True}, {"a": 1.0}, -0.1)
+    with pytest.raises(InvalidDistributionError):
+        PlantedRule({0: True}, {"a": 1.0}, float("nan"))
+    with pytest.raises(BadIndexError):
+        PlantedRule({-1: True}, {"a": 1.0}, 0.5)
+    with pytest.raises(InvalidDistributionError):
+        PlantedRule({0: True}, {"a": 0.7}, 0.5)
+    with pytest.raises(InvalidDistributionError):
+        PlantedRule({0: True}, {"a": float("nan")}, 0.5)
+    # An index past any feature count is the model's to reject.
+    assert dict(PlantedRule({99: True}, {"a": 1.0}, 0.5).pattern) == {99: True}
 
 
 def test_generate_single_rule_covers_everything():
@@ -176,6 +196,12 @@ def test_parse_config_accepts_bytes_and_zipf():
         ("features = 3\nfallback : a:1\nfallback : b:1\n", 3),
         ("features = 3\nfallback zipf one : a b\n", 2),
         ("features = 3\nfallback zipf 1.0 :\n", 2),
+        ("features = 3\nfallback zipf nan : a b\n", 2),
+        ("features = 3\nfallback zipf nan : a\n", 2),
+        ("features = 3\nrule -0.1 : 0=1 -> a:1\nfallback : a:1\n", 2),
+        ("features = 3\nrule nan : 0=1 -> a:1\nfallback : a:1\n", 2),
+        ("features = 3\n\nrule 0.5 : 0=1 -> a:0.3, b:0.4\nfallback : a:1\n", 3),
+        ("features = 3\nrule 0.5 : 0=1 -> a:nan, b:1\nfallback : a:1\n", 2),
         ("features = 3\nnonsense\nfallback : a:1\n", 2),
         ("fallback : a:1\n", 1),
         ("features = 3\n", 1),
@@ -192,6 +218,8 @@ def test_parse_config_validates_model():
         parse_planted_config("features = 3\nfallback : a:0.4\n")
     with pytest.raises(BadIndexError):
         parse_planted_config("features = 2\nrule 0.5 : 4=1 -> a:1\nfallback : b:1\n")
+    with pytest.raises(InvalidDistributionError):
+        parse_planted_config("features = 3\nfallback : a:nan, b:1\n")
 
 
 def test_trained_model_recovers_planted_rules():

@@ -188,9 +188,10 @@ def test_train_grows_every_tree_through_build_tree(monkeypatch):
 
     monkeypatch.setattr(trees, "build_tree", counting)
     c = parse_database("a, [1]\nb, [0]\nc, [1]\n")
-    for threads in (1, 2):
+    for threads in ("1", "2"):
+        monkeypatch.setenv("PAMPER_THREADS", threads)
         calls.clear()
-        train(c, threads=threads)
+        train(c)
         assert sorted(calls) == ["a", "b", "c"]
 
 
@@ -200,7 +201,7 @@ def test_train_rejects_empty_corpus():
         train(empty)
 
 
-def test_train_thread_counts_agree():
+def test_train_thread_counts_agree(monkeypatch):
     rng = np.random.default_rng(77)
     rows = []
     for i in range(300):
@@ -208,7 +209,11 @@ def test_train_thread_counts_agree():
         bits = ",".join(str(int(b)) for b in rng.integers(0, 2, 6))
         rows.append(f"{method}, [{bits}]")
     c = parse_database("\n".join(rows) + "\n")
-    assert train(c, threads=1) == train(c, threads=8)
+    models = []
+    for threads in ("1", "8"):
+        monkeypatch.setenv("PAMPER_THREADS", threads)
+        models.append(train(c))
+    assert models[0] == models[1]
 
 
 def test_model_set_rejects_catalog_out_of_range():
@@ -448,7 +453,8 @@ def _frame_depth() -> int:
     return depth
 
 
-def test_train_grows_chains_deeper_than_the_recursion_limit():
+def test_train_grows_chains_deeper_than_the_recursion_limit(monkeypatch):
+    monkeypatch.setenv("PAMPER_THREADS", "1")
     # Row i sets only bit i and labels alternate, so each split peels off one
     # "a" row: both trees are chains n/2 deep on features 0, 2, 4, ...
     n = 600
@@ -456,7 +462,7 @@ def test_train_grows_chains_deeper_than_the_recursion_limit():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_frame_depth() + 100)
     try:
-        model = train(corpus, TrainConfig(max_depth=n), threads=1)
+        model = train(corpus, TrainConfig(max_depth=n))
     finally:
         sys.setrecursionlimit(limit)
     want = {}
