@@ -2,11 +2,15 @@
 
 Exit codes: 0 on success, 2 for usage or input problems (bad flags,
 unreadable files, malformed records, unknown methods, width mismatches),
-1 for unexpected internal errors. Query vectors are written in the
-database's bracket syntax, either inline (``[1,0,1]``) or as a file with
-one vector per line. PAMPER_THREADS, the only thread setting, sets the
-training workers of train and evaluate (0 or unset = one per CPU); a
-value that is not a nonnegative integer exits 2.
+1 for unexpected internal errors. argparse checks only flag syntax (an
+unknown flag, a missing argument, a number that does not parse). A flag's
+range is checked once, by the library object that takes the value
+(``TrainConfig``, ``SplitSpec``, ``run_evaluation``, ``batch_which``,
+``generate``), whose InvalidValueError exits 2 as one ``pamper:`` line.
+Query vectors are written in the database's bracket syntax, either inline
+(``[1,0,1]``) or as a file with one vector per line. PAMPER_THREADS, the
+only thread setting, sets the training workers of train and evaluate (0
+or unset = one per CPU); a value that is not a nonnegative integer exits 2.
 """
 from __future__ import annotations
 
@@ -89,8 +93,8 @@ def _print_model_summary(model: ModelSet, points: int | None = None) -> None:
 
 
 def cmd_train(args) -> int:
-    corpus = _read_corpus(args.database)
     cfg = TrainConfig(max_depth=args.max_depth, min_points_to_split=args.min_split)
+    corpus = _read_corpus(args.database)
     model = train(corpus, cfg)
     save_model(model, args.model)
     print(f"model written to {args.model}")
@@ -109,17 +113,8 @@ def cmd_which(args) -> int:
     vectors = _read_vectors(args.vector, model.feature_count)
     for rec in ModelArena(model).batch_which(vectors, args.k):
         if args.json:
-            print(
-                json.dumps(
-                    {
-                        "ranked": [
-                            {"method": name, "expectation": expectation}
-                            for name, expectation in rec.ranked
-                        ],
-                        "total_methods": rec.total_methods,
-                    }
-                )
-            )
+            ranked = [{"method": name, "expectation": value} for name, value in rec.ranked]
+            print(json.dumps({"ranked": ranked, "total_methods": rec.total_methods}))
         else:
             print(render_recommendation(rec))
     return 0
@@ -143,33 +138,18 @@ def cmd_why(args) -> int:
     for vector in vectors:
         expl = why_method(model, vector, args.method)
         if args.json:
-            print(
-                json.dumps(
-                    {
-                        "method": expl.method,
-                        "expectation": expl.expectation,
-                        "steps": [
-                            {
-                                "feature": step.feature,
-                                "value": step.value,
-                                "description": step.description,
-                            }
-                            for step in expl.steps
-                        ],
-                    }
-                )
-            )
+            steps = [step._asdict() for step in expl.steps]
+            record = {"method": expl.method, "expectation": expl.expectation, "steps": steps}
+            print(json.dumps(record))
         else:
             print(render_explanation(expl))
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    corpus = _read_corpus(args.database)
-    train_part, eval_part = split_corpus(
-        corpus, SplitSpec(eval_fraction=args.fraction, seed=args.seed)
-    )
+    spec = SplitSpec(eval_fraction=args.fraction, seed=args.seed)
     cfg = TrainConfig(max_depth=args.max_depth, min_points_to_split=args.min_split)
+    train_part, eval_part = split_corpus(_read_corpus(args.database), spec)
     _, report = run_evaluation(train_part, eval_part, cfg, top_n=args.top)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -216,36 +196,6 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _int_at_least(low: int):
-    """argparse type for an integer flag with a lower bound."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
-
-    return parse
-
-
-def _open_fraction(text: str) -> float:
-    """argparse type for a fraction strictly between 0 and 1."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must be strictly between 0 and 1, got {text}")
-    return value
-
-
-_POSITIVE = _int_at_least(1)
-_NONNEGATIVE = _int_at_least(0)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pamper",
@@ -256,14 +206,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model from a database")
     p.add_argument("database")
     p.add_argument("model", help="output model path")
-    p.add_argument("--max-depth", type=_POSITIVE, default=5)
-    p.add_argument("--min-split", type=_POSITIVE, default=2, help="smallest node worth splitting")
+    p.add_argument("--max-depth", type=int, default=5)
+    p.add_argument("--min-split", type=int, default=2, help="smallest node worth splitting")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("which", help="rank methods for a proof state")
     p.add_argument("model")
     p.add_argument("vector", help="[1,0,...] literal or a file with one vector per line")
-    p.add_argument("-k", type=_POSITIVE, default=15, help="entries to print")
+    p.add_argument("-k", type=int, default=15, help="entries to print")
     p.add_argument("--json", action="store_true", help="JSON lines, full precision")
     p.set_defaults(func=cmd_which)
 
@@ -284,12 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="hold out a split and score coincidence rates")
     p.add_argument("database")
-    p.add_argument("--fraction", type=_open_fraction, default=0.10, help="evaluation fraction")
-    p.add_argument("--seed", type=_NONNEGATIVE, default=0)
-    p.add_argument("--top", type=_POSITIVE, default=15, help="largest rank reported")
+    p.add_argument("--fraction", type=float, default=0.10, help="evaluation fraction")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--top", type=int, default=15, help="largest rank, at most max(15, methods)")
     p.add_argument("--out-dir", default=".", help="where report files go")
-    p.add_argument("--max-depth", type=_POSITIVE, default=5)
-    p.add_argument("--min-split", type=_POSITIVE, default=2)
+    p.add_argument("--max-depth", type=int, default=5)
+    p.add_argument("--min-split", type=int, default=2)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("prune", help="list the feature indices the model branches on")
@@ -300,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a synthetic database from a planted config")
     p.add_argument("config")
     p.add_argument("n", type=int, help="number of points")
-    p.add_argument("seed", type=_NONNEGATIVE)
+    p.add_argument("seed", type=int)
     p.add_argument("-o", "--output", help="write here instead of stdout")
     p.set_defaults(func=cmd_gen)
 

@@ -3,7 +3,8 @@
 Everything user-facing derives from :class:`PamperError` so the CLI can map
 input problems to a single exit code. Parse errors carry the 1-based line
 number of the offending input line; ``decode_utf8`` reports a byte that is
-not UTF-8 the same way, as the parse error of the file being read.
+not UTF-8 the same way, as the parse error of the file being read. A
+value out of its parameter's range raises InvalidValueError, also a ValueError.
 """
 from __future__ import annotations
 
@@ -13,12 +14,22 @@ class PamperError(Exception):
 
 
 class _LineError(PamperError):
-    """An input problem at a 1-based line, or at no line when ``line_no`` is None."""
+    """An input problem at a 1-based line, or at none while ``line_no`` is None."""
 
     def __init__(self, line_no: int | None, reason: str):
-        super().__init__(reason if line_no is None else f"line {line_no}: {reason}")
+        super().__init__(reason)
         self.line_no = line_no
         self.reason = reason
+
+    def __str__(self) -> str:
+        return self.reason if self.line_no is None else f"line {self.line_no}: {self.reason}"
+
+
+class InvalidValueError(_LineError, ValueError):
+    """A value outside the range its parameter admits, such as a flag value."""
+
+    def __init__(self, reason: str):
+        super().__init__(None, reason)
 
 
 class MalformedLineError(_LineError):
@@ -95,7 +106,7 @@ class FeatureWidthMismatchError(PamperError):
         self.want = want
 
 
-class InvalidDistributionError(PamperError):
+class InvalidDistributionError(InvalidValueError):
     """A planted distribution has negative mass or does not sum to one."""
 
 

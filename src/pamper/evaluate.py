@@ -18,12 +18,13 @@ from ._format import pct0, pct1, quantize_percents
 from .corpus import Corpus
 from .errors import (
     FeatureWidthMismatchError,
+    InvalidValueError,
     NoEvalPointsError,
     NoTrainPointsError,
     PamperError,
 )
 from .recommend import ModelArena
-from .trees import ModelSet, TrainConfig, train
+from .trees import ModelSet, TrainConfig, _check_int, train
 
 _FIG3_THRESHOLDS = (25, 50, 75, 90)
 
@@ -35,7 +36,8 @@ class SplitSpec:
 
     def __post_init__(self):
         if not 0.0 < self.eval_fraction < 1.0:
-            raise ValueError("eval_fraction must be strictly between 0 and 1")
+            raise InvalidValueError(f"eval_fraction must lie in (0, 1), got {self.eval_fraction!r}")
+        _check_int("seed", self.seed, 0)
 
 
 def split_corpus(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus]:
@@ -95,9 +97,9 @@ def run_evaluation(
     ``ModelArena.batch_rank`` call, which holds one ``_BLOCK_ROWS`` block of
     (rows, methods) expectations at a time. Training uses the thread count
     that ``PAMPER_THREADS`` sets (see ``resolve_threads``).
+    ``top_n`` may not exceed the larger of 15 and the training method count.
     """
-    if top_n < 1:
-        raise ValueError("top_n must be at least 1")
+    _check_int("top_n", top_n, 1)
     if train_corpus.feature_count != eval_corpus.feature_count:
         raise FeatureWidthMismatchError(
             eval_corpus.feature_count, train_corpus.feature_count
@@ -106,6 +108,9 @@ def run_evaluation(
         raise NoTrainPointsError()
     if len(eval_corpus) == 0:
         raise NoEvalPointsError()
+    limit = max(15, len(train_corpus.method_counts))  # no rank exceeds the method count
+    if top_n > limit:
+        raise InvalidValueError(f"top_n must be at most max(15, methods) = {limit}, got {top_n}")
 
     model = train(train_corpus, cfg)
     arena = ModelArena(model)

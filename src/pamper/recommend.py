@@ -15,7 +15,7 @@ import numpy as np
 
 from ._format import sig4
 from .errors import UnknownMethodError, VectorWidthMismatchError
-from .trees import Internal, Leaf, ModelSet, TreeNode, _levels
+from .trees import Internal, Leaf, ModelSet, TreeNode, _check_int, _levels
 
 
 @dataclass(frozen=True)
@@ -187,8 +187,7 @@ class ModelArena:
 
     def batch_which(self, matrix: np.ndarray, k: int = 15) -> list[Recommendation]:
         """which_method over many vectors; identical ordering and ties."""
-        if k < 1:
-            raise ValueError("k must be at least 1")
+        _check_int("k", k, 1)
         V = _checked_bits(matrix, 2, self.feature_count)
         total = len(self.names)
         keep = min(k, total)

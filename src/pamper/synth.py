@@ -32,7 +32,14 @@ from types import MappingProxyType
 import numpy as np
 
 from .corpus import METHOD_TOKEN, Corpus, data_lines
-from .errors import BadIndexError, InvalidDistributionError, PamperError, PlantedConfigError
+from .errors import (
+    BadIndexError,
+    InvalidDistributionError,
+    InvalidValueError,
+    PamperError,
+    PlantedConfigError,
+)
+from .trees import _check_int
 
 _SUM_TOL = 1e-9
 
@@ -64,7 +71,8 @@ class PlantedModel:
 
     A rule checks its own weight, index signs and distribution; the model
     checks its feature count and noise, every index against
-    ``feature_count``, the weight sum and the fallback.
+    ``feature_count``, the weight sum and the fallback. Each error's ``part``
+    names the config key or the index of the rule that set the bad value.
     """
 
     rules: tuple[PlantedRule, ...]
@@ -76,22 +84,28 @@ class PlantedModel:
         object.__setattr__(self, "rules", tuple(self.rules))
         object.__setattr__(self, "fallback", MappingProxyType(dict(self.fallback)))
         if self.feature_count < 1:
-            raise PamperError("feature count must be positive")
+            raise _of("features", InvalidValueError("feature count must be positive"))
         if not 0.0 <= self.noise <= 1.0:
-            raise PamperError("noise must lie in [0, 1]")
+            raise _of("noise", InvalidValueError("noise must lie in [0, 1]"))
         total_weight = 0.0
-        for rule in self.rules:
+        for i, rule in enumerate(self.rules):
             total_weight += rule.weight
+            if total_weight > 1.0 + _SUM_TOL:
+                raise _of(i, InvalidDistributionError("rule weights sum past 1"))
             for index in rule.pattern:
                 if index >= self.feature_count:
-                    raise BadIndexError(
-                        None,
-                        f"pattern index {index} out of range for "
-                        f"{self.feature_count} features",
-                    )
-        if total_weight > 1.0 + _SUM_TOL:
-            raise InvalidDistributionError("rule weights sum past 1")
-        _check_distribution(self.fallback)
+                    reason = f"pattern index {index} out of range for {self.feature_count} features"
+                    raise _of(i, BadIndexError(None, reason))
+        try:
+            _check_distribution(self.fallback)
+        except InvalidDistributionError as exc:
+            raise _of("fallback", exc)
+
+
+def _of(part, error: PamperError) -> PamperError:
+    """``error``, marked with the config key or rule index ``part`` that set the bad value."""
+    error.part = part
+    return error
 
 
 def _check_distribution(dist) -> None:
@@ -140,15 +154,20 @@ def _sample_methods(dist: dict[str, float], draws: np.ndarray) -> np.ndarray:
 
 def generate(model: PlantedModel, n: int, seed: int) -> Corpus:
     """Sample a corpus of n points from a planted model, deterministically."""
-    if n < 1:
-        raise PamperError("number of points must be positive")
+    _check_int("number of points", n, 1)
+    _check_int("seed", seed, 0)
     rng = np.random.Generator(np.random.PCG64(seed))
-    membership_draws = rng.random(n)
-    method_draws = rng.random(n)
-    if model.noise > 0.0:
-        X = (rng.random((n, model.feature_count)) < model.noise).astype(np.uint8)
-    else:
-        X = np.zeros((n, model.feature_count), dtype=np.uint8)
+    try:
+        membership_draws = rng.random(n)
+        method_draws = rng.random(n)
+        if model.noise > 0.0:
+            X = (rng.random((n, model.feature_count)) < model.noise).astype(np.uint8)
+        else:
+            X = np.zeros((n, model.feature_count), dtype=np.uint8)
+    except (MemoryError, ValueError):  # too large to allocate, or past numpy's size limit
+        raise InvalidValueError(
+            f"{n} points of {model.feature_count} features do not fit in memory"
+        ) from None
 
     fallback_id = len(model.rules)
     assigned = np.full(n, fallback_id, dtype=np.int64)
@@ -192,8 +211,6 @@ def _parse_distribution(text: str, line_no: int) -> dict[str, float]:
         if not sep:
             raise PlantedConfigError(line_no, f"expected '<method>:<prob>', got {entry!r}")
         name = name.strip()
-        if not METHOD_TOKEN.match(name):
-            raise PlantedConfigError(line_no, f"invalid method name: {name!r}")
         if name in dist:
             raise PlantedConfigError(line_no, f"duplicate method: {name}")
         dist[name] = _number(float, prob_text, line_no, "probability")
@@ -241,8 +258,6 @@ def _parse_fallback(line: str, line_no: int) -> dict[str, float]:
             raise PlantedConfigError(line_no, "expected 'fallback zipf <s> : <names>'")
         s = _number(float, spec, line_no, "zipf exponent")
         names = names_text.replace(",", " ").split()
-        if not names:
-            raise PlantedConfigError(line_no, "zipf fallback lists no methods")
         try:
             return zipf_imbalance(names, s)
         except InvalidDistributionError as exc:
@@ -257,23 +272,29 @@ def parse_planted_config(text: str | bytes) -> PlantedModel:
     """Parse a planted-model config file into a PlantedModel, which checks itself.
 
     Bytes that are not UTF-8, grammar errors and a rule that fails its own
-    checks raise PlantedConfigError with their line number; the fallback and
-    whole-model checks raise as ``PlantedModel`` does, without one.
+    checks raise PlantedConfigError with their line number. A whole-model
+    check keeps its error class and names the line that set the failing
+    part: the ``features``, ``noise`` or fallback line, or the rule whose
+    index is out of range or whose weight takes the sum past 1.
     """
     feature_count: int | None = None
     noise = 0.0
     rules: list[PlantedRule] = []
     fallback: dict[str, float] | None = None
+    part_lines: dict = {}
     for line_no, line in data_lines(text, PlantedConfigError):
         if line.startswith("rule") and (len(line) == 4 or not line[4].isalnum()):
+            part_lines[len(rules)] = line_no
             rules.append(_parse_rule(line, line_no))
         elif line.startswith("fallback") and (len(line) == 8 or not line[8].isalnum()):
             if fallback is not None:
                 raise PlantedConfigError(line_no, "duplicate fallback line")
+            part_lines["fallback"] = line_no
             fallback = _parse_fallback(line, line_no)
         elif "=" in line:
             key, _, value = line.partition("=")
             key = key.strip()
+            part_lines[key] = line_no
             if key == "features":
                 feature_count = _number(int, value, line_no, "feature count")
             elif key == "noise":
@@ -286,4 +307,8 @@ def parse_planted_config(text: str | bytes) -> PlantedModel:
         raise PlantedConfigError(1, "config never sets 'features'")
     if fallback is None:
         raise PlantedConfigError(1, "config has no fallback line")
-    return PlantedModel(tuple(rules), fallback, feature_count, noise)
+    try:
+        return PlantedModel(tuple(rules), fallback, feature_count, noise)
+    except PamperError as exc:
+        exc.line_no = part_lines[exc.part]
+        raise

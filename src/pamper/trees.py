@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _kernels
 from .corpus import EMPTY_CATALOG, METHOD_TOKEN, Corpus, FeatureCatalog
-from .errors import EmptyDatasetError, ModelParseError, PamperError, decode_utf8
+from .errors import EmptyDatasetError, InvalidValueError, ModelParseError, PamperError, decode_utf8
 from .preprocess import BinaryDataset, single_target_split
 
 
@@ -78,10 +78,8 @@ class TrainConfig:
     min_points_to_split: int = 2
 
     def __post_init__(self):
-        if not _is_int(self.max_depth) or self.max_depth < 1:
-            raise ValueError(f"max_depth must be a positive int, got {self.max_depth!r}")
-        if self.min_points_to_split < 1:
-            raise ValueError("min_points_to_split must be at least 1")
+        _check_int("max_depth", self.max_depth, 1)
+        _check_int("min_points_to_split", self.min_points_to_split, 1)
 
 
 class TreeStats(NamedTuple):
@@ -107,10 +105,8 @@ class ModelSet:
     max_depth: int = 5
 
     def __post_init__(self):
-        if not _is_int(self.feature_count) or self.feature_count < 1:
-            raise ValueError(f"feature_count must be a positive int, got {self.feature_count!r}")
-        if not _is_int(self.max_depth) or self.max_depth < 1:
-            raise ValueError(f"max_depth must be a positive int, got {self.max_depth!r}")
+        _check_int("feature_count", self.feature_count, 1)
+        _check_int("max_depth", self.max_depth, 1)
         ordered = dict(sorted(self.trees.items()))
         for name in ordered:
             if not METHOD_TOKEN.match(name):
@@ -144,6 +140,13 @@ def _levels(roots: Iterable[TreeNode]) -> Iterator[list[TreeNode]]:
 def _is_int(value) -> bool:
     """An integer that the writer prints as digits: an ``int`` or numpy integer, not a ``bool``."""
     return type(value) is int or isinstance(value, np.integer)
+
+
+def _check_int(what: str, value, low: int) -> None:
+    """Raise InvalidValueError unless ``value`` is an ``_is_int`` integer >= ``low`` (0 or 1)."""
+    if not _is_int(value) or value < low:
+        kind = "positive" if low else "nonnegative"
+        raise InvalidValueError(f"{what} must be a {kind} integer, got {value!r}")
 
 
 def _check_trees(roots: Iterable[TreeNode], feature_count: int, max_depth: int) -> None:

@@ -12,6 +12,8 @@ from pamper.cli import main
 from pamper.corpus import parse_database, parse_vector, parse_vectors
 from pamper.trees import load_model, save_model
 
+from cli_helpers import run_main
+
 DB_TEXT = "simp, [1,0]\nsimp, [1,1]\nauto, [0,1]\nauto, [0,0]\n"
 VECTORS_TEXT = "# queries\n[1,0]\n\n[0,1]\n"
 
@@ -369,7 +371,7 @@ def test_bad_pamper_threads_exits_2(tmp_path, db, capsys, monkeypatch, value, me
 @pytest.mark.parametrize(
     "config,line",
     [
-        ("features = 3\nfallback : a:nan, b:1\n", None),
+        ("features = 3\nfallback : a:nan, b:1\n", 2),
         ("features = 3\nrule nan : 0=1 -> a:1\nfallback : a:1\n", 2),
         ("features = 3\nfallback zipf nan : a b\n", 2),
     ],
@@ -380,7 +382,28 @@ def test_gen_rejects_nan_in_config(tmp_path, capsys, config, line):
     assert main(["gen", str(cfg), "5", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("pamper: " if line is None else f"pamper: line {line}: ")
+    assert captured.err.startswith(f"pamper: line {line}: ")
+
+
+@pytest.mark.parametrize(
+    "config,message",
+    [
+        ("features = 0\nfallback : a:1\n", "line 1: feature count must be positive"),
+        ("features = 3\nnoise = 2\nfallback : a:1\n", "line 2: noise must lie in [0, 1]"),
+        (
+            "features = 3\nfallback : a:1\nrule 0.5 : 5=1 -> b:1\n",
+            "line 3: pattern index 5 out of range for 3 features",
+        ),
+        (
+            "features = 3\nrule 0.6 : 0=1 -> a:1\nrule 0.6 : 1=1 -> b:1\nfallback : a:1\n",
+            "line 3: rule weights sum past 1",
+        ),
+    ],
+)
+def test_gen_config_errors_name_their_line(tmp_path, config, message):
+    cfg = tmp_path / "planted.txt"
+    cfg.write_text(config, encoding="utf-8")
+    assert run_main(["gen", str(cfg), "5", "1"]) == (2, "", f"pamper: {message}\n")
 
 
 def _deep_model_text(depth: int) -> str:
@@ -438,27 +461,59 @@ def test_deep_nesting_exits_0_or_2(tmp_path, capsys, declared, code):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["which", "{model}", "[1,0]", "-k", "0"],
         ["which", "{model}", "[1,0]", "-k", "two"],
-        ["evaluate", "{db}", "--fraction", "1.5"],
-        ["evaluate", "{db}", "--fraction", "nan"],
-        ["evaluate", "{db}", "--top", "0"],
-        ["evaluate", "{db}", "--seed", "-1"],
-        ["evaluate", "{db}", "--min-split", "0"],
-        ["train", "{db}", "{out}", "--max-depth", "0"],
-        ["train", "{db}", "{out}", "--min-split", "0"],
         ["train", "{db}", "{out}", "--catalog", "{db}"],
-        ["gen", "{db}", "5", "-1"],
     ],
 )
-def test_bad_flag_values_exit_2(tmp_path, db, model, capsys, argv):
+def test_bad_flag_syntax_exits_2(tmp_path, db, model, argv):
     paths = {"db": db, "model": model, "out": str(tmp_path / "out.txt")}
-    with pytest.raises(SystemExit) as exc:
-        main([arg.format(**paths) for arg in argv])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
+    code, _, err = run_main([arg.format(**paths) for arg in argv])
+    assert code == 2
     assert "error: " in err and "Traceback" not in err
     assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["which", "{model}", "[1,0]", "-k", "0"],
+        ["evaluate", "{db}", "--out-dir", "{out}", "--fraction", "1.5"],
+        ["evaluate", "{db}", "--out-dir", "{out}", "--fraction", "nan"],
+        ["evaluate", "{db}", "--out-dir", "{out}", "--top", "0"],
+        ["evaluate", "{db}", "--out-dir", "{out}", "--seed", "-1"],
+        ["evaluate", "{db}", "--out-dir", "{out}", "--min-split", "0"],
+        ["train", "{db}", "{out}", "--max-depth", "0"],
+        ["train", "{db}", "{out}", "--min-split", "0"],
+        ["gen", "{config}", "5", "-1", "-o", "{out}"],
+    ],
+)
+def test_bad_flag_values_exit_2(tmp_path, db, model, argv):
+    # argparse only parses these; the library object that takes the value rejects it.
+    config = tmp_path / "planted.txt"
+    config.write_text(GEN_CONFIG, encoding="utf-8")
+    paths = {"db": db, "model": model, "config": config, "out": str(tmp_path / "out.txt")}
+    code, out, err = run_main([arg.format(**paths) for arg in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("pamper: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("top", [str(10**18), str(2**63)])
+def test_evaluate_top_past_its_bound_exits_2(tmp_path, db, top):
+    out = tmp_path / "out"
+    code, _, err = run_main(["evaluate", db, "--top", top, "--out-dir", str(out)])
+    assert code == 2
+    assert err == f"pamper: top_n must be at most max(15, methods) = 15, got {top}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [str(10**18), str(2**63)])
+def test_gen_with_too_many_points_exits_2(tmp_path, n):
+    config = tmp_path / "planted.txt"
+    config.write_text(GEN_CONFIG, encoding="utf-8")
+    code, out, err = run_main(["gen", str(config), n, "1"])
+    assert (code, out) == (2, "")
+    assert err == f"pamper: {n} points of 3 features do not fit in memory\n"
 
 
 def test_inspect_summary(model, capsys):

@@ -7,6 +7,7 @@ from pamper._format import pct0, pct1, quantize_percents, round_half_away
 from pamper.corpus import Corpus
 from pamper.errors import (
     FeatureWidthMismatchError,
+    InvalidValueError,
     NoEvalPointsError,
     NoTrainPointsError,
     PamperError,
@@ -40,6 +41,14 @@ def test_split_spec_validation():
         SplitSpec(eval_fraction=1.0)
     with pytest.raises(ValueError):
         SplitSpec(eval_fraction=-0.2)
+
+
+@pytest.mark.parametrize("error", [InvalidValueError, PamperError, ValueError])
+def test_split_spec_rejects_a_negative_seed(error):
+    with pytest.raises(error, match="seed must be a nonnegative integer, got -1"):
+        SplitSpec(eval_fraction=0.5, seed=-1)
+    with pytest.raises(error, match="seed must be a nonnegative integer, got 1.0"):
+        SplitSpec(seed=1.0)
 
 
 def test_split_corpus_partitions_in_order():
@@ -210,6 +219,27 @@ def test_run_evaluation_errors():
         run_evaluation(a, empty)
     with pytest.raises(ValueError):
         run_evaluation(a, a, top_n=0)
+
+
+@pytest.mark.parametrize("error", [InvalidValueError, PamperError, ValueError])
+def test_run_evaluation_bounds_top_n_before_training(error, monkeypatch):
+    # Two methods, so the bound is 15; nothing may be trained first.
+    monkeypatch.setattr("pamper.evaluate.train", None)
+    a = _planted_corpus(10, seed=1)
+    for top_n in (16, 10**18, 2**63):
+        with pytest.raises(error, match=rf"top_n must be at most max\(15, methods\) = 15, got {top_n}"):
+            run_evaluation(a, a, top_n=top_n)
+    with pytest.raises(error, match="top_n must be a positive integer, got 2.5"):
+        run_evaluation(a, a, top_n=2.5)
+
+
+def test_run_evaluation_top_n_may_reach_the_method_count():
+    names = tuple(f"m{i:02d}" for i in range(20)) * 3
+    corpus = Corpus(names, np.zeros((len(names), 1), dtype=np.uint8), 1)
+    _, report = run_evaluation(corpus, corpus, top_n=20)
+    assert report.top_n == 20 and all(row.coincidence[-1] == 100.0 for row in report.rows)
+    with pytest.raises(InvalidValueError, match=r"at most max\(15, methods\) = 20, got 21"):
+        run_evaluation(corpus, corpus, top_n=21)
 
 
 def test_fig2_is_training_usage_by_rank():

@@ -4,12 +4,15 @@ The model loader is compared against the recursive reference parser in
 ``oracles`` on mutated model texts, the database and vector-file readers
 against their strict line parser on mutated canonical files, and every
 parser is fed random bytes, which may only ever raise ``PamperError``.
+The CLI is driven with random argv and ``PAMPER_THREADS`` values, which may
+only ever exit 0 or 2, without a traceback.
 """
+import os
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pamper import corpus as corpus_module
@@ -21,9 +24,10 @@ from pamper.corpus import (
     serialize_database,
 )
 from pamper.errors import ModelParseError, PamperError
-from pamper.synth import parse_planted_config
-from pamper.trees import model_from_text, model_to_text
+from pamper.synth import generate, parse_planted_config
+from pamper.trees import model_from_text, model_to_text, save_model, train
 
+from cli_helpers import run_main
 from oracles import random_corpus, random_model, reference_model_from_text
 
 FUZZ = settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -223,3 +227,103 @@ def test_random_token_soup_raises_only_pamper_errors(tokens):
     text = "".join(tokens)
     assert_only_pamper_errors(text.encode("utf-8"))
     assert_only_pamper_errors(text.encode("latin-1", errors="replace"))
+
+
+ARGV_CONFIG = """\
+features = 4
+noise = 0.1
+rule 0.5 : 0=1 -> simp:1.0
+fallback : auto:0.6, blast:0.4
+"""
+NUMBERS = ["0", "1", "-1", "2", str(2**63), str(10**18), "nan", "inf", "1e-300", ""]
+BAD_INPUTS = ["", "{missing}", "{dir}"]
+BAD_OUTPUTS = ["", "{dir}", "{file}/out"]
+# Argv placeholders by slot kind; the fixture paths replace the {names}.
+# Good paths are drawn more often, so that most argvs reach the flag checks.
+SLOTS = {
+    "db": ["{db}"] * 6 + BAD_INPUTS,
+    "model": ["{model}"] * 6 + BAD_INPUTS,
+    "vector": ["{vectors}"] * 3 + ["[0,1,0,1]"] * 3 + ["[0,1]"] + BAD_INPUTS,
+    "method": ["simp", "simp", "auto", "zap", ""],
+    "config": ["{config}"] * 6 + BAD_INPUTS,
+    "catalog": ["{catalog}"] * 3 + BAD_INPUTS,
+    "out": ["{out}"] * 3 + BAD_OUTPUTS,
+    "out_dir": ["{reports}"] * 3 + ["{file}"] + BAD_OUTPUTS,
+    "number": NUMBERS,
+}
+# Subcommand -> (positional slots, {flag: value slot, or None for a switch}).
+COMMANDS = {
+    "train": (["db", "out"], {"--max-depth": "number", "--min-split": "number"}),
+    "which": (["model", "vector"], {"-k": "number", "--json": None}),
+    "why": (["model", "vector", "method"], {"--catalog": "catalog", "--json": None}),
+    "rank": (["model", "vector", "method"], {"--json": None}),
+    "evaluate": (
+        ["db"],
+        {
+            "--fraction": "number", "--seed": "number", "--top": "number",
+            "--max-depth": "number", "--min-split": "number", "--out-dir": "out_dir",
+        },
+    ),
+    "prune": (["model"], {"--catalog": "catalog"}),
+    "gen": (["config", "number", "number"], {"-o": "out"}),
+    "stats": (["db"], {}),
+    "inspect": (["model"], {}),
+}
+THREADS = [None, "1", "2", "0", "-1", "x", ""]
+
+
+@st.composite
+def cli_argvs(draw):
+    """One subcommand with each positional and up to three flags drawn from its slots."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    slots, flags = COMMANDS[command]
+    argv = [command] + [draw(st.sampled_from(SLOTS[slot])) for slot in slots]
+    chosen = draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=3)) if flags else []
+    for flag in chosen:
+        argv.append(flag)
+        if flags[flag]:
+            argv.append(draw(st.sampled_from(SLOTS[flags[flag]])))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """A 60-point database, its model, vectors, a catalog and a planted config.
+
+    The working directory moves into the same scratch directory, since an
+    empty ``--out-dir`` writes the reports there.
+    """
+    root = tmp_path_factory.mktemp("argv")
+    paths = {name: str(root / name) for name in ("config", "db", "model", "vectors", "catalog")}
+    paths.update(
+        missing=str(root / "missing"), dir=str(root / "dir"), file=str(root / "file"),
+        out=str(root / "out"), reports=str(root / "reports"),
+    )
+    (root / "dir").mkdir()
+    (root / "file").write_text("a regular file\n", encoding="utf-8")
+    (root / "config").write_text(ARGV_CONFIG, encoding="utf-8")
+    corpus = generate(parse_planted_config(ARGV_CONFIG), 60, 3)
+    (root / "db").write_text(serialize_database(corpus), encoding="utf-8")
+    save_model(train(corpus), paths["model"])
+    (root / "vectors").write_text("[1,0,0,1]\n[0,0,0,0]\n", encoding="utf-8")
+    (root / "catalog").write_text("0\tthe goal is an equation\n", encoding="utf-8")
+    cwd = os.getcwd()
+    os.chdir(root)
+    yield paths
+    os.chdir(cwd)
+
+
+@FUZZ
+@given(argv=cli_argvs(), threads=st.sampled_from(THREADS))
+@example(argv=["evaluate", "{db}", "--top", str(10**18), "--out-dir", "{reports}"], threads=None)
+@example(argv=["gen", "{config}", str(2**63), "1"], threads=None)
+def test_cli_exits_0_or_2_without_a_traceback(cli_files, argv, threads):
+    env = {} if threads is None else {"PAMPER_THREADS": threads}
+    with mock.patch.dict(os.environ, env):
+        if threads is None:
+            os.environ.pop("PAMPER_THREADS", None)
+        code, _, err = run_main([arg.format(**cli_files) for arg in argv])
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+    if code == 2:  # argparse's usage error, or one line from main's PamperError handler
+        assert "error: " in err or (err.startswith("pamper: ") and err.count("\n") == 1), err

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from pamper.corpus import FeatureCatalog
-from pamper.errors import UnknownMethodError, VectorWidthMismatchError
+from pamper.errors import (
+    InvalidValueError,
+    PamperError,
+    UnknownMethodError,
+    VectorWidthMismatchError,
+)
 from pamper import recommend
 from pamper.recommend import (
     ModelArena,
@@ -255,6 +260,16 @@ def test_arena_batch_rank_checks_method_cols():
     assert arena.batch_rank(one, np.array([1], dtype=np.uint8)).tolist() == [3]
     none = np.zeros((0, 2), dtype=np.uint8)
     assert arena.batch_rank(none, np.array([], dtype=int)).tolist() == []
+
+
+@pytest.mark.parametrize("error", [InvalidValueError, PamperError, ValueError])
+def test_arena_batch_which_admits_only_a_positive_integer_k(error):
+    arena = ModelArena(_hand_model())
+    V = np.zeros((2, 2), dtype=np.uint8)
+    for k in (2.5, 0, True):
+        with pytest.raises(error, match=f"k must be a positive integer, got {k!r}"):
+            arena.batch_which(V, k)
+    assert len(arena.batch_which(V, np.int64(2))[0].ranked) == 2
 
 
 def test_arena_width_mismatch():

@@ -4,6 +4,7 @@ import pytest
 from pamper.errors import (
     BadIndexError,
     InvalidDistributionError,
+    InvalidValueError,
     PamperError,
     PlantedConfigError,
 )
@@ -147,6 +148,12 @@ def test_generate_rejects_bad_n():
     model = _model([], {"a": 1.0})
     with pytest.raises(PamperError):
         generate(model, 0, seed=0)
+
+
+@pytest.mark.parametrize("error", [InvalidValueError, PamperError, ValueError])
+def test_generate_rejects_a_negative_seed(error):
+    with pytest.raises(error, match="seed must be a nonnegative integer, got -1"):
+        generate(_model([], {"a": 1.0}), 5, -1)
 
 
 _EXAMPLE = """\

@@ -7,7 +7,13 @@ import pytest
 
 from pamper import trees
 from pamper.corpus import Corpus, FeatureCatalog, parse_database
-from pamper.errors import BadIndexError, EmptyDatasetError, ModelParseError
+from pamper.errors import (
+    BadIndexError,
+    EmptyDatasetError,
+    InvalidValueError,
+    ModelParseError,
+    PamperError,
+)
 from pamper.preprocess import single_target_split
 from pamper.trees import (
     Internal,
@@ -431,6 +437,14 @@ def test_equality_is_text_equality_property(values):
 def test_only_values_written_as_loadable_text_are_admitted(build, field):
     with pytest.raises(ValueError, match=field):
         build()
+
+
+@pytest.mark.parametrize("error", [InvalidValueError, PamperError, ValueError])
+def test_train_config_admits_only_integer_counts(error):
+    with pytest.raises(error, match="min_points_to_split must be a positive integer, got 2.5"):
+        TrainConfig(min_points_to_split=2.5)
+    with pytest.raises(error, match="max_depth must be a positive integer, got 0"):
+        TrainConfig(max_depth=0)
 
 
 def test_numpy_integers_are_admitted_and_signed_zeros_differ():
