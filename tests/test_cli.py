@@ -484,6 +484,8 @@ def test_bad_flag_syntax_exits_2(tmp_path, db, model, argv):
         ["evaluate", "{db}", "--out-dir", "{out}", "--min-split", "0"],
         ["train", "{db}", "{out}", "--max-depth", "0"],
         ["train", "{db}", "{out}", "--min-split", "0"],
+        ["evaluate", "{db}", "--out-dir", "{out}", "--max-depth", "0"],
+        ["gen", "{config}", "-1", "1", "-o", "{out}"],
         ["gen", "{config}", "5", "-1", "-o", "{out}"],
     ],
 )
