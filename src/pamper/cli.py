@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from pathlib import Path
@@ -61,21 +62,23 @@ from .trees import (
 )
 
 
-def _read_corpus(path: str):
-    return parse_database(Path(path).read_bytes())
+def _read_bytes(path: str) -> bytes:
+    # open() takes the raw string, so "" fails as no such file; Path("") would be ".".
+    with open(path, "rb") as handle:
+        return handle.read()
 
 
 def _attach_catalog(model: ModelSet, catalog_path: str | None) -> ModelSet:
-    if not catalog_path:
+    if catalog_path is None:
         return model
-    catalog = parse_feature_catalog(Path(catalog_path).read_bytes(), model.feature_count)
+    catalog = parse_feature_catalog(_read_bytes(catalog_path), model.feature_count)
     return ModelSet(model.feature_count, dict(model.trees), catalog, model.max_depth)
 
 
 def _read_vectors(source: str, feature_count: int) -> np.ndarray:
     if source.lstrip().startswith("["):
         return parse_vector(source, feature_count)[None, :]
-    vectors = parse_vectors(Path(source).read_bytes(), feature_count)
+    vectors = parse_vectors(_read_bytes(source), feature_count)
     if not len(vectors):
         raise PamperError(f"no vectors found in {source}")
     return vectors
@@ -94,7 +97,7 @@ def _print_model_summary(model: ModelSet, points: int | None = None) -> None:
 
 def cmd_train(args) -> int:
     cfg = TrainConfig(max_depth=args.max_depth, min_points_to_split=args.min_split)
-    corpus = _read_corpus(args.database)
+    corpus = parse_database(_read_bytes(args.database))
     model = train(corpus, cfg)
     save_model(model, args.model)
     print(f"model written to {args.model}")
@@ -149,10 +152,10 @@ def cmd_why(args) -> int:
 def cmd_evaluate(args) -> int:
     spec = SplitSpec(eval_fraction=args.fraction, seed=args.seed)
     cfg = TrainConfig(max_depth=args.max_depth, min_points_to_split=args.min_split)
-    train_part, eval_part = split_corpus(_read_corpus(args.database), spec)
+    train_part, eval_part = split_corpus(parse_database(_read_bytes(args.database)), spec)
     _, report = run_evaluation(train_part, eval_part, cfg, top_n=args.top)
+    os.makedirs(args.out_dir, exist_ok=True)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     table = render_table(report)
     (out_dir / "report.txt").write_text(table, encoding="utf-8", newline="\n")
     (out_dir / "report.csv").write_text(render_csv(report), encoding="utf-8", newline="\n")
@@ -172,11 +175,12 @@ def cmd_prune(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    model = parse_planted_config(Path(args.config).read_bytes())
+    model = parse_planted_config(_read_bytes(args.config))
     corpus = generate(model, args.n, args.seed)
     text = serialize_database(corpus)
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8", newline="\n")
+    if args.output is not None:
+        with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
         print(f"{len(corpus)} points written to {args.output}")
     else:
         sys.stdout.write(text)
@@ -184,7 +188,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    corpus = _read_corpus(args.database)
+    corpus = parse_database(_read_bytes(args.database))
     rows = corpus_stats(corpus)
     shown = quantize_percents([r[2] for r in rows])
     name_width = max(len("method"), max(len(r[0]) for r in rows))

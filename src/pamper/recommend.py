@@ -2,9 +2,9 @@
 
 Methods are ordered by descending expectation at the leaf the query
 vector reaches in their tree, ties broken by ascending name; ``_ranks``
-counts this order. Rankings of every method step all trees together
-through a ModelArena; a single method's rank walks each tree to its leaf,
-and its explanation is its own tree's decision path, one sentence a step.
+counts this order. Every query steps the node table the model numbers
+once (``ModelSet.table``): ``_descend`` steps all trees for a ModelArena's
+rows and for ``rank_method``'s one; ``why_method`` follows one tree.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import numpy as np
 
 from ._format import sig4
 from .errors import UnknownMethodError, VectorWidthMismatchError
-from .trees import Internal, Leaf, ModelSet, TreeNode, _check_int, _levels
+from .trees import ModelSet, _check_int
 
 
 @dataclass(frozen=True)
@@ -63,22 +63,8 @@ def as_vector(v, feature_count: int | None = None) -> np.ndarray:
     return _checked_bits(v, 1, feature_count)
 
 
-def _walk(tree: TreeNode, bits) -> tuple[Leaf, list[tuple[int, bool]]]:
-    """The leaf ``bits`` reaches in ``tree``, and the (feature, bit) tests on the way."""
-    path: list[tuple[int, bool]] = []
-    node = tree
-    while isinstance(node, Internal):
-        bit = bool(bits[node.feature])
-        path.append((node.feature, bit))
-        node = node.when_true if bit else node.when_false
-    return node, path
-
-
 def which_method(model: ModelSet, v, k: int = 15) -> Recommendation:
-    """Top-k methods for one proof state, ordered as described above.
-
-    Builds a ModelArena on every call; hold one arena for many vectors.
-    """
+    """Top-k methods for one proof state; its ModelArena shares the model's node table."""
     return ModelArena(model).batch_which(as_vector(v, model.feature_count)[None, :], k)[0]
 
 
@@ -86,8 +72,7 @@ def rank_method(model: ModelSet, v, method: str) -> tuple[int, int]:
     """1-based rank of one method in the full ordering, plus the total."""
     if method not in model.trees:
         raise UnknownMethodError(method)
-    bits = as_vector(v, model.feature_count).tolist()
-    E = np.array([[_walk(tree, bits)[0].expectation for tree in model.trees.values()]])
+    E = _descend(model.table, as_vector(v, model.feature_count)[None, :], len(model.trees))
     return int(_ranks(E, np.array([list(model.trees).index(method)]))[0]), len(model.trees)
 
 
@@ -95,12 +80,16 @@ def why_method(model: ModelSet, v, method: str) -> Explanation:
     """Decision path the vector takes through one method's tree."""
     if method not in model.trees:
         raise UnknownMethodError(method)
+    feature, child, value, _ = model.table
     bits = as_vector(v, model.feature_count).tolist()
-    leaf, path = _walk(model.trees[method], bits)
-    steps = tuple(
-        ExplanationStep(feature, bit, model.catalog.describe(feature)) for feature, bit in path
-    )
-    return Explanation(method, steps, leaf.expectation)
+    slot = list(model.trees).index(method)
+    steps = []
+    while child.item(2 * slot) != slot:
+        index = feature.item(slot)
+        bit = bits[index]
+        steps.append(ExplanationStep(index, bool(bit), model.catalog.describe(index)))
+        slot = child.item(2 * slot + bit)
+    return Explanation(method, tuple(steps), value.item(slot))
 
 
 def render_recommendation(rec: Recommendation) -> str:
@@ -131,58 +120,38 @@ def render_explanation(expl: Explanation) -> str:
 _BLOCK_ROWS = 1024
 
 
-class ModelArena:
-    """All trees of a model in one node table, evaluated together.
+def _descend(table, block: np.ndarray, trees: int) -> np.ndarray:
+    """(rows, trees) expectations of the (rows, F) query ``block`` in a ``ModelSet.table``.
 
-    Nodes are numbered level by level across every tree, so the M roots
-    are slots ``0 .. M-1`` in name order and the i-th internal node's
-    children are slots ``M + 2i`` (bit clear) and ``M + 2i + 1`` (bit set).
-    Node ``s`` branches on ``feature[s]`` and its children sit at
-    ``child[2*s]`` and ``child[2*s + 1]``; a leaf points both child slots
-    at itself and holds its expectation in ``value[s]``. ``expectations``
-    steps a (rows, trees) cursor matrix ``depth`` times, one gather per
-    step, which parks every cursor at its leaf.
+    A (rows, trees) cursor matrix starts at the roots and steps ``depth``
+    times, one gather a step. A cursor at a leaf stays there: both its child
+    slots point back at it, so the bit its -1 feature reads does not matter.
     """
+    feature, child, value, depth = table
+    bits = block.reshape(-1)
+    row_base = np.arange(0, bits.size, block.shape[1])[:, None]
+    cur = np.broadcast_to(np.arange(trees), (block.shape[0], trees))
+    for _ in range(depth):
+        cur = child[2 * cur + bits[row_base + feature[cur]]]
+    return value[cur]
+
+
+class ModelArena:
+    """Every tree of a model evaluated together for a batch, on ``ModelSet.table`` uncopied."""
 
     def __init__(self, model: ModelSet):
-        feature: list[int] = []  # -1 marks a leaf until the child table is built
-        value: list[float] = []
-        depth = 0  # an empty model has no levels
-        for depth, level in enumerate(_levels(model.trees.values())):
-            for node in level:
-                if isinstance(node, Leaf):
-                    feature.append(-1)
-                    value.append(node.expectation)
-                else:
-                    feature.append(node.feature)
-                    value.append(0.0)
         self.names = list(model.trees.keys())
         self.feature_count = model.feature_count
-        self.depth = depth
-        self.feature = np.asarray(feature, dtype=np.intp)
-        internal = self.feature >= 0
-        first = np.where(
-            internal,
-            len(self.names) + 2 * (np.cumsum(internal) - 1),
-            np.arange(self.feature.size),
-        )
-        self.child = np.stack([first, first + internal], axis=1).reshape(-1)
-        self.feature[~internal] = 0  # any column will do: both children are the leaf
-        self.value = np.asarray(value, dtype=np.float64)
+        self.table = model.table
+        self.feature, self.child, self.value, self.depth = model.table
 
     def expectations(self, matrix: np.ndarray) -> np.ndarray:
         """(B, F) query matrix -> (B, M) expectation matrix, names order."""
         V = _checked_bits(matrix, 2, self.feature_count)
-        roots = np.arange(len(self.names))
-        out = np.empty((V.shape[0], roots.size), dtype=np.float64)
+        M = len(self.names)
+        out = np.empty((V.shape[0], M), dtype=np.float64)
         for start in range(0, V.shape[0], _BLOCK_ROWS):
-            block = V[start:start + _BLOCK_ROWS]
-            bits = block.reshape(-1)
-            row_base = np.arange(0, bits.size, self.feature_count)[:, None]
-            cur = np.broadcast_to(roots, (block.shape[0], roots.size))
-            for _ in range(self.depth):
-                cur = self.child[2 * cur + bits[row_base + self.feature[cur]]]
-            out[start:start + block.shape[0]] = self.value[cur]
+            out[start:start + _BLOCK_ROWS] = _descend(self.table, V[start:start + _BLOCK_ROWS], M)
         return out
 
     def batch_which(self, matrix: np.ndarray, k: int = 15) -> list[Recommendation]:

@@ -20,7 +20,7 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Collection, Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -96,24 +96,30 @@ class ModelSet:
     records the limit used at training time. A model is its model text: two
     models are equal when ``model_to_text`` writes the same text for both
     and their catalogs are equal. Only values that the writer prints as text
-    the loader reads back are admitted (see ``_check_trees``).
+    the loader reads back are admitted, and the walk that checks the trees
+    numbers their nodes once into ``table``, which every query steps (see
+    ``_check_trees``).
     """
 
     feature_count: int
     trees: dict[str, TreeNode]
     catalog: FeatureCatalog = field(default_factory=lambda: EMPTY_CATALOG)
     max_depth: int = 5
+    table: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_int("feature_count", self.feature_count, 1)
+        if self.feature_count > np.iinfo(np.intp).max:  # the node table indexes features as intp
+            raise InvalidValueError(f"feature_count must fit a numpy intp, got {self.feature_count}")
         _check_int("max_depth", self.max_depth, 1)
         ordered = dict(sorted(self.trees.items()))
         for name in ordered:
             if not METHOD_TOKEN.match(name):
                 raise ValueError(f"invalid method name: {name!r}")
-        _check_trees(ordered.values(), self.feature_count, self.max_depth)
+        table = _check_trees(ordered.values(), self.feature_count, self.max_depth)
         self.catalog.check_range(self.feature_count)
         object.__setattr__(self, "trees", MappingProxyType(ordered))
+        object.__setattr__(self, "table", table)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModelSet):
@@ -149,7 +155,7 @@ def _check_int(what: str, value, low: int) -> None:
         raise InvalidValueError(f"{what} must be a {kind} integer, got {value!r}")
 
 
-def _check_trees(roots: Iterable[TreeNode], feature_count: int, max_depth: int) -> None:
+def _check_trees(roots: Collection[TreeNode], feature_count: int, max_depth: int) -> tuple:
     """Check that the trees fit the header and that their model text loads back to them.
 
     Nodes compare and hash by their text, so an expectation must be a Python
@@ -158,7 +164,17 @@ def _check_trees(roots: Iterable[TreeNode], feature_count: int, max_depth: int) 
     an integer that ``_is_int`` admits. This runs on every model load, so
     all trees share one level walk and exact types are tested inline first:
     plain values cost one identity test each.
+
+    The walk also numbers the nodes level by level across every tree into
+    the read-only node table ``(feature, child, value, depth)``: the M roots
+    are slots ``0 .. M-1`` in order, and the i-th internal node's children
+    are slots ``M + 2i`` (bit clear) and ``M + 2i + 1`` (bit set), stored at
+    ``child[2*s]`` and ``child[2*s + 1]`` of its slot ``s``. A leaf has
+    ``feature`` -1, points both child slots at itself and holds its
+    expectation in ``value``; ``depth`` counts the levels below the roots.
     """
+    features, values = [], []
+    depth = 0  # an empty model has no levels
     for depth, level in enumerate(_levels(roots)):
         for node in level:
             if isinstance(node, Leaf):
@@ -167,6 +183,8 @@ def _check_trees(roots: Iterable[TreeNode], feature_count: int, max_depth: int) 
                     raise ValueError(f"expectation must be a float in [0, 1], got {expectation!r}")
                 if not (type(count) is int or _is_int(count)) or count < 0:
                     raise ValueError(f"count must be a nonnegative int, got {count!r}")
+                features.append(-1)
+                values.append(expectation)
             elif isinstance(node, Internal):
                 if depth >= max_depth:
                     raise ValueError(f"tree exceeds depth limit {max_depth}")
@@ -177,8 +195,18 @@ def _check_trees(roots: Iterable[TreeNode], feature_count: int, max_depth: int) 
                     raise ValueError(
                         f"feature must be an int in [0, {feature_count}), got {feature!r}"
                     )
+                features.append(feature)
+                values.append(0.0)
             else:
                 raise TypeError(f"not a tree node: {node!r}")
+    feature = np.array(features, dtype=np.intp)
+    internal = feature >= 0
+    first = np.where(internal, len(roots) + 2 * (np.cumsum(internal) - 1), np.arange(feature.size))
+    child = np.stack([first, first + internal], axis=1).reshape(-1)
+    value = np.array(values, dtype=np.float64)
+    for array in (feature, child, value):
+        array.setflags(write=False)
+    return feature, child, value, depth
 
 
 def _choose_split(n_true, pos_true, n, pos):
@@ -295,12 +323,8 @@ def train(corpus: Corpus, cfg: TrainConfig | None = None) -> ModelSet:
 
 def used_features(model: ModelSet) -> set[int]:
     """Every feature index that branches some tree in the model."""
-    return {
-        node.feature
-        for level in _levels(model.trees.values())
-        for node in level
-        if isinstance(node, Internal)
-    }
+    feature = model.table[0]
+    return set(feature[feature >= 0].tolist())
 
 
 def tree_stats(tree: TreeNode) -> TreeStats:

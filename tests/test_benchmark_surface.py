@@ -85,7 +85,7 @@ def test_tracer_records_the_spans_behind_the_exact_counts(tmp_path, capsys, monk
     for span in expectations:
         command = _command_of(span, by_id)
         rows[command] = rows.get(command, 0) + span[6]["rows"]
-    # rank and why walk the trees themselves and never reach the arena.
+    # rank and why step the model's node table themselves and never build an arena.
     assert rows == {"cli.cmd_which": 1, "cli.cmd_evaluate": 15}
     for name in ("recommend.rank_method", "recommend.why_method", "recommend.ModelArena.batch_rank"):
         assert named(name), name

@@ -445,6 +445,18 @@ def test_deep_model_commands_and_round_trip(tmp_path, capsys):
     assert saved.read_text(encoding="utf-8") == text
 
 
+@pytest.mark.parametrize("command", [["inspect"], ["prune"], ["which", "[1,0]"]])
+def test_model_wider_than_a_numpy_index_exits_2(tmp_path, command):
+    # The node table indexes features as intp, and no query vector could be this wide.
+    wide = np.iinfo(np.intp).max + 1
+    path = tmp_path / "wide.txt"
+    text = f"pamper-model v1 features={wide} depth=1\nm\tN({wide - 1},L(0.5,1),L(0,1))\n"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_main([command[0], str(path), *command[1:]])
+    assert (code, out) == (2, "")
+    assert err == f"pamper: feature_count must fit a numpy intp, got {wide}\n"
+
+
 @pytest.mark.parametrize("declared,code", [(3001, 0), (5, 2)])
 def test_deep_nesting_exits_0_or_2(tmp_path, capsys, declared, code):
     # 3000 nested N(0, on one line, under a header that allows or forbids it.
@@ -487,17 +499,24 @@ def test_bad_flag_syntax_exits_2(tmp_path, db, model, argv):
         ["evaluate", "{db}", "--out-dir", "{out}", "--max-depth", "0"],
         ["gen", "{config}", "-1", "1", "-o", "{out}"],
         ["gen", "{config}", "5", "-1", "-o", "{out}"],
+        ["gen", "{config}", "3", "1", "-o", ""],
+        ["evaluate", "{db}", "--out-dir", ""],
+        ["why", "{model}", "[1,0]", "simp", "--catalog", ""],
+        ["prune", "{model}", "--catalog", ""],
     ],
 )
-def test_bad_flag_values_exit_2(tmp_path, db, model, argv):
-    # argparse only parses these; the library object that takes the value rejects it.
+def test_bad_flag_values_exit_2(tmp_path, db, model, argv, monkeypatch):
+    # argparse only parses these; the library object that takes the value
+    # rejects it, and an empty path is no path at all rather than "." or stdout.
     config = tmp_path / "planted.txt"
     config.write_text(GEN_CONFIG, encoding="utf-8")
     paths = {"db": db, "model": model, "config": config, "out": str(tmp_path / "out.txt")}
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
     code, out, err = run_main([arg.format(**paths) for arg in argv])
     assert (code, out) == (2, "")
     assert err.startswith("pamper: ") and err.count("\n") == 1, err
-    assert not (tmp_path / "out.txt").exists()
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("top", [str(10**18), str(2**63)])

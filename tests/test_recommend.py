@@ -392,3 +392,20 @@ def test_arena_steps_only_as_deep_as_the_trees():
 def test_arena_of_an_empty_model():
     arena = ModelArena(ModelSet(2, {}))
     assert arena.expectations(np.zeros((3, 2), dtype=np.uint8)).shape == (3, 0)
+
+
+def test_arenas_share_the_models_table_and_cannot_change_it():
+    rng = np.random.default_rng(59)
+    model = random_model(rng)
+    first, second = ModelArena(model), ModelArena(model)
+    for array, written in ((first.value, 1.0), (first.child, 0), (first.feature, 0)):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = written
+    assert first.child is second.child is model.table[1]
+    V = _random_batch(rng, model)
+    assert second.expectations(V).tolist() == [
+        [walk_tree(model.trees[name], row) for name in second.names] for row in V.tolist()
+    ]
+    assert [rec.ranked for rec in second.batch_which(V, k=len(second.names))] == [
+        tuple(ranking(model, row)) for row in V.tolist()
+    ]

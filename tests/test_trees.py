@@ -15,6 +15,7 @@ from pamper.errors import (
     PamperError,
 )
 from pamper.preprocess import single_target_split
+from pamper.recommend import rank_method, why_method
 from pamper.trees import (
     Internal,
     Leaf,
@@ -36,6 +37,7 @@ from oracles import (
     make_binary_dataset,
     random_dataset,
     random_model,
+    ranking,
     walk_tree,
 )
 
@@ -347,6 +349,18 @@ def test_deep_trees_walk_without_recursion():
     assert tree_stats(again.trees["m"]) == (depth, depth + 1, depth)
     with pytest.raises(ValueError, match="depth limit"):
         ModelSet(depth, {"m": tree}, max_depth=depth - 1)
+    # why and rank step the node table: 5000 steps in chain order, no recursion.
+    ranked = ModelSet(depth, {"m": tree, "a": Leaf(0.375, 3)}, max_depth=depth)
+    last_set = np.zeros(depth, dtype=np.uint8)
+    last_set[-1] = 1
+    for bits, leaf in ((np.zeros(depth, dtype=np.uint8), 0.5), (last_set, 0.25)):
+        expl = why_method(ranked, bits, "m")
+        assert [(step.feature, step.value) for step in expl.steps] == [
+            (feature, bool(bits[feature])) for feature in range(depth)
+        ]
+        assert expl.expectation == leaf
+        names = [name for name, _ in ranking(ranked, bits.tolist())]
+        assert rank_method(ranked, bits, "m") == (1 + names.index("m"), 2)
 
 
 def test_deep_models_compare_without_recursion():
