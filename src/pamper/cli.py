@@ -15,6 +15,7 @@ or unset = one per CPU); a value that is not a nonnegative integer exits 2.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -66,6 +67,18 @@ def _read_bytes(path: str) -> bytes:
     # open() takes the raw string, so "" fails as no such file; Path("") would be ".".
     with open(path, "rb") as handle:
         return handle.read()
+
+
+def _check_out_dir(path: str) -> None:
+    """Raise the OSError that ``os.makedirs(path, exist_ok=True)`` would, creating nothing."""
+    try:
+        os.stat(path)
+    except FileNotFoundError:
+        if path:  # makedirs creates it
+            return
+        raise
+    if not os.path.isdir(path):
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), path)
 
 
 def _attach_catalog(model: ModelSet, catalog_path: str | None) -> ModelSet:
@@ -152,6 +165,7 @@ def cmd_why(args) -> int:
 def cmd_evaluate(args) -> int:
     spec = SplitSpec(eval_fraction=args.fraction, seed=args.seed)
     cfg = TrainConfig(max_depth=args.max_depth, min_points_to_split=args.min_split)
+    _check_out_dir(args.out_dir)
     train_part, eval_part = split_corpus(parse_database(_read_bytes(args.database)), spec)
     _, report = run_evaluation(train_part, eval_part, cfg, top_n=args.top)
     os.makedirs(args.out_dir, exist_ok=True)

@@ -10,7 +10,7 @@ separately as unlearned.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,13 +73,33 @@ class MethodEval:
 
 @dataclass(frozen=True)
 class EvaluationReport:
+    """Report rows, sorted by training count descending, ties by name.
+
+    The two figure tables are computed from the rows, so a report cannot
+    carry figures that contradict them: ``fig2`` (``fig2.csv``) is
+    ``(rank, training count)`` in row order, and ``fig3`` (``fig3.csv``) is
+    ``(k, methods at or above 25/50/75/90 percent top-k coincidence)`` for
+    each k up to ``top_n``.
+    """
+
     rows: tuple[MethodEval, ...]
     unlearned: dict[str, int]
     total_train: int
     total_eval: int
     top_n: int
-    fig2: tuple[tuple[int, int], ...] = field(default_factory=tuple)
-    fig3: tuple[tuple[int, int, int, int, int], ...] = field(default_factory=tuple)
+
+    @property
+    def fig2(self) -> tuple[tuple[int, int], ...]:
+        return tuple(enumerate((row.train_count for row in self.rows), start=1))
+
+    @property
+    def fig3(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        def at_least(k: int, threshold: int) -> int:
+            return sum(row.coincidence[k - 1] >= threshold for row in self.rows)
+
+        return tuple(
+            (k, *(at_least(k, thr) for thr in _FIG3_THRESHOLDS)) for k in range(1, self.top_n + 1)
+        )
 
 
 def run_evaluation(
@@ -128,54 +148,21 @@ def run_evaluation(
     hit = ranks <= top_n
     np.add.at(rank_hits, (known_cols[hit], ranks[hit] - 1), 1)
 
-    total_train = len(train_corpus)
-    total_eval = len(eval_corpus)
-    learned_eval_total = known_cols.size
+    # Scaling by the rounded reciprocal is the pinned form (100.0 * hits / ec can differ
+    # by one ulp). A method with no eval points has no hits, so its row is all 0.0.
+    coincidence = np.cumsum(rank_hits, axis=1) * (100.0 / np.maximum(eval_counts, 1))[:, None]
     train_counts = train_corpus.method_counts
-
-    rows = []
-    for t, name in enumerate(methods):
-        tc = train_counts[name]
-        ec = int(eval_counts[t])
-        if ec:
-            cumulative = np.cumsum(rank_hits[t]) * (100.0 / ec)
-            coincidence = tuple(cumulative.tolist())
-        else:
-            coincidence = (0.0,) * top_n
-        rows.append(
-            MethodEval(
-                method=name,
-                train_count=tc,
-                train_pct=100.0 * tc / total_train,
-                eval_count=ec,
-                eval_pct=(100.0 * ec / learned_eval_total) if learned_eval_total else 0.0,
-                coincidence=coincidence,
-            )
-        )
-    rows.sort(key=lambda r: (-r.train_count, r.method))
-
-    fig2 = tuple(
-        (rank, count)
-        for rank, count in enumerate(
-            sorted(train_counts.values(), reverse=True), start=1
-        )
+    learned = max(known_cols.size, 1)  # with no learned eval point every eval count is 0
+    rows = sorted(
+        (
+            MethodEval(name, train_counts[name], 100.0 * train_counts[name] / len(train_corpus),
+                       ec, 100.0 * ec / learned, tuple(series))
+            for name, ec, series in zip(methods, eval_counts.tolist(), coincidence.tolist())
+        ),
+        key=lambda r: (-r.train_count, r.method),
     )
-    fig3 = []
-    for k in range(1, top_n + 1):
-        at_k = [row.coincidence[k - 1] for row in rows]
-        fig3.append(
-            (k,)
-            + tuple(sum(1 for c in at_k if c >= thr) for thr in _FIG3_THRESHOLDS)
-        )
-
     report = EvaluationReport(
-        rows=tuple(rows),
-        unlearned=dict(sorted(unlearned.items())),
-        total_train=total_train,
-        total_eval=total_eval,
-        top_n=top_n,
-        fig2=fig2,
-        fig3=tuple(fig3),
+        tuple(rows), dict(sorted(unlearned.items())), len(train_corpus), len(eval_corpus), top_n
     )
     return model, report
 
@@ -194,65 +181,47 @@ def render_table(report: EvaluationReport) -> str:
     ]
     train_pcts = quantize_percents([row.train_pct for row in report.rows])
     eval_pcts = quantize_percents([row.eval_pct for row in report.rows])
-    body = []
-    for row, tp, ep in zip(report.rows, train_pcts, eval_pcts):
-        body.append(
-            [row.method, str(row.train_count), pct1(tp), str(row.eval_count), pct1(ep)]
-            + [pct0(c) for c in row.coincidence]
-        )
-    widths = [len(h) for h in headers]
-    for cells in body:
-        for i, cell in enumerate(cells):
-            widths[i] = max(widths[i], len(cell))
-    lines = []
+    body = [
+        [row.method, str(row.train_count), pct1(tp), str(row.eval_count), pct1(ep)]
+        + [pct0(c) for c in row.coincidence]
+        for row, tp, ep in zip(report.rows, train_pcts, eval_pcts)
+    ]
+    widths = [max(map(len, column)) for column in zip(headers, *body)]
 
     def fmt(cells: list[str]) -> str:
-        first = cells[0].ljust(widths[0])
-        rest = [cell.rjust(widths[i + 1]) for i, cell in enumerate(cells[1:])]
-        return ("  ".join([first] + rest)).rstrip()
+        rest = [cell.rjust(width) for cell, width in zip(cells[1:], widths[1:])]
+        return "  ".join([cells[0].ljust(widths[0])] + rest).rstrip()
 
-    lines.append(fmt(headers))
-    for cells in body:
-        lines.append(fmt(cells))
-    lines.append("")
-    lines.append(f"training points: {report.total_train}")
-    lines.append(f"evaluation points: {report.total_eval}")
-    lines.append(
+    summary = [
+        "",
+        f"training points: {report.total_train}",
+        f"evaluation points: {report.total_eval}",
         f"unlearned evaluation points: {sum(report.unlearned.values())}"
-        f" across {len(report.unlearned)} methods"
-    )
-    return "\n".join(lines) + "\n"
+        f" across {len(report.unlearned)} methods",
+    ]
+    return "\n".join([fmt(cells) for cells in [headers, *body]] + summary) + "\n"
+
+
+def _csv(header, rows) -> str:
+    """One comma-separated line per cell sequence; ``str`` of a float is its repr."""
+    return "".join(",".join(map(str, cells)) + "\n" for cells in [header, *rows])
 
 
 def render_csv(report: EvaluationReport) -> str:
     """Same rows as the table, full precision, comma-separated."""
     header = ["method", "training", "training_pct", "evaluation", "evaluation_pct"]
     header += [f"top{n}" for n in range(1, report.top_n + 1)]
-    lines = [",".join(header)]
-    for row in report.rows:
-        cells = [
-            row.method,
-            str(row.train_count),
-            repr(row.train_pct),
-            str(row.eval_count),
-            repr(row.eval_pct),
-        ]
-        cells += [repr(c) for c in row.coincidence]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return _csv(header, (
+        (row.method, row.train_count, row.train_pct, row.eval_count, row.eval_pct, *row.coincidence)
+        for row in report.rows
+    ))
 
 
 def render_fig2_csv(report: EvaluationReport) -> str:
     """Training-split usage by rank: how often the r-th most common method occurs."""
-    lines = ["rank,count"]
-    for rank, count in report.fig2:
-        lines.append(f"{rank},{count}")
-    return "\n".join(lines) + "\n"
+    return _csv(("rank", "count"), report.fig2)
 
 
 def render_fig3_csv(report: EvaluationReport) -> str:
     """Methods at or above 25/50/75/90 percent coincidence, per top-n cutoff."""
-    lines = ["k,ge25,ge50,ge75,ge90"]
-    for k, ge25, ge50, ge75, ge90 in report.fig3:
-        lines.append(f"{k},{ge25},{ge50},{ge75},{ge90}")
-    return "\n".join(lines) + "\n"
+    return _csv(("k", *(f"ge{thr}" for thr in _FIG3_THRESHOLDS)), report.fig3)

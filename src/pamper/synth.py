@@ -169,27 +169,19 @@ def generate(model: PlantedModel, n: int, seed: int) -> Corpus:
             f"{n} points of {model.feature_count} features do not fit in memory"
         ) from None
 
-    fallback_id = len(model.rules)
-    assigned = np.full(n, fallback_id, dtype=np.int64)
-    low = 0.0
-    for i, rule in enumerate(model.rules):
-        high = low + rule.weight
-        assigned[(membership_draws >= low) & (membership_draws < high)] = i
-        low = high
-
+    # Rule i takes the draws below the weights summed through rule i and not below
+    # those summed before it; the draws past every rule go to the fallback, the last part.
+    upper = np.cumsum([rule.weight for rule in model.rules])
+    assigned = np.searchsorted(upper, membership_draws, side="right")
     names = np.empty(n, dtype=object)
-    for i, rule in enumerate(model.rules):
+    parts = [(rule.distribution, rule.pattern) for rule in model.rules] + [(model.fallback, {})]
+    for i, (distribution, pattern) in enumerate(parts):
         members = assigned == i
         if not members.any():
             continue
-        names[members] = _sample_methods(rule.distribution, method_draws[members])
-        for index, want in rule.pattern.items():
+        names[members] = _sample_methods(distribution, method_draws[members])
+        for index, want in pattern.items():
             X[members, index] = 1 if want else 0
-    fallback_members = assigned == fallback_id
-    if fallback_members.any():
-        names[fallback_members] = _sample_methods(
-            model.fallback, method_draws[fallback_members]
-        )
     return Corpus(tuple(names.tolist()), X, model.feature_count)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -214,6 +215,42 @@ def test_evaluate_tiny_corpus(tmp_path, capsys):
     assert "training points: 1" in table
     assert "evaluation points: 1" in table
     capsys.readouterr()
+
+
+GOLDEN_CONFIG = """\
+features = 10
+noise = 0.05
+rule 0.3 : 0=1 -> simp:0.7, auto:0.3
+rule 0.2 : 1=1, 2=0 -> induct:0.8, blast:0.2
+rule 0.006 : 3=1 -> rare:1.0
+rule 0.004 : 4=1 -> lone:1.0
+fallback zipf 1.2 : auto simp blast force metis
+"""
+# sha256 of each output of the pipeline below; any byte drift in gen or evaluate fails here.
+# The split leaves "rare" with no evaluation points and "lone" unlearned.
+GOLDEN_DIGESTS = {
+    "db.txt": "b85bc8116348645915a64f1f6b6f49a3aee550fdc635605a9591236d71fd7e1b",
+    "stdout": "eefd0cbc74f224d0e2818334bd7cc0b62128445ec3df63e239519814d89e2b0b",
+    "report.txt": "29cb11bd25bbbf9f16a0484423d7a7cc74b4fa6fe77142d749a1502af6e73b1d",
+    "report.csv": "fa3e6ce02fe670d85d6db414bf58d6f9b4ce9bb16405c708465443db92a57949",
+    "fig2.csv": "178c75d4e247fc5892769eb19b350444861a0236f605a4cb49d796ed21cf3b79",
+    "fig3.csv": "5762980b5b173fdec395bb6443b43cc35173253976d8e66b8d39828fe000791d",
+}
+
+
+def test_gen_and_evaluate_bytes_are_pinned(tmp_path, capsys):
+    config = tmp_path / "planted.txt"
+    config.write_text(GOLDEN_CONFIG, encoding="utf-8")
+    db_path, out_dir = tmp_path / "db.txt", tmp_path / "reports"
+    assert main(["gen", str(config), "800", "11", "-o", str(db_path)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", str(db_path), "--fraction", "0.25", "--seed", "3",
+                 "--top", "4", "--out-dir", str(out_dir)]) == 0
+    stdout = capsys.readouterr().out.replace(str(out_dir), "<out>").encode()
+    outputs = {"db.txt": db_path.read_bytes(), "stdout": stdout}
+    for name in ("report.txt", "report.csv", "fig2.csv", "fig3.csv"):
+        outputs[name] = (out_dir / name).read_bytes()
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == GOLDEN_DIGESTS
 
 
 def test_prune_lists_used_features(tmp_path, model, capsys):
@@ -526,6 +563,24 @@ def test_evaluate_top_past_its_bound_exits_2(tmp_path, db, top):
     assert code == 2
     assert err == f"pamper: top_n must be at most max(15, methods) = 15, got {top}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "out, error",
+    [("{file}", "[Errno 17] File exists: '{file}'"),
+     ("{file}/x", "[Errno 20] Not a directory: '{file}/x'")],
+    ids=["file", "under-a-file"],
+)
+def test_evaluate_unusable_out_dir_exits_2_before_training(tmp_path, db, out, error, monkeypatch):
+    # The out-dir is checked before the database is read, so nothing is trained.
+    monkeypatch.setattr("pamper.evaluate.train", None)
+    file = tmp_path / "file"
+    file.write_text("a regular file\n", encoding="utf-8")
+    before = sorted(tmp_path.rglob("*"))
+    code, out_text, err = run_main(["evaluate", db, "--out-dir", out.format(file=file)])
+    assert (code, out_text) == (2, "")
+    assert err == f"pamper: {error.format(file=file)}\n"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("n", [str(10**18), str(2**63)])

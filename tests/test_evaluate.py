@@ -265,6 +265,7 @@ def test_fig3_consistent_with_rows():
             at_k = [row.coincidence[k - 1] for row in report.rows]
             want = [sum(1 for v in at_k if v >= thr) for thr in (25, 50, 75, 90)]
             assert cells == want
+        assert [count for _, count in report.fig2] == sorted(tr.method_counts.values(), reverse=True)
 
 
 def _golden_report() -> EvaluationReport:
@@ -278,8 +279,6 @@ def _golden_report() -> EvaluationReport:
         total_train=10,
         total_eval=5,
         top_n=2,
-        fig2=((1, 6), (2, 4)),
-        fig3=((1, 1, 0, 0, 0), (2, 2, 2, 1, 1)),
     )
 
 
