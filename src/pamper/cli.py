@@ -69,8 +69,14 @@ def _read_bytes(path: str) -> bytes:
         return handle.read()
 
 
+_REPORT_FILES = ("report.txt", "report.csv", "fig2.csv", "fig3.csv")
+
+
 def _check_out_dir(path: str) -> None:
-    """Raise the OSError that ``os.makedirs(path, exist_ok=True)`` would, creating nothing."""
+    """Raise the OSError that making ``path`` or writing a report in it would, creating nothing.
+
+    A report file that is a directory fails here, before any file is written.
+    """
     try:
         os.stat(path)
     except FileNotFoundError:
@@ -79,13 +85,16 @@ def _check_out_dir(path: str) -> None:
         raise
     if not os.path.isdir(path):
         raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), path)
+    for name in _REPORT_FILES:
+        target = Path(path) / name
+        if target.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
 
 
 def _attach_catalog(model: ModelSet, catalog_path: str | None) -> ModelSet:
     if catalog_path is None:
         return model
-    catalog = parse_feature_catalog(_read_bytes(catalog_path), model.feature_count)
-    return ModelSet(model.feature_count, dict(model.trees), catalog, model.max_depth)
+    return model.with_catalog(parse_feature_catalog(_read_bytes(catalog_path), model.feature_count))
 
 
 def _read_vectors(source: str, feature_count: int) -> np.ndarray:
@@ -171,10 +180,9 @@ def cmd_evaluate(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     out_dir = Path(args.out_dir)
     table = render_table(report)
-    (out_dir / "report.txt").write_text(table, encoding="utf-8", newline="\n")
-    (out_dir / "report.csv").write_text(render_csv(report), encoding="utf-8", newline="\n")
-    (out_dir / "fig2.csv").write_text(render_fig2_csv(report), encoding="utf-8", newline="\n")
-    (out_dir / "fig3.csv").write_text(render_fig3_csv(report), encoding="utf-8", newline="\n")
+    texts = (table, render_csv(report), render_fig2_csv(report), render_fig3_csv(report))
+    for name, text in zip(_REPORT_FILES, texts):
+        (out_dir / name).write_text(text, encoding="utf-8", newline="\n")
     print(table, end="")
     print(f"report files written to {out_dir}")
     return 0

@@ -63,6 +63,14 @@ def as_vector(v, feature_count: int | None = None) -> np.ndarray:
     return _checked_bits(v, 1, feature_count)
 
 
+def _method_column(model: ModelSet, method: str) -> int:
+    """The method's column in the model, which is also its tree's root slot in ``model.table``."""
+    column = model.columns.get(method)
+    if column is None:
+        raise UnknownMethodError(method)
+    return column
+
+
 def which_method(model: ModelSet, v, k: int = 15) -> Recommendation:
     """Top-k methods for one proof state; its ModelArena shares the model's node table."""
     return ModelArena(model).batch_which(as_vector(v, model.feature_count)[None, :], k)[0]
@@ -70,19 +78,17 @@ def which_method(model: ModelSet, v, k: int = 15) -> Recommendation:
 
 def rank_method(model: ModelSet, v, method: str) -> tuple[int, int]:
     """1-based rank of one method in the full ordering, plus the total."""
-    if method not in model.trees:
-        raise UnknownMethodError(method)
-    E = _descend(model.table, as_vector(v, model.feature_count)[None, :], len(model.trees))
-    return int(_ranks(E, np.array([list(model.trees).index(method)]))[0]), len(model.trees)
+    column = _method_column(model, method)
+    total = len(model.columns)
+    E = _descend(model.table, as_vector(v, model.feature_count)[None, :], total)
+    return int(_ranks(E, np.array([column]))[0]), total
 
 
 def why_method(model: ModelSet, v, method: str) -> Explanation:
     """Decision path the vector takes through one method's tree."""
-    if method not in model.trees:
-        raise UnknownMethodError(method)
+    slot = _method_column(model, method)
     feature, child, value, _ = model.table
     bits = as_vector(v, model.feature_count).tolist()
-    slot = list(model.trees).index(method)
     steps = []
     while child.item(2 * slot) != slot:
         index = feature.item(slot)

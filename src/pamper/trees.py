@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import os
 import re
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, NamedTuple, Union
 
@@ -92,39 +94,111 @@ class TreeStats(NamedTuple):
 class ModelSet:
     """All trained trees plus the bookkeeping queries need.
 
-    ``trees`` is keyed by method name and kept name-sorted; ``max_depth``
-    records the limit used at training time. A model is its model text: two
-    models are equal when ``model_to_text`` writes the same text for both
-    and their catalogs are equal. Only values that the writer prints as text
-    the loader reads back are admitted, and the walk that checks the trees
-    numbers their nodes once into ``table``, which every query steps (see
-    ``_check_trees``).
+    ``trees`` is a read-only mapping from method name to tree, name-sorted;
+    ``max_depth`` records the limit used at training time. A model is its
+    model text: two models are equal when ``model_to_text`` writes the same
+    text for both and their catalogs are equal. Only values that the writer
+    prints as text the loader reads back are admitted, and the walk that
+    checks the trees numbers their nodes once into ``table``, which every
+    query steps (see ``_check_trees``). ``model_from_text`` fills that table
+    straight from the text instead, and builds the ``Leaf`` / ``Internal``
+    nodes only when a caller first reads a tree.
     """
 
     feature_count: int
-    trees: dict[str, TreeNode]
+    trees: Mapping[str, TreeNode]
     catalog: FeatureCatalog = field(default_factory=lambda: EMPTY_CATALOG)
     max_depth: int = 5
     table: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        _check_int("feature_count", self.feature_count, 1)
-        if self.feature_count > np.iinfo(np.intp).max:  # the node table indexes features as intp
-            raise InvalidValueError(f"feature_count must fit a numpy intp, got {self.feature_count}")
-        _check_int("max_depth", self.max_depth, 1)
+        _check_header(self.feature_count, self.max_depth)
         ordered = dict(sorted(self.trees.items()))
         for name in ordered:
             if not METHOD_TOKEN.match(name):
                 raise ValueError(f"invalid method name: {name!r}")
-        table = _check_trees(ordered.values(), self.feature_count, self.max_depth)
+        roots = list(ordered.values())
+        table = _check_trees(roots, self.feature_count, self.max_depth)
         self.catalog.check_range(self.feature_count)
-        object.__setattr__(self, "trees", MappingProxyType(ordered))
+        object.__setattr__(self, "trees", _Trees(list(ordered), table, roots=roots))
         object.__setattr__(self, "table", table)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModelSet):
             return NotImplemented
         return model_to_text(self) == model_to_text(other) and self.catalog == other.catalog
+
+    @property
+    def columns(self) -> Mapping[str, int]:
+        """Method name -> its column: its root's slot in ``table`` and its ``ModelArena`` column."""
+        return self.trees.columns
+
+    def with_catalog(self, catalog: FeatureCatalog) -> ModelSet:
+        """This model with ``catalog``, sharing its trees and table; only the catalog is checked."""
+        catalog.check_range(self.feature_count)
+        return _assemble(self.feature_count, self.trees, catalog, self.max_depth)
+
+
+class _Trees(Mapping):
+    """A model's read-only name -> tree mapping over its node table.
+
+    Names, ``len`` and ``in`` come from the names alone. A model built from
+    node objects keeps them in ``roots``; a loaded one builds its nodes from
+    the table and the leaf counts, once, when a caller first reads a tree.
+    """
+
+    def __init__(
+        self, names: list, table: tuple, counts: list | None = None, roots: list | None = None
+    ):
+        self.columns = MappingProxyType(dict(zip(names, range(len(names)))))
+        self.table = table
+        self._counts = counts
+        self._roots = roots
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.columns)
+
+    def __contains__(self, name) -> bool:
+        return name in self.columns
+
+    def __getitem__(self, name: str) -> TreeNode:
+        if self._roots is None:
+            self._roots = _build_nodes(self.table, self._counts, len(self.columns))
+        return self._roots[self.columns[name]]
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
+def _assemble(feature_count: int, trees: _Trees, catalog, max_depth: int) -> ModelSet:
+    """A ModelSet over trees already checked against this header, without checking them again."""
+    model = object.__new__(ModelSet)
+    model.__dict__.update(
+        feature_count=feature_count, trees=trees, catalog=catalog, max_depth=max_depth,
+        table=trees.table,
+    )
+    return model
+
+
+def _build_nodes(table: tuple, counts: list[int], roots: int) -> list[TreeNode]:
+    """The first ``roots`` slots of a node table as trees, built in reverse slot order.
+
+    Children sit in later slots than their parent, so every child is built
+    before the node that holds it. ``counts`` holds each slot's leaf count.
+    """
+    features, children, values = (array.tolist() for array in table[:3])
+    nodes: list = [None] * len(features)
+    for slot in reversed(range(len(features))):
+        feature = features[slot]
+        if feature < 0:
+            nodes[slot] = Leaf(values[slot], counts[slot])
+        else:
+            when_false, when_true = nodes[children[2 * slot]], nodes[children[2 * slot + 1]]
+            nodes[slot] = Internal(feature, when_false, when_true)
+    return nodes[:roots]
 
 
 def _levels(roots: Iterable[TreeNode]) -> Iterator[list[TreeNode]]:
@@ -155,23 +229,26 @@ def _check_int(what: str, value, low: int) -> None:
         raise InvalidValueError(f"{what} must be a {kind} integer, got {value!r}")
 
 
+def _check_header(feature_count, max_depth) -> None:
+    """Raise InvalidValueError unless both are positive and the feature count fits an intp."""
+    _check_int("feature_count", feature_count, 1)
+    if feature_count > np.iinfo(np.intp).max:  # the node table indexes features as intp
+        raise InvalidValueError(f"feature_count must fit a numpy intp, got {feature_count}")
+    _check_int("max_depth", max_depth, 1)
+
+
 def _check_trees(roots: Collection[TreeNode], feature_count: int, max_depth: int) -> tuple:
     """Check that the trees fit the header and that their model text loads back to them.
 
     Nodes compare and hash by their text, so an expectation must be a Python
     ``float`` in [0, 1] (``np.float64`` prints as ``np.float64(...)``, and
     ``int`` or ``bool`` without a decimal point), and a count or feature index
-    an integer that ``_is_int`` admits. This runs on every model load, so
-    all trees share one level walk and exact types are tested inline first:
-    plain values cost one identity test each.
-
-    The walk also numbers the nodes level by level across every tree into
-    the read-only node table ``(feature, child, value, depth)``: the M roots
-    are slots ``0 .. M-1`` in order, and the i-th internal node's children
-    are slots ``M + 2i`` (bit clear) and ``M + 2i + 1`` (bit set), stored at
-    ``child[2*s]`` and ``child[2*s + 1]`` of its slot ``s``. A leaf has
-    ``feature`` -1, points both child slots at itself and holds its
-    expectation in ``value``; ``depth`` counts the levels below the roots.
+    an integer that ``_is_int`` admits. This runs when a ``ModelSet`` is
+    built from node objects, as ``train`` builds one; ``model_from_text``
+    does not call it, because its parser enforces the same rules. All trees
+    share one level walk, and exact types are tested inline first: plain
+    values cost one identity test each. The walk lists the nodes level by
+    level for ``_node_table``.
     """
     features, values = [], []
     depth = 0  # an empty model has no levels
@@ -199,11 +276,24 @@ def _check_trees(roots: Collection[TreeNode], feature_count: int, max_depth: int
                 values.append(0.0)
             else:
                 raise TypeError(f"not a tree node: {node!r}")
-    feature = np.array(features, dtype=np.intp)
+    feature, value = np.array(features, dtype=np.intp), np.array(values, dtype=np.float64)
+    return _node_table(feature, value, len(roots), depth)
+
+
+def _node_table(feature: np.ndarray, value: np.ndarray, roots: int, depth: int) -> tuple:
+    """The read-only node table ``(feature, child, value, depth)`` of nodes listed level by level.
+
+    The nodes come level by level across every tree, each level in tree
+    order and, within a tree, left to right. The ``roots`` roots are slots
+    ``0 .. roots-1``, and the i-th internal node's children are slots
+    ``roots + 2i`` (bit clear) and ``roots + 2i + 1`` (bit set), stored at
+    ``child[2*s]`` and ``child[2*s + 1]`` of its slot ``s``. A leaf has
+    ``feature`` -1, points both child slots at itself and holds its
+    expectation in ``value``; ``depth`` counts the levels below the roots.
+    """
     internal = feature >= 0
-    first = np.where(internal, len(roots) + 2 * (np.cumsum(internal) - 1), np.arange(feature.size))
+    first = np.where(internal, roots + 2 * (np.cumsum(internal) - 1), np.arange(feature.size))
     child = np.stack([first, first + internal], axis=1).reshape(-1)
-    value = np.array(values, dtype=np.float64)
     for array in (feature, child, value):
         array.setflags(write=False)
     return feature, child, value, depth
@@ -381,7 +471,7 @@ def _column(pieces: list[str], i: int, offset: int = 0) -> int:
     return sum(map(len, pieces[:i])) + i + offset + 1
 
 
-def _parse_tree(body: str, line_no: int, feature_count: int, max_depth: int) -> TreeNode:
+def _parse_tree(body: str, line_no: int, feature_count: int, max_depth: int) -> list:
     """Parse one tree body in a single pass, with an explicit stack.
 
     The grammar is ``node := "L(" expectation "," count ")"`` or
@@ -391,10 +481,15 @@ def _parse_tree(body: str, line_no: int, feature_count: int, max_depth: int) -> 
     number that holds ``(``, ``)`` or ``,`` converts, so cutting at the
     delimiters accepts exactly what scanning each number up to its own
     terminator would.
+
+    Returns one flat list with a row of four entries per node, in preorder:
+    the node's depth, its feature (-1 for a leaf), its expectation (0.0 for
+    an internal node) and its count (0 for an internal node).
     """
+    rows: list = []
     pieces = body.split(",")
     last = len(pieces) - 1
-    stack: list[list] = []  # open nodes as [feature, when_false or None], outermost first
+    stack: list[bool] = []  # open nodes, outermost first: True once their when_false branch is read
     i = 0
     while True:
         piece = pieces[i]
@@ -412,7 +507,8 @@ def _parse_tree(body: str, line_no: int, feature_count: int, max_depth: int) -> 
                 raise ModelParseError(
                     line_no, f"feature {feature} out of range for {feature_count} features"
                 )
-            stack.append([feature, None])
+            rows += (len(stack), feature, 0.0, 0)
+            stack.append(False)
             i += 1
             continue
         if head != "L(":
@@ -435,31 +531,35 @@ def _parse_tree(body: str, line_no: int, feature_count: int, max_depth: int) -> 
             raise ModelParseError(line_no, f"bad count: {token!r}") from None
         if count < 0:
             raise ModelParseError(line_no, "negative count")
-        node: TreeNode = Leaf(expectation, count)
+        rows += (len(stack), -1, expectation, count)
         junk = rest.lstrip(")")
         closes = len(rest) - len(junk)
         while stack:
-            top = stack[-1]
-            if top[1] is None:
+            if not stack[-1]:
                 if closes or junk or i == last:
                     raise ModelParseError(line_no, "expected ',' between branches")
-                top[1] = node
+                stack[-1] = True
                 break
             if not closes:
                 raise ModelParseError(line_no, "expected ')' to close branch")
             closes -= 1
             stack.pop()
-            node = Internal(top[0], top[1], node)
         else:
             if closes or junk or i != last:
                 column = _column(pieces, i, len(token) + 1 + len(rest) - len(junk) - closes)
                 raise ModelParseError(line_no, f"trailing characters at column {column}")
-            return node
+            return rows
         i += 1
 
 
 def model_from_text(text: str | bytes) -> ModelSet:
-    """Parse model text; raises ModelParseError with the offending line."""
+    """Parse model text; raises ModelParseError with the offending line.
+
+    The parser's rows fill the node table directly: taking the trees in name
+    order, one stable sort by depth lists every level in tree order and,
+    within a tree, in preorder, which is left to right. The nodes themselves
+    are built only when a caller reads ``trees``.
+    """
     text = decode_utf8(text, ModelParseError)
     lines = text.split("\n")
     match = _HEADER.match(lines[0].rstrip("\r"))
@@ -474,7 +574,7 @@ def model_from_text(text: str | bytes) -> ModelSet:
         raise ModelParseError(1, "feature count must be positive")
     if max_depth < 1:
         raise ModelParseError(1, "depth must be positive")
-    trees: dict[str, TreeNode] = {}
+    trees: dict[str, list] = {}
     for line_no, raw in enumerate(lines[1:], start=2):
         line = raw.rstrip("\r")
         if not line.strip():
@@ -487,7 +587,19 @@ def model_from_text(text: str | bytes) -> ModelSet:
         if name in trees:
             raise ModelParseError(line_no, f"duplicate method: {name}")
         trees[name] = _parse_tree(body, line_no, feature_count, max_depth)
-    return ModelSet(feature_count, trees, EMPTY_CATALOG, max_depth)
+    _check_header(feature_count, max_depth)  # the rules ModelSet applies, among them the intp bound
+    names = sorted(trees)
+    rows = list(chain.from_iterable(trees[name] for name in names))
+    depth = np.array(rows[0::4], dtype=np.intp)
+    order = np.argsort(depth, kind="stable")
+    table = _node_table(
+        np.array(rows[1::4], dtype=np.intp)[order],
+        np.array(rows[2::4], dtype=np.float64)[order],
+        len(names),
+        int(depth.max(initial=0)),
+    )
+    counts = [rows[4 * row + 3] for row in order.tolist()]
+    return _assemble(feature_count, _Trees(names, table, counts), EMPTY_CATALOG, max_depth)
 
 
 def save_model(model: ModelSet, sink) -> None:

@@ -6,8 +6,10 @@ identity in every module namespace, and its ``finish`` calls
 commands in-process under that tracer and checks that the spans behind the
 benchmark's four exact counts (``kernels.node_counts.calls``,
 ``recommend.ModelArena.expectations.rows``, ``trees.nodes`` and
-``trees.leaves``) are recorded, so a change that breaks the tracer fails
-here in about a second rather than only in a traced benchmark run.
+``trees.leaves``) and behind the per-query model load
+(``trees.model_from_text``) are recorded, so a change that breaks the
+tracer fails here in about a second rather than only in a traced
+benchmark run.
 """
 import importlib.util
 from pathlib import Path
@@ -89,3 +91,6 @@ def test_tracer_records_the_spans_behind_the_exact_counts(tmp_path, capsys, monk
     assert rows == {"cli.cmd_which": 1, "cli.cmd_evaluate": 15}
     for name in ("recommend.rank_method", "recommend.why_method", "recommend.ModelArena.batch_rank"):
         assert named(name), name
+    # query-cli reports the model load of every request as trees.model_from_text.
+    loads = {_command_of(span, by_id) for span in named("trees.model_from_text")}
+    assert {"cli.cmd_which", "cli.cmd_why", "cli.cmd_rank"} <= loads

@@ -583,6 +583,36 @@ def test_evaluate_unusable_out_dir_exits_2_before_training(tmp_path, db, out, er
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("name", ["report.txt", "report.csv", "fig2.csv", "fig3.csv"])
+def test_evaluate_report_file_that_is_a_directory_exits_2_before_reading(
+    tmp_path, db, name, monkeypatch
+):
+    # Checked before the database is read, so no report file is half written.
+    monkeypatch.setattr("pamper.cli.parse_database", None)
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    code, out_text, err = run_main(["evaluate", db, "--out-dir", f"{out}/"])
+    assert (code, out_text) == (2, "")
+    assert err == f"pamper: [Errno 21] Is a directory: '{out / name}'\n"
+    assert sorted(path.name for path in out.iterdir()) == [name]
+
+
+def test_catalog_commands_build_no_tree_node(tmp_path, model, capsys, monkeypatch):
+    # The model with the catalog shares the loaded node table.
+    catalog = tmp_path / "catalog.txt"
+    catalog.write_text("0\tthe goal is an equation\n", encoding="utf-8")
+
+    def built(*args):
+        raise AssertionError(f"a tree node was built: {args!r}")
+
+    monkeypatch.setattr("pamper.trees.Leaf", built)
+    monkeypatch.setattr("pamper.trees.Internal", built)
+    assert main(["why", model, "[1,0]", "simp", "--catalog", str(catalog)]) == 0
+    assert capsys.readouterr().out == "Because the goal is an equation.\n"
+    assert main(["prune", model, "--catalog", str(catalog)]) == 0
+    assert capsys.readouterr().out == "0\tthe goal is an equation\n"
+
+
 @pytest.mark.parametrize("n", [str(10**18), str(2**63)])
 def test_gen_with_too_many_points_exits_2(tmp_path, n):
     config = tmp_path / "planted.txt"

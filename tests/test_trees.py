@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pamper import trees
 from pamper.corpus import Corpus, FeatureCatalog, parse_database
@@ -31,6 +33,7 @@ from pamper.trees import (
     used_features,
 )
 
+from cli_helpers import run_main
 from oracles import (
     brute_force_best_split,
     leaf_regions,
@@ -531,3 +534,147 @@ def test_trained_model_survives_round_trip():
     c = parse_database("a, [1,0]\na, [1,1]\nb, [0,1]\nb, [0,0]\nb, [1,1]\n")
     model = train(c)
     assert model_from_text(model_to_text(model)) == model
+
+
+# --- loading straight into the node table ---
+
+H1 = "pamper-model v1 features=1 depth=1\n"
+H2 = "pamper-model v1 features=2 depth=2\n"
+
+
+@pytest.mark.parametrize(
+    "text,line_no,message",
+    [
+        ("not a header\n", 1, "bad header, expected 'pamper-model v1 features=<F> depth=<D>'"),
+        ("pamper-model v1 features=0 depth=1\n", 1, "feature count must be positive"),
+        ("pamper-model v1 features=1 depth=0\n", 1, "depth must be positive"),
+        ("pamper-model v1 features=" + "9" * 5000 + " depth=1\n", 1, "header number too long"),
+        (H1 + "m N(0,L(0,1),L(1,1))\n", 2, "expected '<method><TAB><tree>'"),
+        (H1 + "bad name\tL(1,1)\n", 2, "invalid method name: 'bad name'"),
+        (H1 + "a\tL(1,1)\na\tL(1,1)\n", 3, "duplicate method: a"),
+        (H1 + "m\tN(0,N(0,L(0,1),L(1,1)),L(1,1))\n", 2, "tree deeper than declared depth 1"),
+        (H1 + "m\tN(0\n", 2, "missing ',' after feature"),
+        (H1 + "m\tN(0L(0,1),L(1,1))\n", 2, "bad feature index: '0L(0'"),
+        (H1 + "m\tN(3,L(0,1),L(1,1))\n", 2, "feature 3 out of range for 1 features"),
+        (H1 + "m\tN(0,,L(0,1),L(1,1))\n", 2, "expected node at column 5"),
+        (H1 + "m\tL(0.5\n", 2, "missing ',' after expectation"),
+        (H1 + "m\tL(0.5(,1)\n", 2, "bad expectation: '0.5('"),
+        (H1 + "m\tL(2,1)\n", 2, "expectation 2 outside [0, 1]"),
+        (H1 + "m\tL(nan,1)\n", 2, "expectation nan outside [0, 1]"),
+        (H1 + "m\tL(0.5,1\n", 2, "missing ')' after count"),
+        (H1 + "m\tL(0.5,x)\n", 2, "bad count: 'x'"),
+        (H1 + "m\tL(0.5,-1)\n", 2, "negative count"),
+        (H1 + "m\tN(0,L(0,2)\n", 2, "expected ',' between branches"),
+        (H1 + "m\tN(0,L(0,1)),L(1,1))\n", 2, "expected ',' between branches"),
+        (H1 + "m\tN(0,L(0,1),L(1,1)\n", 2, "expected ')' to close branch"),
+        (H1 + "m\tL(0.5,1)x\n", 2, "trailing characters at column 9"),
+        (H2 + "m\tL(1,1)\nn\tN(0,L(0,1),L(1,1))),\n", 3, "trailing characters at column 19"),
+        (H1.encode() + b"a\tL(1,1)\nb\tL(\xff,1)\n", 3, "not valid UTF-8 (byte 0xff)"),
+    ],
+)
+def test_model_parse_error_messages(text, line_no, message):
+    with pytest.raises(ModelParseError) as info:
+        model_from_text(text)
+    assert (info.value.line_no, str(info.value)) == (line_no, f"line {line_no}: {message}")
+
+
+METHOD_NAMES = ("simp", "auto", "blast", "co-auto", "m042", "Z9", "x'", "a.b", "_")
+# Counts past 2**64 fit no numpy integer, so they round-trip only as Python ints.
+COUNTS = st.one_of(st.integers(0, 60), st.integers(2**64, 2**80))
+EXPECTATIONS = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def node_models(draw):
+    """A ModelSet of random node trees; some trees are chains exactly as deep as the limit."""
+    feature_count = draw(st.integers(1, 6))
+    features = st.integers(0, feature_count - 1)
+    leaves = st.builds(Leaf, EXPECTATIONS, COUNTS)
+    shapes = st.recursive(
+        leaves, lambda below: st.builds(Internal, features, below, below), max_leaves=12
+    )
+    names = draw(st.lists(st.sampled_from(METHOD_NAMES), unique=True, max_size=6))
+    chained = draw(st.sets(st.sampled_from(names))) if names else set()
+    chain_depth = draw(st.integers(1, 40))
+    model = {}
+    for name in names:
+        if name in chained:
+            node = draw(leaves)
+            for _ in range(chain_depth):
+                pair = (node, draw(leaves))
+                node = Internal(draw(features), *(pair[::-1] if draw(st.booleans()) else pair))
+        else:
+            node = draw(shapes)
+        model[name] = node
+    deepest = max((tree_stats(tree).depth for tree in model.values()), default=0)
+    max_depth = max(1, deepest) + draw(st.integers(0, 1))
+    return ModelSet(feature_count, model, max_depth=max_depth)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(node_models())
+def test_loader_fills_the_table_that_checking_the_nodes_numbers(model):
+    text = model_to_text(model)
+    header, *lines = text.splitlines(keepends=True)
+    # The loader takes the trees in name order, whatever their order in the file.
+    for source in (text, header + "".join(reversed(lines))):
+        loaded = model_from_text(source)
+        *arrays, depth = loaded.table
+        *want, want_depth = model.table
+        assert depth == want_depth
+        for got, expected in zip(arrays, want):
+            assert got.dtype == expected.dtype and not got.flags.writeable
+            # Compared as bits, so that -0.0 and 0.0 differ.
+            assert got.tobytes() == expected.tobytes()
+        assert list(loaded.trees) == list(model.trees)
+        assert dict(loaded.trees) == dict(model.trees)
+        assert model_to_text(loaded) == text
+
+
+def test_loaded_trees_are_built_once_on_first_read(monkeypatch):
+    text = H2 + "b\tN(1,L(0.5,3),L(1.0,18446744073709551616))\na\tL(0.0,2)\n"
+    built = []
+    leaf = trees.Leaf
+    monkeypatch.setattr(trees, "Leaf", lambda *args: built.append(args) or leaf(*args))
+    model = model_from_text(text)
+    assert (list(model.trees), len(model.trees), "a" in model.trees, "c" in model.trees) == (
+        ["a", "b"], 2, True, False,
+    )
+    assert built == []
+    first = model.trees["b"]
+    assert first.when_true.count == 2**64
+    assert model.trees["b"] is first and dict(model.trees)["b"] is first
+    assert len(built) == 3
+    assert model.columns == {"a": 0, "b": 1}
+
+
+def test_queries_build_no_tree_node(tmp_path, monkeypatch):
+    model = random_model(np.random.default_rng(4))
+    path = tmp_path / "model.txt"
+    save_model(model, path)
+    rng = np.random.default_rng(5)
+    rows = rng.integers(0, 2, (30, model.feature_count)).tolist()
+    literal = "[" + ",".join(map(str, rows[0])) + "]"
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("".join("[" + ",".join(map(str, r)) + "]\n" for r in rows), encoding="utf-8")
+    method = list(model.trees)[-1]
+
+    def built(*args):
+        raise AssertionError(f"a tree node was built: {args!r}")
+
+    monkeypatch.setattr(trees, "Leaf", built)
+    monkeypatch.setattr(trees, "Internal", built)
+    loaded = load_model(path)
+    assert loaded.table[0].size == model.table[0].size
+    for vector in (literal, str(vectors)):
+        for argv in (
+            ["which", str(path), vector],
+            ["which", str(path), vector, "--json"],
+            ["why", str(path), vector, method],
+            ["why", str(path), vector, method, "--json"],
+            ["rank", str(path), vector, method],
+            ["rank", str(path), vector, method, "--json"],
+        ):
+            code, out, err = run_main(argv)
+            assert (code, err) == (0, ""), argv
+            assert out
