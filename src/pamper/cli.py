@@ -55,10 +55,10 @@ from .synth import generate, parse_planted_config
 from .trees import (
     ModelSet,
     TrainConfig,
+    _row_stats,
     load_model,
     save_model,
     train,
-    tree_stats,
     used_features,
 )
 
@@ -112,8 +112,8 @@ def _print_model_summary(model: ModelSet, points: int | None = None) -> None:
         counts += f"  points: {points}"
     counts += f"  features: {model.feature_count}  depth limit: {model.max_depth}"
     print(counts)
-    for name, tree in model.trees.items():
-        stats = tree_stats(tree)
+    for name, rows in zip(model.trees, model.trees.rows):
+        stats = _row_stats(rows)
         print(f"  {name}: depth={stats.depth} splits={stats.internal} leaves={stats.leaves}")
 
 

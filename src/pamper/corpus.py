@@ -39,9 +39,11 @@ from .errors import (
     DuplicateIndexError,
     EmptyDatabaseError,
     InconsistentWidthError,
+    InvalidValueError,
     MalformedLineError,
     PamperError,
     VectorWidthMismatchError,
+    _is_int,
     decode_utf8,
 )
 
@@ -62,6 +64,10 @@ class Corpus:
     feature_count: int
 
     def __post_init__(self):
+        if not _is_int(self.feature_count):
+            raise InvalidValueError(f"feature count must be an integer, got {self.feature_count!r}")
+        if self.feature_count < 1:
+            raise InvalidValueError("feature count must be positive")
         X = self.features
         if not (
             isinstance(X, np.ndarray)
@@ -72,8 +78,6 @@ class Corpus:
             X = np.ascontiguousarray(X, dtype=np.uint8)
             if X.ndim != 2:
                 raise ValueError("features must be a 2-D array")
-        if self.feature_count < 1:
-            raise ValueError("feature count must be positive")
         if X.shape != (len(self.method_names), self.feature_count):
             raise ValueError(
                 f"features shape {X.shape} does not match "

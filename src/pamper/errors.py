@@ -8,6 +8,8 @@ value out of its parameter's range raises InvalidValueError, also a ValueError.
 """
 from __future__ import annotations
 
+import numpy as np
+
 
 class PamperError(Exception):
     """Base class for all errors raised by this package."""
@@ -30,6 +32,18 @@ class InvalidValueError(_LineError, ValueError):
 
     def __init__(self, reason: str):
         super().__init__(None, reason)
+
+
+def _is_int(value) -> bool:
+    """An integer that the writer prints as digits: an ``int`` or numpy integer, not a ``bool``."""
+    return type(value) is int or isinstance(value, np.integer)
+
+
+def _check_int(what: str, value, low: int) -> None:
+    """Raise InvalidValueError unless ``value`` is an ``_is_int`` integer >= ``low`` (0 or 1)."""
+    if not _is_int(value) or value < low:
+        kind = "positive" if low else "nonnegative"
+        raise InvalidValueError(f"{what} must be a {kind} integer, got {value!r}")
 
 
 class MalformedLineError(_LineError):

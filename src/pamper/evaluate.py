@@ -22,9 +22,10 @@ from .errors import (
     NoEvalPointsError,
     NoTrainPointsError,
     PamperError,
+    _check_int,
 )
 from .recommend import ModelArena
-from .trees import ModelSet, TrainConfig, _check_int, train
+from .trees import ModelSet, TrainConfig, train
 
 _FIG3_THRESHOLDS = (25, 50, 75, 90)
 

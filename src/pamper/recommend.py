@@ -14,8 +14,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._format import sig4
-from .errors import UnknownMethodError, VectorWidthMismatchError
-from .trees import ModelSet, _check_int
+from .errors import UnknownMethodError, VectorWidthMismatchError, _check_int
+from .trees import ModelSet
 
 
 @dataclass(frozen=True)

@@ -38,8 +38,9 @@ from .errors import (
     InvalidValueError,
     PamperError,
     PlantedConfigError,
+    _check_int,
+    _is_int,
 )
-from .trees import _check_int
 
 _SUM_TOL = 1e-9
 
@@ -83,6 +84,9 @@ class PlantedModel:
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
         object.__setattr__(self, "fallback", MappingProxyType(dict(self.fallback)))
+        if not _is_int(self.feature_count):
+            reason = f"feature count must be an integer, got {self.feature_count!r}"
+            raise _of("features", InvalidValueError(reason))
         if self.feature_count < 1:
             raise _of("features", InvalidValueError("feature count must be positive"))
         if not 0.0 <= self.noise <= 1.0:

@@ -22,36 +22,43 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain
 from types import MappingProxyType
-from typing import Collection, Iterable, Iterator, NamedTuple, Union
+from typing import Iterator, NamedTuple, Union
 
 import numpy as np
 
 from . import _kernels
 from .corpus import EMPTY_CATALOG, METHOD_TOKEN, Corpus, FeatureCatalog
-from .errors import EmptyDatasetError, InvalidValueError, ModelParseError, PamperError, decode_utf8
+from .errors import (
+    EmptyDatasetError,
+    InvalidValueError,
+    ModelParseError,
+    PamperError,
+    _check_int,
+    _is_int,
+    decode_utf8,
+)
 from .preprocess import BinaryDataset, single_target_split
 
 
 class _Node:
     """A tree node is its model text: equality, hash and repr all go through it.
 
-    Two nodes are equal when ``_format_tree`` writes the same text for them,
-    and a node hashes like its text, so the writer is the only encoding of a
-    tree. The text is exact for every node ``ModelSet`` admits (see
-    ``_check_trees``). ``_format_tree`` is iterative, so trees of any depth
-    compare, hash and print without recursion.
+    The writer prints the node's preorder rows (``_node_rows``), so it is the
+    only encoding of a tree. It also prints nodes that ``ModelSet`` rejects,
+    such as ``Internal(-1, ...)``, and is exact for every node it admits.
+    Both are iterative, so trees of any depth compare, hash and print.
     """
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, _Node):
             return NotImplemented
-        return _format_tree(self) == _format_tree(other)
+        return repr(self) == repr(other)
 
     def __hash__(self) -> int:
-        return hash(_format_tree(self))
+        return hash(repr(self))
 
     def __repr__(self) -> str:
-        return _format_tree(self)
+        return _tree_text(_node_rows(self))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -97,12 +104,11 @@ class ModelSet:
     ``trees`` is a read-only mapping from method name to tree, name-sorted;
     ``max_depth`` records the limit used at training time. A model is its
     model text: two models are equal when ``model_to_text`` writes the same
-    text for both and their catalogs are equal. Only values that the writer
-    prints as text the loader reads back are admitted, and the walk that
-    checks the trees numbers their nodes once into ``table``, which every
-    query steps (see ``_check_trees``). ``model_from_text`` fills that table
-    straight from the text instead, and builds the ``Leaf`` / ``Internal``
-    nodes only when a caller first reads a tree.
+    text for both and their catalogs are equal. Every model is stored as its
+    trees' preorder rows: given nodes, as ``train`` gives them, are read into
+    rows and admitted only if the writer prints them as text the loader
+    reads back (``_check_rows``), and ``model_from_text`` parses into rows.
+    The rows are numbered once into ``table``, which every query steps.
     """
 
     feature_count: int
@@ -113,15 +119,16 @@ class ModelSet:
 
     def __post_init__(self):
         _check_header(self.feature_count, self.max_depth)
-        ordered = dict(sorted(self.trees.items()))
-        for name in ordered:
+        rows = {}
+        for name, tree in sorted(self.trees.items()):
             if not METHOD_TOKEN.match(name):
                 raise ValueError(f"invalid method name: {name!r}")
-        roots = list(ordered.values())
-        table = _check_trees(roots, self.feature_count, self.max_depth)
+            rows[name] = _node_rows(tree)
+            _check_rows(rows[name], self.feature_count, self.max_depth)
         self.catalog.check_range(self.feature_count)
-        object.__setattr__(self, "trees", _Trees(list(ordered), table, roots=roots))
-        object.__setattr__(self, "table", table)
+        trees = _Trees(rows)
+        object.__setattr__(self, "trees", trees)
+        object.__setattr__(self, "table", trees.table)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModelSet):
@@ -140,20 +147,20 @@ class ModelSet:
 
 
 class _Trees(Mapping):
-    """A model's read-only name -> tree mapping over its node table.
+    """A model's read-only name -> tree mapping over its trees' preorder rows.
 
-    Names, ``len`` and ``in`` come from the names alone. A model built from
-    node objects keeps them in ``roots``; a loaded one builds its nodes from
-    the table and the leaf counts, once, when a caller first reads a tree.
+    ``rows`` lists each tree's flat rows in name order, and ``table``
+    numbers them. Names, ``len`` and ``in`` come from the names alone; the
+    ``Leaf`` / ``Internal`` nodes are built from the rows, once, when a
+    caller first reads a tree.
     """
 
-    def __init__(
-        self, names: list, table: tuple, counts: list | None = None, roots: list | None = None
-    ):
+    def __init__(self, rows: dict):
+        names = sorted(rows)
         self.columns = MappingProxyType(dict(zip(names, range(len(names)))))
-        self.table = table
-        self._counts = counts
-        self._roots = roots
+        self.rows = [rows[name] for name in names]
+        self.table = _node_table(self.rows)
+        self._roots = None
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -166,7 +173,7 @@ class _Trees(Mapping):
 
     def __getitem__(self, name: str) -> TreeNode:
         if self._roots is None:
-            self._roots = _build_nodes(self.table, self._counts, len(self.columns))
+            self._roots = [_tree_from_rows(tree) for tree in self.rows]
         return self._roots[self.columns[name]]
 
     def __repr__(self) -> str:
@@ -183,50 +190,39 @@ def _assemble(feature_count: int, trees: _Trees, catalog, max_depth: int) -> Mod
     return model
 
 
-def _build_nodes(table: tuple, counts: list[int], roots: int) -> list[TreeNode]:
-    """The first ``roots`` slots of a node table as trees, built in reverse slot order.
+def _node_rows(tree: TreeNode) -> list:
+    """One tree's preorder rows, as ``_parse_tree`` writes them, read off its nodes unchecked.
 
-    Children sit in later slots than their parent, so every child is built
-    before the node that holds it. ``counts`` holds each slot's leaf count.
+    Each node adds its depth, feature (-1 for a leaf), expectation (0.0 for
+    an internal node) and count (0 for an internal node).
     """
-    features, children, values = (array.tolist() for array in table[:3])
-    nodes: list = [None] * len(features)
-    for slot in reversed(range(len(features))):
-        feature = features[slot]
-        if feature < 0:
-            nodes[slot] = Leaf(values[slot], counts[slot])
+    rows: list = []
+    todo = [(tree, 0)]
+    while todo:
+        node, depth = todo.pop()
+        if isinstance(node, Internal):
+            rows += (depth, node.feature, 0.0, 0)
+            todo += ((node.when_true, depth + 1), (node.when_false, depth + 1))
+        elif isinstance(node, Leaf):
+            rows += (depth, -1, node.expectation, node.count)
         else:
-            when_false, when_true = nodes[children[2 * slot]], nodes[children[2 * slot + 1]]
-            nodes[slot] = Internal(feature, when_false, when_true)
-    return nodes[:roots]
+            raise TypeError(f"not a tree node: {node!r}")
+    return rows
 
 
-def _levels(roots: Iterable[TreeNode]) -> Iterator[list[TreeNode]]:
-    """Yield ``roots``, then their children, and so on, one level at a time.
+def _tree_from_rows(rows: list) -> TreeNode:
+    """One tree's ``Leaf`` / ``Internal`` nodes, built from its checked rows in reverse preorder.
 
-    Each level lists the children of the level above in order, the
-    ``when_false`` child before the ``when_true`` child.
+    Both subtrees of a node follow its row, so each is built before the node
+    that holds it; the ``when_false`` subtree is then on top of the stack.
     """
-    level = list(roots)
-    while level:
-        yield level
-        below: list[TreeNode] = []
-        for node in level:
-            if isinstance(node, Internal):
-                below += (node.when_false, node.when_true)
-        level = below
-
-
-def _is_int(value) -> bool:
-    """An integer that the writer prints as digits: an ``int`` or numpy integer, not a ``bool``."""
-    return type(value) is int or isinstance(value, np.integer)
-
-
-def _check_int(what: str, value, low: int) -> None:
-    """Raise InvalidValueError unless ``value`` is an ``_is_int`` integer >= ``low`` (0 or 1)."""
-    if not _is_int(value) or value < low:
-        kind = "positive" if low else "nonnegative"
-        raise InvalidValueError(f"{what} must be a {kind} integer, got {value!r}")
+    done: list = []
+    for feature, value, count in zip(rows[-3::-4], rows[-2::-4], rows[-1::-4]):
+        if feature < 0:
+            done.append(Leaf(value, count))
+        else:
+            done.append(Internal(feature, done.pop(), done.pop()))
+    return done.pop()
 
 
 def _check_header(feature_count, max_depth) -> None:
@@ -237,66 +233,55 @@ def _check_header(feature_count, max_depth) -> None:
     _check_int("max_depth", max_depth, 1)
 
 
-def _check_trees(roots: Collection[TreeNode], feature_count: int, max_depth: int) -> tuple:
-    """Check that the trees fit the header and that their model text loads back to them.
+def _check_rows(rows: list, feature_count: int, max_depth: int) -> None:
+    """Check that one tree's rows fit the header and that their model text loads back to them.
 
-    Nodes compare and hash by their text, so an expectation must be a Python
-    ``float`` in [0, 1] (``np.float64`` prints as ``np.float64(...)``, and
-    ``int`` or ``bool`` without a decimal point), and a count or feature index
-    an integer that ``_is_int`` admits. This runs when a ``ModelSet`` is
-    built from node objects, as ``train`` builds one; ``model_from_text``
-    does not call it, because its parser enforces the same rules. All trees
-    share one level walk, and exact types are tested inline first: plain
-    values cost one identity test each. The walk lists the nodes level by
-    level for ``_node_table``.
+    An expectation must be a Python ``float`` in [0, 1] (``np.float64``
+    prints as ``np.float64(...)``, and ``int`` or ``bool`` without a decimal
+    point), and a count or feature index an integer that ``_is_int`` admits.
+    As in the writer, a row is an internal node when the next row is deeper.
+    Plain values cost one identity test each. The parser enforces the same
+    rules, so ``model_from_text`` does not call this.
     """
-    features, values = [], []
-    depth = 0  # an empty model has no levels
-    for depth, level in enumerate(_levels(roots)):
-        for node in level:
-            if isinstance(node, Leaf):
-                expectation, count = node.expectation, node.count
-                if type(expectation) is not float or not 0.0 <= expectation <= 1.0:
-                    raise ValueError(f"expectation must be a float in [0, 1], got {expectation!r}")
-                if not (type(count) is int or _is_int(count)) or count < 0:
-                    raise ValueError(f"count must be a nonnegative int, got {count!r}")
-                features.append(-1)
-                values.append(expectation)
-            elif isinstance(node, Internal):
-                if depth >= max_depth:
-                    raise ValueError(f"tree exceeds depth limit {max_depth}")
-                feature = node.feature
-                if not (type(feature) is int or _is_int(feature)) or not (
-                    0 <= feature < feature_count
-                ):
-                    raise ValueError(
-                        f"feature must be an int in [0, {feature_count}), got {feature!r}"
-                    )
-                features.append(feature)
-                values.append(0.0)
-            else:
-                raise TypeError(f"not a tree node: {node!r}")
-    feature, value = np.array(features, dtype=np.intp), np.array(values, dtype=np.float64)
-    return _node_table(feature, value, len(roots), depth)
+    depths = rows[0::4]
+    for depth, feature, expectation, count, below in zip(
+        depths, rows[1::4], rows[2::4], rows[3::4], depths[1:] + [0]
+    ):
+        if below > depth:
+            if depth >= max_depth:
+                raise ValueError(f"tree exceeds depth limit {max_depth}")
+            if not (type(feature) is int or _is_int(feature)) or not 0 <= feature < feature_count:
+                raise ValueError(f"feature must be an int in [0, {feature_count}), got {feature!r}")
+            continue
+        if type(expectation) is not float or not 0.0 <= expectation <= 1.0:
+            raise ValueError(f"expectation must be a float in [0, 1], got {expectation!r}")
+        if not (type(count) is int or _is_int(count)) or count < 0:
+            raise ValueError(f"count must be a nonnegative int, got {count!r}")
 
 
-def _node_table(feature: np.ndarray, value: np.ndarray, roots: int, depth: int) -> tuple:
-    """The read-only node table ``(feature, child, value, depth)`` of nodes listed level by level.
+def _node_table(rows: list) -> tuple:
+    """Number each tree's preorder rows into one read-only table ``(feature, child, value, depth)``.
 
-    The nodes come level by level across every tree, each level in tree
-    order and, within a tree, left to right. The ``roots`` roots are slots
-    ``0 .. roots-1``, and the i-th internal node's children are slots
-    ``roots + 2i`` (bit clear) and ``roots + 2i + 1`` (bit set), stored at
-    ``child[2*s]`` and ``child[2*s + 1]`` of its slot ``s``. A leaf has
-    ``feature`` -1, points both child slots at itself and holds its
-    expectation in ``value``; ``depth`` counts the levels below the roots.
+    One stable sort by depth lists the nodes level by level across the
+    trees, each level in tree order and, within a tree, in preorder, which
+    is left to right. The roots are slots ``0 .. len(rows)-1``; the i-th
+    internal node's children are slots ``len(rows) + 2i`` (bit clear) and
+    ``len(rows) + 2i + 1`` (bit set), stored at ``child[2*s]`` and
+    ``child[2*s + 1]`` of its slot ``s``. A leaf has ``feature`` -1, points
+    both child slots at itself and holds its expectation in ``value``;
+    ``depth`` counts the levels below the roots.
     """
+    flat = list(chain.from_iterable(rows))
+    depths = np.array(flat[0::4], dtype=np.intp)
+    order = np.argsort(depths, kind="stable")
+    feature = np.array(flat[1::4], dtype=np.intp)[order]
+    value = np.array(flat[2::4], dtype=np.float64)[order]
     internal = feature >= 0
-    first = np.where(internal, roots + 2 * (np.cumsum(internal) - 1), np.arange(feature.size))
+    first = np.where(internal, len(rows) + 2 * (np.cumsum(internal) - 1), np.arange(feature.size))
     child = np.stack([first, first + internal], axis=1).reshape(-1)
     for array in (feature, child, value):
         array.setflags(write=False)
-    return feature, child, value, depth
+    return feature, child, value, int(depths.max(initial=0))
 
 
 def _choose_split(n_true, pos_true, n, pos):
@@ -419,37 +404,34 @@ def used_features(model: ModelSet) -> set[int]:
 
 def tree_stats(tree: TreeNode) -> TreeStats:
     """Internal-node count, leaf count, and depth of one tree."""
-    internal = leaves = 0
-    for depth, level in enumerate(_levels([tree])):
-        branching = sum(isinstance(node, Internal) for node in level)
-        internal += branching
-        leaves += len(level) - branching
-    return TreeStats(internal, leaves, depth)
+    return _row_stats(_node_rows(tree))
+
+
+def _row_stats(rows: list) -> TreeStats:
+    """``tree_stats`` of one tree's rows: a binary tree has one more leaf than it has splits."""
+    internal = len(rows) // 8  # four entries per node, 2 * internal + 1 nodes
+    return TreeStats(internal, internal + 1, max(rows[0::4]))
 
 
 _HEADER = re.compile(r"pamper-model v1 features=(\d+) depth=(\d+)\s*$")
 
 
-def _format_tree(tree: TreeNode) -> str:
-    out: list[str] = []
-    todo: list = []  # when_true branches still to write, each above a None closing its parent
-    node = tree
-    while True:
-        if isinstance(node, Internal):
-            out.append(f"N({node.feature},")
-            todo.append(None)
-            todo.append(node.when_true)
-            node = node.when_false
-            continue
-        out.append(f"L({node.expectation!r},{node.count})")
-        while todo:
-            node = todo.pop()
-            if node is not None:
-                out.append(",")
-                break
-            out.append(")")
-        else:
-            return "".join(out)
+def _tree_text(rows: list) -> str:
+    """One tree's model text, written from its preorder rows.
+
+    A row is an internal node when the next row is deeper, and a leaf
+    otherwise. After a leaf, one ``)`` closes each level that the next row
+    climbs, and a ``,`` starts the ``when_true`` branch that the next row
+    opens; after the last leaf, every open node closes.
+    """
+    depths = rows[0::4]
+    return "".join([
+        f"N({feature}," if below > depth
+        else f"L({expectation!r},{count}){')' * (depth - below)}{',' if below else ''}"
+        for depth, feature, expectation, count, below in zip(
+            depths, rows[1::4], rows[2::4], rows[3::4], depths[1:] + [0]
+        )
+    ])
 
 
 def model_to_text(model: ModelSet) -> str:
@@ -461,8 +443,8 @@ def model_to_text(model: ModelSet) -> str:
     lines = [
         f"pamper-model v1 features={model.feature_count} depth={model.max_depth}"
     ]
-    for name, tree in model.trees.items():
-        lines.append(f"{name}\t{_format_tree(tree)}")
+    for name, rows in zip(model.trees, model.trees.rows):
+        lines.append(f"{name}\t{_tree_text(rows)}")
     return "\n".join(lines) + "\n"
 
 
@@ -555,10 +537,9 @@ def _parse_tree(body: str, line_no: int, feature_count: int, max_depth: int) -> 
 def model_from_text(text: str | bytes) -> ModelSet:
     """Parse model text; raises ModelParseError with the offending line.
 
-    The parser's rows fill the node table directly: taking the trees in name
-    order, one stable sort by depth lists every level in tree order and,
-    within a tree, in preorder, which is left to right. The nodes themselves
-    are built only when a caller reads ``trees``.
+    The parser's rows, trees in name order, are the model: ``_node_table``
+    numbers them as it numbers the rows of a model built from nodes, and
+    the nodes themselves are built only when a caller reads ``trees``.
     """
     text = decode_utf8(text, ModelParseError)
     lines = text.split("\n")
@@ -588,18 +569,7 @@ def model_from_text(text: str | bytes) -> ModelSet:
             raise ModelParseError(line_no, f"duplicate method: {name}")
         trees[name] = _parse_tree(body, line_no, feature_count, max_depth)
     _check_header(feature_count, max_depth)  # the rules ModelSet applies, among them the intp bound
-    names = sorted(trees)
-    rows = list(chain.from_iterable(trees[name] for name in names))
-    depth = np.array(rows[0::4], dtype=np.intp)
-    order = np.argsort(depth, kind="stable")
-    table = _node_table(
-        np.array(rows[1::4], dtype=np.intp)[order],
-        np.array(rows[2::4], dtype=np.float64)[order],
-        len(names),
-        int(depth.max(initial=0)),
-    )
-    counts = [rows[4 * row + 3] for row in order.tolist()]
-    return _assemble(feature_count, _Trees(names, table, counts), EMPTY_CATALOG, max_depth)
+    return _assemble(feature_count, _Trees(trees), EMPTY_CATALOG, max_depth)
 
 
 def save_model(model: ModelSet, sink) -> None:

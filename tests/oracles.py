@@ -13,7 +13,7 @@ import numpy as np
 
 from pamper._kernels import pack_bits
 from pamper.corpus import EMPTY_CATALOG, METHOD_TOKEN, Corpus
-from pamper.errors import ModelParseError, decode_utf8
+from pamper.errors import ModelParseError, _is_int, decode_utf8
 from pamper.preprocess import BinaryDataset
 from pamper.trees import Internal, Leaf, ModelSet
 
@@ -243,3 +243,94 @@ def reference_model_from_text(text: str | bytes) -> ModelSet:
             raise ModelParseError(line_no, f"trailing characters at column {end + 1}")
         trees[name] = node
     return ModelSet(feature_count, trees, EMPTY_CATALOG, max_depth)
+
+
+# --- reference node numbering and writer: level walk and iterative descent over node objects ---
+
+
+def _levels(roots):
+    """Yield ``roots``, then their children, and so on, one level at a time.
+
+    Each level lists the children of the level above in order, the
+    ``when_false`` child before the ``when_true`` child.
+    """
+    level = list(roots)
+    while level:
+        yield level
+        below = []
+        for node in level:
+            if isinstance(node, Internal):
+                below += (node.when_false, node.when_true)
+        level = below
+
+
+def reference_node_table(roots, feature_count: int, max_depth: int) -> tuple:
+    """Check node trees against a header and number them level by level.
+
+    The ground truth for the node table that ``ModelSet`` and
+    ``model_from_text`` build: nodes are listed level by level across every
+    tree, each level in tree order and, within a tree, left to right. The
+    ``len(roots)`` roots are slots ``0 .. len(roots)-1``, and the i-th
+    internal node's children are slots ``len(roots) + 2i`` (bit clear) and
+    ``len(roots) + 2i + 1`` (bit set). A leaf has feature -1 and points
+    both child slots at itself. Raises the messages ``ModelSet`` raises.
+    """
+    features, values = [], []
+    depth = 0  # an empty model has no levels
+    for depth, level in enumerate(_levels(roots)):
+        for node in level:
+            if isinstance(node, Leaf):
+                expectation, count = node.expectation, node.count
+                if type(expectation) is not float or not 0.0 <= expectation <= 1.0:
+                    raise ValueError(f"expectation must be a float in [0, 1], got {expectation!r}")
+                if not (type(count) is int or _is_int(count)) or count < 0:
+                    raise ValueError(f"count must be a nonnegative int, got {count!r}")
+                features.append(-1)
+                values.append(expectation)
+            elif isinstance(node, Internal):
+                if depth >= max_depth:
+                    raise ValueError(f"tree exceeds depth limit {max_depth}")
+                feature = node.feature
+                if not (type(feature) is int or _is_int(feature)) or not (
+                    0 <= feature < feature_count
+                ):
+                    raise ValueError(
+                        f"feature must be an int in [0, {feature_count}), got {feature!r}"
+                    )
+                features.append(feature)
+                values.append(0.0)
+            else:
+                raise TypeError(f"not a tree node: {node!r}")
+    feature, value = np.array(features, dtype=np.intp), np.array(values, dtype=np.float64)
+    internal = feature >= 0
+    first = np.where(internal, len(roots) + 2 * (np.cumsum(internal) - 1), np.arange(feature.size))
+    child = np.stack([first, first + internal], axis=1).reshape(-1)
+    return feature, child, value, depth
+
+
+def reference_tree_text(tree) -> str:
+    """One tree's model text, written by an iterative descent over the node objects.
+
+    The ground truth for the writer behind ``model_to_text`` and a node's
+    ``repr``. It tells an internal node by its class, so it prints nodes that
+    ``ModelSet`` rejects, such as ``Internal(-1, ...)``, too.
+    """
+    out = []
+    todo = []  # when_true branches still to write, each above a None closing its parent
+    node = tree
+    while True:
+        if isinstance(node, Internal):
+            out.append(f"N({node.feature},")
+            todo.append(None)
+            todo.append(node.when_true)
+            node = node.when_false
+            continue
+        out.append(f"L({node.expectation!r},{node.count})")
+        while todo:
+            node = todo.pop()
+            if node is not None:
+                out.append(",")
+                break
+            out.append(")")
+        else:
+            return "".join(out)

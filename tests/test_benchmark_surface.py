@@ -10,8 +10,14 @@ benchmark's four exact counts (``kernels.node_counts.calls``,
 (``trees.model_from_text``) are recorded, so a change that breaks the
 tracer fails here in about a second rather than only in a traced
 benchmark run.
+
+The benchmark's reference checks in ``perfbench/workloads.py`` walk
+``Leaf`` / ``Internal`` nodes themselves; they run here on a tiny trained
+model too.
 """
 import importlib.util
+import itertools
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,14 +25,20 @@ import numpy as np
 from pamper.cli import main
 from pamper.trees import load_model, tree_stats
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(name: str, monkeypatch):
+    """``perfbench/<name>.py`` as module ``name``, in ``sys.modules`` for this test only."""
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
     spec.loader.exec_module(module)
-    return module.Tracer()
+    return module
+
+
+def _tracer(monkeypatch):
+    return _load("spans", monkeypatch).Tracer()
 
 
 def _database(path: Path) -> None:
@@ -51,7 +63,7 @@ def test_tracer_records_the_spans_behind_the_exact_counts(tmp_path, capsys, monk
     db, model = tmp_path / "db.txt", tmp_path / "model.txt"
     _database(db)
     vector = "[1,0,1,1]"
-    tracer = _tracer()
+    tracer = _tracer(monkeypatch)
     try:
         tracer.install()
         assert main(["train", str(db), str(model)]) == 0
@@ -94,3 +106,27 @@ def test_tracer_records_the_spans_behind_the_exact_counts(tmp_path, capsys, monk
     # query-cli reports the model load of every request as trees.model_from_text.
     loads = {_command_of(span, by_id) for span in named("trees.model_from_text")}
     assert {"cli.cmd_which", "cli.cmd_why", "cli.cmd_rank"} <= loads
+
+
+def test_benchmark_node_readers_accept_a_trained_model(tmp_path, capsys, monkeypatch):
+    _load("spans", monkeypatch)  # workloads.py imports it as a sibling module
+    workloads = _load("workloads", monkeypatch)
+    model = str(tmp_path / "model.txt")
+    _database(tmp_path / "corpus.db")
+    assert main(["train", str(tmp_path / "corpus.db"), model]) == 0
+
+    scale = workloads.TrainScale(tmp_path, 0, "tiny")
+    scale.prepare()
+    assert scale.check_model((tmp_path / "model.txt").read_bytes()) == ""
+    query = workloads.ColdCli(tmp_path, 0, "tiny")
+    query.load_reference()
+    capsys.readouterr()
+    for bits in itertools.product("01", repeat=4):
+        vector = "[" + ",".join(bits) + "]"
+        for argv in (
+            ["which", model, vector],
+            ["why", model, vector, "simp"],
+            ["rank", model, vector, "auto"],
+        ):
+            assert main(argv) == 0
+            assert capsys.readouterr().out == query.expected(argv), argv

@@ -260,6 +260,14 @@ def test_prune_lists_used_features(tmp_path, model, capsys):
     catalog.write_text("0\tthe goal is an equation\n", encoding="utf-8")
     assert main(["prune", model, "--catalog", str(catalog)]) == 0
     assert capsys.readouterr().out == "0\tthe goal is an equation\n"
+    assert main(["inspect", model]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "  auto: depth=1 splits=1 leaves=2",
+        "  simp: depth=1 splits=1 leaves=2",
+    ]
+    saved = tmp_path / "saved.txt"
+    save_model(load_model(model), str(saved))
+    assert saved.read_bytes() == Path(model).read_bytes()
 
 
 def test_prune_leaf_only_model_prints_nothing(tmp_path, capsys):
@@ -598,7 +606,8 @@ def test_evaluate_report_file_that_is_a_directory_exits_2_before_reading(
 
 
 def test_catalog_commands_build_no_tree_node(tmp_path, model, capsys, monkeypatch):
-    # The model with the catalog shares the loaded node table.
+    # The model with the catalog shares the loaded node table; inspect and the
+    # writer read the loaded rows.
     catalog = tmp_path / "catalog.txt"
     catalog.write_text("0\tthe goal is an equation\n", encoding="utf-8")
 
@@ -611,6 +620,14 @@ def test_catalog_commands_build_no_tree_node(tmp_path, model, capsys, monkeypatc
     assert capsys.readouterr().out == "Because the goal is an equation.\n"
     assert main(["prune", model, "--catalog", str(catalog)]) == 0
     assert capsys.readouterr().out == "0\tthe goal is an equation\n"
+    assert main(["inspect", model]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "  auto: depth=1 splits=1 leaves=2",
+        "  simp: depth=1 splits=1 leaves=2",
+    ]
+    saved = tmp_path / "saved.txt"
+    save_model(load_model(model), str(saved))
+    assert saved.read_bytes() == Path(model).read_bytes()
 
 
 @pytest.mark.parametrize("n", [str(10**18), str(2**63)])

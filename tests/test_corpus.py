@@ -17,6 +17,7 @@ from pamper.errors import (
     DuplicateIndexError,
     EmptyDatabaseError,
     InconsistentWidthError,
+    InvalidValueError,
     MalformedLineError,
     PamperError,
     PlantedConfigError,
@@ -406,3 +407,26 @@ def test_corpus_rejects_bad_programmatic_input():
         Corpus(("bad name",), np.array([[1]], dtype=np.uint8), 1)
     with pytest.raises(ValueError):
         Corpus(("a",), np.array([[1, 0]], dtype=np.uint8), 1)
+
+
+@pytest.mark.parametrize(
+    "count,message",
+    [
+        (2.0, "feature count must be an integer, got 2.0"),
+        (np.float64(2.0), "feature count must be an integer, got np.float64(2.0)"),
+        (True, "feature count must be an integer, got True"),
+        ("2", "feature count must be an integer, got '2'"),
+        (0, "feature count must be positive"),
+        (-1, "feature count must be positive"),
+    ],
+    ids=["float", "float64", "bool", "str", "zero", "negative"],
+)
+def test_corpus_admits_only_an_integer_feature_count(count, message):
+    # A float count used to pass the shape check ((2, 2) == (2, 2.0)) and fail
+    # only later, in serialize_database or train.
+    X = np.array([[1, 0], [0, 1]], dtype=np.uint8)
+    with pytest.raises(InvalidValueError) as info:
+        Corpus(("a", "b"), X, count)
+    assert str(info.value) == message
+    corpus = Corpus(("a", "b"), X, np.int64(2))
+    assert serialize_database(corpus) == "a, [1,0]\nb, [0,1]\n"

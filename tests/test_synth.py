@@ -150,6 +150,23 @@ def test_generate_rejects_bad_n():
         generate(model, 0, seed=0)
 
 
+@pytest.mark.parametrize(
+    "count,message",
+    [
+        (3.0, "feature count must be an integer, got 3.0"),
+        (True, "feature count must be an integer, got True"),
+        (0, "feature count must be positive"),
+    ],
+    ids=["float", "bool", "zero"],
+)
+def test_planted_model_admits_only_an_integer_feature_count(count, message):
+    # A float count used to be accepted here and to fail only in generate.
+    with pytest.raises(InvalidValueError) as info:
+        PlantedModel((), {"a": 1.0}, count)
+    assert (str(info.value), info.value.part) == (message, "features")
+    assert generate(PlantedModel((), {"a": 1.0}, np.int64(3)), 2, 0).feature_count == 3
+
+
 @pytest.mark.parametrize("error", [InvalidValueError, PamperError, ValueError])
 def test_generate_rejects_a_negative_seed(error):
     with pytest.raises(error, match="seed must be a nonnegative integer, got -1"):

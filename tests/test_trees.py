@@ -41,6 +41,9 @@ from oracles import (
     random_dataset,
     random_model,
     ranking,
+    reference_node_table,
+    reference_tree_text,
+    tree_depth as reference_tree_depth,
     walk_tree,
 )
 
@@ -456,6 +459,37 @@ def test_only_values_written_as_loadable_text_are_admitted(build, field):
         build()
 
 
+LEAVES = (Leaf(0.0, 1), Leaf(1.0, 1))
+
+
+@pytest.mark.parametrize(
+    "trees,max_depth,error,message",
+    [
+        ({"a": Internal(0, Internal(1, *LEAVES), LEAVES[1])}, 1, ValueError,
+         "tree exceeds depth limit 1"),
+        ({"a": Internal(2, *LEAVES)}, 5, ValueError, "feature must be an int in [0, 2), got 2"),
+        ({"a": Internal(-1, *LEAVES)}, 5, ValueError, "feature must be an int in [0, 2), got -1"),
+        ({"a": Internal("0", *LEAVES)}, 5, ValueError, "feature must be an int in [0, 2), got '0'"),
+        ({"a": Leaf(0.5, -1)}, 5, ValueError, "count must be a nonnegative int, got -1"),
+        ({"a": Leaf(float("nan"), 1)}, 5, ValueError,
+         "expectation must be a float in [0, 1], got nan"),
+        ({"a": Internal(0, LEAVES[0], Leaf(1.5, 1))}, 5, ValueError,
+         "expectation must be a float in [0, 1], got 1.5"),
+        ({"a": Internal(0, "y", LEAVES[1])}, 5, TypeError, "not a tree node: 'y'"),
+        ({"a": LEAVES[0], "b": "y"}, 5, TypeError, "not a tree node: 'y'"),
+    ],
+    ids=[
+        "depth-limit", "feature-past-count", "feature-minus-one", "str-feature",
+        "negative-count", "nan-expectation", "expectation-above-one", "non-node-child",
+        "non-node-root",
+    ],
+)
+def test_node_input_errors_are_pinned(trees, max_depth, error, message):
+    with pytest.raises(error) as info:
+        ModelSet(2, trees, max_depth=max_depth)
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
 @pytest.mark.parametrize("error", [InvalidValueError, PamperError, ValueError])
 def test_train_config_admits_only_integer_counts(error):
     with pytest.raises(error, match="min_points_to_split must be a positive integer, got 2.5"):
@@ -584,9 +618,26 @@ COUNTS = st.one_of(st.integers(0, 60), st.integers(2**64, 2**80))
 EXPECTATIONS = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
 
 
+def _invalid_nodes(feature_count: int) -> list:
+    """Nodes that ``ModelSet`` rejects for a value, though they print."""
+    leaf = Leaf(0.5, 1)
+    return [
+        Internal(-1, leaf, leaf), Internal(feature_count, leaf, leaf), Internal(True, leaf, leaf),
+        Internal("0", leaf, leaf), Internal(np.float64(0.0), leaf, leaf),
+        Leaf(np.float64(0.5), 2), Leaf(1, 2), Leaf(True, 2), Leaf(1.5, 1), Leaf(float("nan"), 1),
+        Leaf(0.5, True), Leaf(0.5, 2.0), Leaf(0.5, -1), Leaf(0.5, "2"),
+    ]
+
+
 @st.composite
-def node_models(draw):
-    """A ModelSet of random node trees; some trees are chains exactly as deep as the limit."""
+def node_trees(draw):
+    """``(feature_count, trees, max_depth)`` of random node trees, at most one node invalid.
+
+    Some trees are chains exactly as deep as the limit. An invalid node goes
+    in as the ``when_false`` child of a new root over one tree, so that both
+    a level walk and a preorder walk meet it before any other fault, such as
+    that tree now passing the depth limit.
+    """
     feature_count = draw(st.integers(1, 6))
     features = st.integers(0, feature_count - 1)
     leaves = st.builds(Leaf, EXPECTATIONS, COUNTS)
@@ -596,7 +647,7 @@ def node_models(draw):
     names = draw(st.lists(st.sampled_from(METHOD_NAMES), unique=True, max_size=6))
     chained = draw(st.sets(st.sampled_from(names))) if names else set()
     chain_depth = draw(st.integers(1, 40))
-    model = {}
+    trees = {}
     for name in names:
         if name in chained:
             node = draw(leaves)
@@ -605,30 +656,62 @@ def node_models(draw):
                 node = Internal(draw(features), *(pair[::-1] if draw(st.booleans()) else pair))
         else:
             node = draw(shapes)
-        model[name] = node
-    deepest = max((tree_stats(tree).depth for tree in model.values()), default=0)
+        trees[name] = node
+    deepest = max((reference_tree_depth(tree) for tree in trees.values()), default=0)
     max_depth = max(1, deepest) + draw(st.integers(0, 1))
-    return ModelSet(feature_count, model, max_depth=max_depth)
+    if names and draw(st.booleans()):
+        name = draw(st.sampled_from(names))
+        bad = draw(st.sampled_from(_invalid_nodes(feature_count)))
+        trees[name] = Internal(draw(features), bad, trees[name])
+    return feature_count, trees, max_depth
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(node_models())
-def test_loader_fills_the_table_that_checking_the_nodes_numbers(model):
-    text = model_to_text(model)
+def _assert_agrees_with_the_oracles(feature_count: int, trees: dict, max_depth: int) -> None:
+    """Node texts, model text, tables and errors agree with the oracles in ``oracles.py``."""
+    texts = {name: reference_tree_text(tree) for name, tree in trees.items()}
+    for name, tree in trees.items():
+        assert repr(tree) == texts[name]
+        assert hash(tree) == hash(texts[name])
+        for other_name, other in trees.items():
+            assert (tree == other) is (texts[name] == texts[other_name])
+    roots = [tree for _, tree in sorted(trees.items())]
+    try:
+        want = reference_node_table(roots, feature_count, max_depth)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            ModelSet(feature_count, trees, max_depth=max_depth)
+        assert str(info.value) == str(exc)
+        return
+    model = ModelSet(feature_count, trees, max_depth=max_depth)
+    text = "".join(
+        [f"pamper-model v1 features={feature_count} depth={max_depth}\n"]
+        + [f"{name}\t{texts[name]}\n" for name in sorted(trees)]
+    )
+    assert model_to_text(model) == text
     header, *lines = text.splitlines(keepends=True)
     # The loader takes the trees in name order, whatever their order in the file.
-    for source in (text, header + "".join(reversed(lines))):
-        loaded = model_from_text(source)
-        *arrays, depth = loaded.table
-        *want, want_depth = model.table
+    for built in (model, model_from_text(text), model_from_text(header + "".join(reversed(lines)))):
+        *arrays, depth = built.table
+        *expected, want_depth = want
         assert depth == want_depth
-        for got, expected in zip(arrays, want):
-            assert got.dtype == expected.dtype and not got.flags.writeable
+        for got, reference in zip(arrays, expected):
+            assert got.dtype == reference.dtype and not got.flags.writeable
             # Compared as bits, so that -0.0 and 0.0 differ.
-            assert got.tobytes() == expected.tobytes()
-        assert list(loaded.trees) == list(model.trees)
-        assert dict(loaded.trees) == dict(model.trees)
-        assert model_to_text(loaded) == text
+            assert got.tobytes() == reference.tobytes()
+        assert list(built.trees) == sorted(trees)
+        assert dict(built.trees) == trees
+        assert model_to_text(built) == text
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(node_trees())
+def test_loader_fills_the_table_that_checking_the_nodes_numbers(parts):
+    _assert_agrees_with_the_oracles(*parts)
+
+
+@pytest.mark.parametrize("bad", _invalid_nodes(2), ids=reference_tree_text)
+def test_invalid_nodes_print_and_are_rejected_as_the_oracles_say(bad):
+    _assert_agrees_with_the_oracles(2, {"a": Internal(1, bad, Leaf(1.0, 1)), "b": Leaf(0.5, 3)}, 2)
 
 
 def test_loaded_trees_are_built_once_on_first_read(monkeypatch):
