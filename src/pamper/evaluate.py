@@ -136,7 +136,7 @@ def run_evaluation(
     model = train(train_corpus, cfg)
     arena = ModelArena(model)
     methods = arena.names
-    col_of = {name: t for t, name in enumerate(methods)}
+    col_of = model.columns
 
     eval_names = eval_corpus.method_names
     unlearned = Counter(name for name in eval_names if name not in col_of)

@@ -149,7 +149,6 @@ class ModelArena:
         self.names = list(model.trees.keys())
         self.feature_count = model.feature_count
         self.table = model.table
-        self.feature, self.child, self.value, self.depth = model.table
 
     def expectations(self, matrix: np.ndarray) -> np.ndarray:
         """(B, F) query matrix -> (B, M) expectation matrix, names order."""

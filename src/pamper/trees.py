@@ -211,10 +211,12 @@ def _node_rows(tree: TreeNode) -> list:
 
 
 def _tree_from_rows(rows: list) -> TreeNode:
-    """One tree's ``Leaf`` / ``Internal`` nodes, built from its checked rows in reverse preorder.
+    """One tree's ``Leaf`` / ``Internal`` nodes, built from its valid rows in reverse preorder.
 
-    Both subtrees of a node follow its row, so each is built before the node
-    that holds it; the ``when_false`` subtree is then on top of the stack.
+    This is the only builder of nodes: ``_grow``, ``_parse_tree`` and
+    ``_node_rows`` all write rows. Both subtrees of a node follow its row, so
+    each is built before the node that holds it; the ``when_false`` subtree
+    is then on top of the stack.
     """
     done: list = []
     for feature, value, count in zip(rows[-3::-4], rows[-2::-4], rows[-1::-4]):
@@ -310,56 +312,46 @@ def _choose_split(n_true, pos_true, n, pos):
     return j
 
 
-def _grow(Xp, yp, mask, n, pos, cfg) -> TreeNode:
-    """Grow the tree of a root mask depth-first, false side first, on an explicit stack.
+def _grow(Xp, yp, mask, n, pos, cfg) -> list:
+    """Grow the tree of a root mask into its preorder rows, depth-first on an explicit stack.
 
-    ``todo`` holds nodes still to grow as ``(mask, n, pos, depth)`` and, under
-    each split node's two children, its feature; popping the feature joins
-    the last two finished subtrees into an Internal node.
+    ``todo`` holds nodes still to grow as ``(mask, n, pos, depth)``, the
+    ``when_false`` child pushed last, so nodes pop in the preorder of
+    ``_parse_tree``'s rows. Each pop appends its node's row: a split's
+    feature, or, past a stop or when no feature beats the node, a leaf's
+    expectation and count.
     """
+    rows: list = []
     todo: list = [(mask, n, pos, 0)]
-    done: list[TreeNode] = []
     while todo:
-        item = todo.pop()
-        if isinstance(item, int):
-            when_true = done.pop()
-            when_false = done.pop()
-            done.append(Internal(item, when_false, when_true))
-            continue
-        mask, n, pos, depth = item
-        if (
-            depth >= cfg.max_depth
-            or n < cfg.min_points_to_split
-            or pos == 0
-            or pos == n
-        ):
-            done.append(Leaf(pos / n, n))
-            continue
-        n_true, pos_true = _kernels.node_counts(Xp, yp, mask)
-        nt = n_true.tolist()
-        pt = pos_true.tolist()
-        j = _choose_split(nt, pt, n, pos)
+        mask, n, pos, depth = todo.pop()
+        j = None
+        if depth < cfg.max_depth and n >= cfg.min_points_to_split and 0 < pos < n:
+            n_true, pos_true = _kernels.node_counts(Xp, yp, mask)
+            nt = n_true.tolist()
+            pt = pos_true.tolist()
+            j = _choose_split(nt, pt, n, pos)
         if j is None:
-            done.append(Leaf(pos / n, n))
+            rows += (depth, -1, pos / n, n)
             continue
+        rows += (depth, j, 0.0, 0)
         mask_false, mask_true = _kernels.partition(Xp, mask, j)
         todo += (
-            j,
             (mask_true, nt[j], pt[j], depth + 1),
             (mask_false, n - nt[j], pos - pt[j], depth + 1),
         )
-    return done.pop()
+    return rows
 
 
 def build_tree(dataset: BinaryDataset, cfg: TrainConfig | None = None) -> TreeNode:
-    """Grow one regression tree for a method's binary dataset."""
+    """Grow one regression tree for a method's binary dataset, as rows, and build its nodes."""
     cfg = cfg or TrainConfig()
     n = len(dataset)
     if n == 0:
         raise EmptyDatasetError()
     root = _kernels.pack_bits(np.ones(n, dtype=np.uint8))
     yp = _kernels.pack_bits(dataset.labels)
-    return _grow(dataset.columns, yp, root, n, dataset.positives, cfg)
+    return _tree_from_rows(_grow(dataset.columns, yp, root, n, dataset.positives, cfg))
 
 
 def resolve_threads(_ignored: None = None) -> int:

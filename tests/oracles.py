@@ -49,6 +49,33 @@ def brute_force_best_split(labels, rows):
     return best
 
 
+def reference_build_tree(X, y, cfg):
+    """The whole tree, grown by recursion with ``brute_force_best_split`` at every node.
+
+    The ground truth for ``trees.build_tree``: a node is a leaf of its mean
+    label and point count at the depth limit, below ``min_points_to_split``
+    points, when its labels are pure, or when no feature strictly lowers its
+    RSS; otherwise it splits on the oracle's feature, bit clear to
+    ``when_false``. X is a (points, features) 0/1 array and y its labels.
+    """
+    def grow(labels, rows, depth):
+        pos, n = sum(labels), len(labels)
+        split = None
+        if depth < cfg.max_depth and n >= cfg.min_points_to_split and 0 < pos < n:
+            split = brute_force_best_split(labels, rows)
+        if split is None:
+            return Leaf(pos / n, n)
+        j = split[0]
+        when_false, when_true = (
+            grow([lab for lab, row in zip(labels, rows) if row[j] == bit],
+                 [row for row in rows if row[j] == bit], depth + 1)
+            for bit in (0, 1)
+        )
+        return Internal(j, when_false, when_true)
+
+    return grow(np.asarray(y).tolist(), np.asarray(X).tolist(), 0)
+
+
 def walk_tree(tree, bits) -> float:
     """Plain descent: bit set goes true-side, else false-side."""
     node = tree

@@ -253,6 +253,35 @@ def test_gen_and_evaluate_bytes_are_pinned(tmp_path, capsys):
     assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == GOLDEN_DIGESTS
 
 
+# sha256 of `pamper train`'s model file and stdout on the golden corpus, per flag set.
+TRAIN_GOLDEN_DIGESTS = {
+    (): {
+        "model.txt": "80ac661a239e5f84fec3ca132f82f369b1d580eea577ee3dce39a46429774204",
+        "stdout": "f745f5a984f90361aed8f07f218c1fdb4ac41bfbbbd73736b9ef584bdbf714ef",
+    },
+    ("--max-depth", "2", "--min-split", "40"): {
+        "model.txt": "10c106dce5689295541c51c820703b1dbb17c450eeca7eda19d2ff091fff9f9d",
+        "stdout": "8d10d21c9d6e3f81852c9d1c6c7d12fdb444527d2a7697e6801165689984b7ba",
+    },
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("flags", list(TRAIN_GOLDEN_DIGESTS))
+def test_train_bytes_are_pinned(tmp_path, capsys, monkeypatch, flags, threads):
+    config = tmp_path / "planted.txt"
+    config.write_text(GOLDEN_CONFIG, encoding="utf-8")
+    db_path, model_path = tmp_path / "db.txt", tmp_path / "model.txt"
+    assert main(["gen", str(config), "800", "11", "-o", str(db_path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("PAMPER_THREADS", threads)
+    assert main(["train", str(db_path), str(model_path), *flags]) == 0
+    stdout = capsys.readouterr().out.replace(str(model_path), "<model>").encode()
+    outputs = {"model.txt": model_path.read_bytes(), "stdout": stdout}
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+    assert digests == TRAIN_GOLDEN_DIGESTS[flags]
+
+
 def test_prune_lists_used_features(tmp_path, model, capsys):
     assert main(["prune", model]) == 0
     assert capsys.readouterr().out == "0\n"

@@ -323,7 +323,7 @@ def test_arena_k_below_one():
 def test_arena_columns_are_name_sorted():
     arena = ModelArena(_hand_model())
     assert arena.names == ["auto", "blast", "simp"]
-    assert arena.depth == 1
+    assert arena.table[3] == 1
 
 
 def test_arena_across_row_blocks():
@@ -384,7 +384,7 @@ def test_arena_steps_only_as_deep_as_the_trees():
         max_depth=9,
     )
     arena = ModelArena(model)
-    assert arena.depth == 2
+    assert arena.table[3] == 2
     E = arena.expectations(np.array([[0, 0, 0], [1, 0, 1], [0, 1, 1]], dtype=np.uint8))
     assert E.tolist() == [[0.25, 0.125], [0.75, 0.125], [0.5, 0.125]]
 
@@ -398,10 +398,11 @@ def test_arenas_share_the_models_table_and_cannot_change_it():
     rng = np.random.default_rng(59)
     model = random_model(rng)
     first, second = ModelArena(model), ModelArena(model)
-    for array, written in ((first.value, 1.0), (first.child, 0), (first.feature, 0)):
+    feature, child, value, _ = first.table
+    for array, written in ((value, 1.0), (child, 0), (feature, 0)):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = written
-    assert first.child is second.child is model.table[1]
+    assert first.table is second.table is model.table
     V = _random_batch(rng, model)
     assert second.expectations(V).tolist() == [
         [walk_tree(model.trees[name], row) for name in second.names] for row in V.tolist()

@@ -41,6 +41,7 @@ from oracles import (
     random_dataset,
     random_model,
     ranking,
+    reference_build_tree,
     reference_node_table,
     reference_tree_text,
     tree_depth as reference_tree_depth,
@@ -122,6 +123,15 @@ def test_build_tree_empty_dataset():
     empty = make_binary_dataset(np.zeros((0, 2), np.uint8), np.zeros(0, np.uint8))
     with pytest.raises(EmptyDatasetError):
         build_tree(empty)
+
+
+def test_build_tree_matches_the_whole_tree_oracle():
+    # Every node, not just the root: the grown tree equals the exact recursive grower's.
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        X, y = random_dataset(rng)
+        cfg = TrainConfig(int(rng.integers(1, 5)), int(rng.integers(1, 7)))
+        assert build_tree(make_binary_dataset(X, y), cfg) == reference_build_tree(X, y, cfg)
 
 
 def test_build_tree_deterministic():
