@@ -32,12 +32,14 @@ from .recommend import (
     Explanation,
     ModelArena,
     Recommendation,
+    batch_rank_method,
     rank_method,
     render_explanation,
     render_rank,
     render_recommendation,
     which_method,
     why_method,
+    write_which,
 )
 from .synth import PlantedModel, PlantedRule, generate, parse_planted_config, zipf_imbalance
 from .trees import (
@@ -75,6 +77,7 @@ __all__ = [
     "SplitSpec",
     "TrainConfig",
     "TreeNode",
+    "batch_rank_method",
     "build_tree",
     "corpus_stats",
     "errors",
@@ -105,5 +108,6 @@ __all__ = [
     "used_features",
     "which_method",
     "why_method",
+    "write_which",
     "zipf_imbalance",
 ]

@@ -5,7 +5,7 @@ unreadable files, malformed records, unknown methods, width mismatches),
 1 for unexpected internal errors. argparse checks only flag syntax (an
 unknown flag, a missing argument, a number that does not parse). A flag's
 range is checked once, by the library object that takes the value
-(``TrainConfig``, ``SplitSpec``, ``run_evaluation``, ``batch_which``,
+(``TrainConfig``, ``SplitSpec``, ``run_evaluation``, ``write_which``,
 ``generate``), whose InvalidValueError exits 2 as one ``pamper:`` line.
 Query vectors are written in the database's bracket syntax, either inline
 (``[1,0,1]``) or as a file with one vector per line. PAMPER_THREADS, the
@@ -44,12 +44,11 @@ from .evaluate import (
     split_corpus,
 )
 from .recommend import (
-    ModelArena,
-    rank_method,
+    batch_rank_method,
     render_explanation,
     render_rank,
-    render_recommendation,
     why_method,
+    write_which,
 )
 from .synth import generate, parse_planted_config
 from .trees import (
@@ -136,24 +135,21 @@ def cmd_inspect(args) -> int:
 def cmd_which(args) -> int:
     model = load_model(args.model)
     vectors = _read_vectors(args.vector, model.feature_count)
-    for rec in ModelArena(model).batch_which(vectors, args.k):
-        if args.json:
-            ranked = [{"method": name, "expectation": value} for name, value in rec.ranked]
-            print(json.dumps({"ranked": ranked, "total_methods": rec.total_methods}))
-        else:
-            print(render_recommendation(rec))
+    write_which(model, vectors, sys.stdout, args.k, as_json=args.json)
     return 0
 
 
 def cmd_rank(args) -> int:
     model = load_model(args.model)
     vectors = _read_vectors(args.vector, model.feature_count)
-    for vector in vectors:
-        rank, total = rank_method(model, vector, args.method)
-        if args.json:
-            print(json.dumps({"method": args.method, "rank": rank, "total": total}))
-        else:
-            print(render_rank(args.method, rank, total))
+    ranks, total = batch_rank_method(model, vectors, args.method)
+    lines = [
+        json.dumps({"method": args.method, "rank": rank, "total": total})
+        if args.json
+        else render_rank(args.method, rank, total)
+        for rank in ranks.tolist()
+    ]
+    sys.stdout.write("".join(line + "\n" for line in lines))
     return 0
 
 

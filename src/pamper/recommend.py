@@ -4,12 +4,15 @@ Methods are ordered by descending expectation at the leaf the query
 vector reaches in their tree, ties broken by ascending name; ``_ranks``
 counts this order. Every query steps the node table the model numbers
 once (``ModelSet.table``): ``_descend`` steps all trees for a ModelArena's
-rows and for ``rank_method``'s one; ``why_method`` follows one tree.
+rows and for ``batch_rank_method``'s; ``why_method`` follows one tree.
+``_top_k`` picks every ranked slice and ``_Layout`` spells every ``which``
+answer, for one row or a whole file.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple, TextIO
 
 import numpy as np
 
@@ -78,10 +81,41 @@ def which_method(model: ModelSet, v, k: int = 15) -> Recommendation:
 
 def rank_method(model: ModelSet, v, method: str) -> tuple[int, int]:
     """1-based rank of one method in the full ordering, plus the total."""
+    _method_column(model, method)  # an unknown method is reported before a bad vector
+    ranks, total = batch_rank_method(model, as_vector(v, model.feature_count)[None, :], method)
+    return int(ranks[0]), total
+
+
+def batch_rank_method(model: ModelSet, matrix, method: str) -> tuple[np.ndarray, int]:
+    """rank_method for every row of a (rows, F) query matrix: (rows,) ranks, plus the total.
+
+    Each ``_BLOCK_ROWS`` block steps every tree down ``model.table`` and is
+    ranked in the method's column; no ModelArena is built.
+    """
     column = _method_column(model, method)
+    V = _checked_bits(matrix, 2, model.feature_count)
     total = len(model.columns)
-    E = _descend(model.table, as_vector(v, model.feature_count)[None, :], total)
-    return int(_ranks(E, np.array([column]))[0]), total
+    ranks = np.empty(V.shape[0], dtype=np.int64)
+    for start in range(0, V.shape[0], _BLOCK_ROWS):
+        block = V[start:start + _BLOCK_ROWS]
+        E = _descend(model.table, block, total)
+        ranks[start:start + len(block)] = _ranks(E, np.full(len(block), column))
+    return ranks, total
+
+
+def write_which(model: ModelSet, matrix, out: TextIO, k: int = 15, as_json: bool = False) -> None:
+    """Write which_method's answer for every row of a (rows, F) query matrix to ``out``.
+
+    Text answers are ``render_recommendation``'s, each followed by a newline;
+    ``as_json`` writes one JSON object per line instead. Every block of rows
+    is ranked by one ``ModelArena.expectations`` call and ``_top_k``, then
+    rendered from its distinct values and written as one string; no
+    Recommendation is built.
+    """
+    arena = ModelArena(model)
+    render = _renderer(_JSON if as_json else _TEXT, arena.names, len(arena.names))
+    for columns, values in arena._top_blocks(matrix, k):
+        out.write(render(columns, values))
 
 
 def why_method(model: ModelSet, v, method: str) -> Explanation:
@@ -98,11 +132,73 @@ def why_method(model: ModelSet, v, method: str) -> Explanation:
     return Explanation(method, tuple(steps), value.item(slot))
 
 
+class _Layout(NamedTuple):
+    """How one ``which`` answer is spelled.
+
+    ``head``, then for each ranked method ``entry(name)`` and
+    ``value(expectation)``, with ``sep`` between methods, then
+    ``tail(total_methods)``, which ends the answer's last line.
+    """
+
+    head: str
+    entry: Callable[[str], str]
+    value: Callable[[float], str]
+    sep: str
+    tail: Callable[[int], str]
+
+
+_TEXT = _Layout(
+    "Promising methods for this proof goal are:",
+    lambda name: f"\n  {name} with expectation of ",
+    sig4,
+    "",
+    lambda total: "\n",
+)
+# The line json.dumps writes for {"ranked": [{"method": ..., "expectation":
+# ...}, ...], "total_methods": ...}; it spells a finite float as its repr.
+# A value closes its method's object.
+_JSON = _Layout(
+    '{"ranked": [',
+    lambda name: f'{{"method": {json.dumps(name)}, "expectation": ',
+    lambda value: f"{value!r}}}",
+    ", ",
+    lambda total: f'], "total_methods": {total}}}\n',
+)
+
+
+def _renderer(layout: _Layout, names: list[str], total: int):
+    """A function from (rows, k) ``columns`` into ``names`` and their ``values``
+    to one string of ``layout`` answers, one per row.
+
+    Each method's entry is spelled once here, and each distinct value once
+    per call. Values are told apart by their float64 bits: a float unique
+    would merge -0.0 into 0.0, which print differently.
+    """
+    first = np.array([layout.entry(name) for name in names], dtype=object)
+    rest = layout.sep + first
+    tail = layout.tail(total)
+
+    def render(columns: np.ndarray, values: np.ndarray) -> str:
+        rows, k = columns.shape
+        bits, inverse = np.unique(values.view(np.uint64).ravel(), return_inverse=True)
+        shown = np.array([layout.value(v) for v in bits.view(np.float64).tolist()], dtype=object)
+        grid = np.empty((rows, 2 * k + 2), dtype=object)
+        entries = rest[columns]
+        entries[:, :1] = first[columns[:, :1]]
+        grid[:, 0] = layout.head
+        grid[:, 1:-1:2] = entries
+        grid[:, 2:-1:2] = shown[inverse].reshape(rows, k)
+        grid[:, -1] = tail
+        return "".join(grid.ravel().tolist())
+
+    return render
+
+
 def render_recommendation(rec: Recommendation) -> str:
-    lines = ["Promising methods for this proof goal are:"]
-    for name, expectation in rec.ranked:
-        lines.append(f"  {name} with expectation of {sig4(expectation)}")
-    return "\n".join(lines)
+    names = [name for name, _ in rec.ranked]
+    values = np.array([value for _, value in rec.ranked], dtype=np.float64)[None, :]
+    columns = np.arange(len(names))[None, :]
+    return _renderer(_TEXT, names, rec.total_methods)(columns, values)[:-1]
 
 
 def render_rank(method: str, rank: int, total: int) -> str:
@@ -121,9 +217,36 @@ def render_explanation(expl: Explanation) -> str:
     return "\n".join(lines)
 
 
-# Rows stepped through the trees together: expectations, batch_which and
-# batch_rank each hold one block of (rows, trees) temporaries at a time.
+# Rows stepped through the trees together: every batch query holds one
+# block of (rows, trees) temporaries at a time.
 _BLOCK_ROWS = 1024
+
+
+def _top_k(E: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns and values of the k best entries of each row of name-ordered (B, M) ``E``.
+
+    Best first, ties by ascending column: the first k of a stable argsort of
+    ``-E``. For k < M a partition finds each row's k-th largest value and
+    every column at or above it is kept; in the few rows where that is more
+    than k, only the first of the columns tied at the k-th value are. Only
+    the k kept columns are then sorted.
+    """
+    rows, M = E.shape
+    if k < M:
+        kth = np.partition(E, M - k, axis=1)[:, M - k, None]
+        keep = E >= kth
+        over = np.flatnonzero(keep.sum(axis=1) > k)
+        E_over, kth_over = E[over], kth[over]
+        tied = E_over == kth_over
+        need = k - (E_over > kth_over).sum(axis=1, keepdims=True)
+        keep[over] = (E_over > kth_over) | (tied & (tied.cumsum(axis=1) <= need))
+        flat = np.flatnonzero(keep)
+        columns, values = (flat % M).reshape(rows, k), E.ravel()[flat].reshape(rows, k)
+    else:
+        columns, values = np.broadcast_to(np.arange(M), (rows, M)), E
+    order = np.argsort(-values, axis=1, kind="stable")
+    at = np.arange(rows)[:, None]
+    return columns[at, order], values[at, order]
 
 
 def _descend(table, block: np.ndarray, trees: int) -> np.ndarray:
@@ -159,22 +282,23 @@ class ModelArena:
             out[start:start + _BLOCK_ROWS] = _descend(self.table, V[start:start + _BLOCK_ROWS], M)
         return out
 
-    def batch_which(self, matrix: np.ndarray, k: int = 15) -> list[Recommendation]:
-        """which_method over many vectors; identical ordering and ties."""
+    def _top_blocks(self, matrix: np.ndarray, k: int):
+        """``_top_k`` (columns, values) of each block, one ``expectations`` call per block."""
         _check_int("k", k, 1)
         V = _checked_bits(matrix, 2, self.feature_count)
+        keep = min(k, len(self.names))
+        for start in range(0, V.shape[0], _BLOCK_ROWS):
+            yield _top_k(self.expectations(V[start:start + _BLOCK_ROWS]), keep)
+
+    def batch_which(self, matrix: np.ndarray, k: int = 15) -> list[Recommendation]:
+        """which_method over many vectors; identical ordering and ties."""
         total = len(self.names)
-        keep = min(k, total)
         names = np.asarray(self.names, dtype=object)
         out: list[Recommendation] = []
-        for start in range(0, V.shape[0], _BLOCK_ROWS):
-            E = self.expectations(V[start:start + _BLOCK_ROWS])
-            # Columns are name-sorted, so a stable sort on -E breaks ties by name.
-            order = np.argsort(-E, axis=1, kind="stable")[:, :keep]
-            values = np.take_along_axis(E, order, axis=1)
+        for columns, values in self._top_blocks(matrix, k):
             out += [
                 Recommendation(tuple(zip(row_names, row_values)), total)
-                for row_names, row_values in zip(names[order].tolist(), values.tolist())
+                for row_names, row_values in zip(names[columns].tolist(), values.tolist())
             ]
         return out
 

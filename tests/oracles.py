@@ -6,11 +6,13 @@ package's optimized paths have something honest to be compared against.
 """
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 
 import numpy as np
 
+from pamper._format import sig4
 from pamper._kernels import pack_bits
 from pamper.corpus import EMPTY_CATALOG, METHOD_TOKEN, Corpus
 from pamper.errors import ModelParseError, _is_int, decode_utf8
@@ -88,6 +90,25 @@ def ranking(model, bits) -> list[tuple[str, float]]:
     """Every method with its walked expectation, highest first, ties by name."""
     walked = [(name, walk_tree(tree, bits)) for name, tree in model.trees.items()]
     return sorted(walked, key=lambda item: (-item[1], item[0]))
+
+
+def top_k_by_argsort(E, k):
+    """Columns and values of each row's k best expectations: a stable argsort of -E, cut at k.
+
+    Columns are in name order, so the stable sort breaks ties by name.
+    """
+    order = np.argsort(-E, axis=1, kind="stable")[:, :k]
+    return order, np.take_along_axis(E, order, axis=1)
+
+
+def reference_which_text(ranked, total: int, as_json: bool = False) -> str:
+    """One ``pamper which`` answer, spelled line by line with ``sig4`` or ``json.dumps``."""
+    if as_json:
+        entries = [{"method": name, "expectation": value} for name, value in ranked]
+        return json.dumps({"ranked": entries, "total_methods": total}) + "\n"
+    lines = ["Promising methods for this proof goal are:"]
+    lines += [f"  {name} with expectation of {sig4(value)}" for name, value in ranked]
+    return "\n".join(lines) + "\n"
 
 
 def leaf_regions(tree, X):

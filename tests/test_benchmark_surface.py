@@ -101,7 +101,9 @@ def test_tracer_records_the_spans_behind_the_exact_counts(tmp_path, capsys, monk
         rows[command] = rows.get(command, 0) + span[6]["rows"]
     # rank and why step the model's node table themselves and never build an arena.
     assert rows == {"cli.cmd_which": 1, "cli.cmd_evaluate": 15}
-    for name in ("recommend.rank_method", "recommend.why_method", "recommend.ModelArena.batch_rank"):
+    # pamper rank ranks its vectors, one or a file, in one batch_rank_method call.
+    queries = ("batch_rank_method", "why_method", "ModelArena.batch_rank")
+    for name in (f"recommend.{query}" for query in queries):
         assert named(name), name
     # query-cli reports the model load of every request as trees.model_from_text.
     loads = {_command_of(span, by_id) for span in named("trees.model_from_text")}
@@ -130,3 +132,33 @@ def test_benchmark_node_readers_accept_a_trained_model(tmp_path, capsys, monkeyp
         ):
             assert main(argv) == 0
             assert capsys.readouterr().out == query.expected(argv), argv
+
+
+def _expectation_rows(tracer, argv: list[str]) -> int:
+    """Rows that ``main(argv)`` passes through ``ModelArena.expectations`` under the tracer."""
+    try:
+        tracer.install()
+        assert main(argv) == 0
+    finally:
+        spans = tracer.finish()
+    return sum(span[6]["rows"] for span in spans if span[2] == "recommend.ModelArena.expectations")
+
+
+def test_batch_queries_pass_the_pinned_expectation_rows(tmp_path, capsys, monkeypatch):
+    # query-cli pins recommend.ModelArena.expectations.rows at one row per
+    # vector that which answers: its batch file plus its literal requests.
+    db, model = tmp_path / "db.txt", tmp_path / "model.txt"
+    _database(db)
+    assert main(["train", str(db), str(model)]) == 0
+    rows = 2 * 1024 + 5  # more than two recommend._BLOCK_ROWS blocks
+    bits = np.random.default_rng(5).integers(0, 2, (rows, 4))
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("".join(f"[{','.join(map(str, row))}]\n" for row in bits), encoding="utf-8")
+    tracer = _tracer(monkeypatch)
+    assert _expectation_rows(tracer, ["which", str(model), str(vectors)]) == rows
+    json_argv = ["which", str(model), str(vectors), "--json", "-k", "1"]
+    assert _expectation_rows(tracer, json_argv) == rows
+    assert _expectation_rows(tracer, ["which", str(model), "[1,0,1,1]"]) == 1
+    assert _expectation_rows(tracer, ["rank", str(model), str(vectors), "simp"]) == 0
+    assert _expectation_rows(tracer, ["rank", str(model), str(vectors), "auto", "--json"]) == 0
+    capsys.readouterr()

@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 
 import pamper
+from pamper import recommend
 from pamper.cli import main
 from pamper.corpus import parse_database, parse_vector, parse_vectors
-from pamper.trees import load_model, save_model
+from pamper.recommend import rank_method, render_recommendation, which_method
+from pamper.trees import Leaf, ModelSet, load_model, save_model
 
 from cli_helpers import run_main
+from oracles import random_tree, ranking, reference_which_text
 
 DB_TEXT = "simp, [1,0]\nsimp, [1,1]\nauto, [0,1]\nauto, [0,0]\n"
 VECTORS_TEXT = "# queries\n[1,0]\n\n[0,1]\n"
@@ -78,6 +81,67 @@ def test_which_batch_file_and_k(tmp_path, model, capsys):
         "Promising methods for this proof goal are:\n"
         "  auto with expectation of 1.000\n"
     )
+
+
+def _tied_model(rng) -> ModelSet:
+    """Twelve methods whose leaves take four values, 0.0 and -0.0 among them."""
+    trees = {f"m{i:02d}": random_tree(rng, 5, 3, (0.0, -0.0, 0.25, 0.5)) for i in range(10)}
+    trees.update({"z.0": Leaf(0.0, 3), "z-": Leaf(-0.0, 3)})
+    return ModelSet(5, trees, max_depth=3)
+
+
+def _lines(text: str) -> list[str]:
+    """``text`` as its lines with their endings, so a mismatch is reported by line."""
+    return text.splitlines(keepends=True)
+
+
+def _vector_file(path, rows) -> str:
+    path.write_text("# queries\n" + "".join(f"[{','.join(map(str, row))}]\n" for row in rows))
+    return str(path)
+
+
+@pytest.mark.parametrize("k", [None, 1, 4, 12, 40])
+def test_batch_which_prints_the_per_row_answers(tmp_path, capsys, k):
+    rng = np.random.default_rng(71)
+    model = _tied_model(rng)
+    save_model(model, str(tmp_path / "model.txt"))
+    rows = rng.integers(0, 2, (2 * recommend._BLOCK_ROWS + 37, 5)).tolist()
+    argv = ["which", str(tmp_path / "model.txt"), _vector_file(tmp_path / "v.txt", rows)]
+    argv += [] if k is None else ["-k", str(k)]
+    keep = 15 if k is None else k
+    rankings = [ranking(model, row) for row in rows]
+    for as_json in (False, True):
+        assert main(argv + ["--json"] * as_json) == 0
+        want = "".join(reference_which_text(r[:keep], 12, as_json) for r in rankings)
+        assert _lines(capsys.readouterr().out) == _lines(want)
+    # A k below 12 cuts through ties in some rows; a larger one prints both zeros.
+    if keep < 12:
+        assert any(r[keep - 1][1] == r[keep][1] for r in rankings)
+    else:
+        assert '"z-", "expectation": -0.0}' in want and '"z.0", "expectation": 0.0}' in want
+    for row in rows[:: len(rows) // 40]:
+        literal = str(row).replace(" ", "")
+        assert main(["which", str(tmp_path / "model.txt"), literal] + argv[3:]) == 0
+        want = render_recommendation(which_method(model, row, keep)) + "\n"
+        assert capsys.readouterr().out == want
+
+
+def test_batch_rank_prints_the_per_row_ranks(tmp_path, capsys):
+    rng = np.random.default_rng(73)
+    model = _tied_model(rng)
+    save_model(model, str(tmp_path / "model.txt"))
+    rows = rng.integers(0, 2, (recommend._BLOCK_ROWS + 5, 5)).tolist()
+    vectors = _vector_file(tmp_path / "v.txt", rows)
+    orders = [[name for name, _ in ranking(model, row)] for row in rows]
+    for method in ("m03", "z-", "z.0"):
+        ranks = [1 + order.index(method) for order in orders]
+        assert main(["rank", str(tmp_path / "model.txt"), vectors, method]) == 0
+        assert _lines(capsys.readouterr().out) == [f"{method} {r} out of 12\n" for r in ranks]
+        assert main(["rank", str(tmp_path / "model.txt"), vectors, method, "--json"]) == 0
+        assert _lines(capsys.readouterr().out) == [
+            json.dumps({"method": method, "rank": r, "total": 12}) + "\n" for r in ranks
+        ]
+        assert ranks[:50] == [rank_method(model, row, method)[0] for row in rows[:50]]
 
 
 def test_parse_vectors_matches_stacked_literals():

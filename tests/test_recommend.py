@@ -1,5 +1,9 @@
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pamper.corpus import FeatureCatalog
 from pamper.errors import (
@@ -13,16 +17,18 @@ from pamper.recommend import (
     ModelArena,
     Recommendation,
     as_vector,
+    batch_rank_method,
     rank_method,
     render_explanation,
     render_rank,
     render_recommendation,
     which_method,
     why_method,
+    write_which,
 )
 from pamper.trees import Internal, Leaf, ModelSet
 
-from oracles import random_model, ranking, walk_tree
+from oracles import random_model, ranking, reference_which_text, top_k_by_argsort, walk_tree
 
 
 def _hand_model():
@@ -410,3 +416,95 @@ def test_arenas_share_the_models_table_and_cannot_change_it():
     assert [rec.ranked for rec in second.batch_which(V, k=len(second.names))] == [
         tuple(ranking(model, row)) for row in V.tolist()
     ]
+
+
+# A few levels per matrix, -0.0 among them, make most rows tie across the k-th value.
+LEVELS = st.lists(
+    st.sampled_from((0.0, -0.0, 0.05, 0.5, 1.0)) | st.floats(0.0, 1.0), min_size=1, max_size=4
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    levels=LEVELS,
+    shape=st.tuples(st.integers(1, 9), st.integers(1, 14)),
+    data=st.data(),
+)
+def test_top_k_matches_the_stable_argsort(levels, shape, data):
+    picks = data.draw(
+        st.lists(st.integers(0, len(levels) - 1), min_size=shape[0] * shape[1],
+                 max_size=shape[0] * shape[1])
+    )
+    E = np.array(levels, dtype=np.float64)[np.array(picks).reshape(shape)]
+    k = data.draw(st.integers(1, shape[1]))
+    columns, values = recommend._top_k(E, k)
+    want_columns, want_values = top_k_by_argsort(E, k)
+    assert np.array_equal(columns, want_columns)
+    assert np.array_equal(values.view(np.uint64), want_values.view(np.uint64))
+
+
+def _signed_zero_model():
+    # Equal leaves around the k-th place, and a -0.0 leaf that prints apart from 0.0.
+    trees = {
+        "a": Leaf(0.0, 2), "b": Leaf(-0.0, 2), "c": Internal(0, Leaf(0.5, 1), Leaf(-0.0, 1)),
+        "d": Leaf(0.5, 4), "e": Internal(1, Leaf(0.0, 1), Leaf(0.5, 1)), "f": Leaf(0.25, 1),
+    }
+    return ModelSet(2, trees, max_depth=1)
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_write_which_matches_the_per_row_answers(as_json):
+    model = _signed_zero_model()
+    V = np.array([[0, 0], [1, 0], [0, 1], [1, 1]] * 3, dtype=np.uint8)
+    for k in range(1, len(model.trees) + 2):
+        out = io.StringIO()
+        write_which(model, V, out, k, as_json=as_json)
+        want = "".join(
+            reference_which_text(ranking(model, row)[:k], len(model.trees), as_json)
+            for row in V.tolist()
+        )
+        assert out.getvalue() == want
+        if not as_json:
+            assert want == "".join(
+                render_recommendation(which_method(model, row, k)) + "\n" for row in V
+            )
+    zeros = (" -0.0}", " 0.0}") if as_json else (" -0.000\n", " 0.000\n")
+    assert all(zero in want for zero in zeros)
+
+
+def test_write_which_of_an_empty_model():
+    for as_json, want in ((False, "Promising methods for this proof goal are:\n"),
+                          (True, '{"ranked": [], "total_methods": 0}\n')):
+        out = io.StringIO()
+        write_which(ModelSet(2, {}), np.zeros((2, 2), dtype=np.uint8), out, 3, as_json)
+        assert out.getvalue() == 2 * want
+
+
+def test_render_recommendation_prints_signed_zero_and_any_given_values():
+    rec = Recommendation((("b", 0.5), ("a", -0.0), ("c", 0.0), ("a", 1)), 9)
+    assert render_recommendation(rec) == reference_which_text(rec.ranked, 9)[:-1]
+    header = "Promising methods for this proof goal are:"
+    assert render_recommendation(Recommendation((), 0)) == header
+
+
+def test_batch_rank_method_matches_rank_method():
+    rng = np.random.default_rng(61)
+    block = recommend._BLOCK_ROWS
+    for values in (None, (0.0, -0.0, 0.5)):
+        model = random_model(rng, values=values)
+        V = rng.integers(0, 2, (block + 7, model.feature_count)).astype(np.uint8)
+        for name in model.trees:
+            ranks, total = batch_rank_method(model, V, name)
+            assert total == len(model.trees)
+            assert ranks[:40].tolist() == [rank_method(model, row, name)[0] for row in V[:40]]
+            assert ranks[40:].tolist() == [
+                1 + [method for method, _ in ranking(model, row)].index(name)
+                for row in V[40:].tolist()
+            ]
+    # An unknown method is reported before a bad vector or matrix.
+    with pytest.raises(UnknownMethodError):
+        batch_rank_method(model, np.zeros((1, 3, 1), dtype=np.uint8), "zap")
+    with pytest.raises(UnknownMethodError):
+        rank_method(model, [[2]], "zap")
+    with pytest.raises(VectorWidthMismatchError):
+        batch_rank_method(model, np.zeros((1, model.feature_count + 1), dtype=np.uint8), name)
