@@ -33,6 +33,7 @@ from .recommend import (
     ModelArena,
     Recommendation,
     batch_rank_method,
+    batch_why_method,
     rank_method,
     render_explanation,
     render_rank,
@@ -78,6 +79,7 @@ __all__ = [
     "TrainConfig",
     "TreeNode",
     "batch_rank_method",
+    "batch_why_method",
     "build_tree",
     "corpus_stats",
     "errors",

@@ -45,9 +45,9 @@ from .evaluate import (
 )
 from .recommend import (
     batch_rank_method,
+    batch_why_method,
     render_explanation,
     render_rank,
-    why_method,
     write_which,
 )
 from .synth import generate, parse_planted_config
@@ -156,14 +156,16 @@ def cmd_rank(args) -> int:
 def cmd_why(args) -> int:
     model = _attach_catalog(load_model(args.model), args.catalog)
     vectors = _read_vectors(args.vector, model.feature_count)
-    for vector in vectors:
-        expl = why_method(model, vector, args.method)
+    answer, explanations = batch_why_method(model, vectors, args.method)
+    lines = []
+    for expl in explanations:
         if args.json:
             steps = [step._asdict() for step in expl.steps]
             record = {"method": expl.method, "expectation": expl.expectation, "steps": steps}
-            print(json.dumps(record))
+            lines.append(json.dumps(record) + "\n")
         else:
-            print(render_explanation(expl))
+            lines.append(render_explanation(expl) + "\n")
+    sys.stdout.write("".join([lines[i] for i in answer.tolist()]))
     return 0
 
 

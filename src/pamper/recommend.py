@@ -3,8 +3,8 @@
 Methods are ordered by descending expectation at the leaf the query
 vector reaches in their tree, ties broken by ascending name; ``_ranks``
 counts this order. Every query steps the node table the model numbers
-once (``ModelSet.table``): ``_descend`` steps all trees for a ModelArena's
-rows and for ``batch_rank_method``'s; ``why_method`` follows one tree.
+once (``ModelSet.table``) with ``_descend``: all trees for a ModelArena's
+rows and for ``batch_rank_method``'s, one tree for ``batch_why_method``'s.
 ``_top_k`` picks every ranked slice and ``_Layout`` spells every ``which``
 answer, for one row or a whole file.
 """
@@ -95,10 +95,11 @@ def batch_rank_method(model: ModelSet, matrix, method: str) -> tuple[np.ndarray,
     column = _method_column(model, method)
     V = _checked_bits(matrix, 2, model.feature_count)
     total = len(model.columns)
+    roots, value = np.arange(total), model.table[2]
     ranks = np.empty(V.shape[0], dtype=np.int64)
     for start in range(0, V.shape[0], _BLOCK_ROWS):
         block = V[start:start + _BLOCK_ROWS]
-        E = _descend(model.table, block, total)
+        E = value[_descend(model.table, block, roots)]
         ranks[start:start + len(block)] = _ranks(E, np.full(len(block), column))
     return ranks, total
 
@@ -120,16 +121,30 @@ def write_which(model: ModelSet, matrix, out: TextIO, k: int = 15, as_json: bool
 
 def why_method(model: ModelSet, v, method: str) -> Explanation:
     """Decision path the vector takes through one method's tree."""
-    slot = _method_column(model, method)
-    feature, child, value, _ = model.table
-    bits = as_vector(v, model.feature_count).tolist()
-    steps = []
-    while child.item(2 * slot) != slot:
-        index = feature.item(slot)
-        bit = bits[index]
-        steps.append(ExplanationStep(index, bool(bit), model.catalog.describe(index)))
-        slot = child.item(2 * slot + bit)
-    return Explanation(method, tuple(steps), value.item(slot))
+    _method_column(model, method)  # an unknown method is reported before a bad vector
+    return batch_why_method(model, as_vector(v, model.feature_count)[None, :], method)[1][0]
+
+
+def batch_why_method(model: ModelSet, matrix, method: str) -> tuple[np.ndarray, list[Explanation]]:
+    """why_method for every row of a (rows, F) query matrix, as ``(answer, explanations)``.
+
+    Row i's Explanation is ``explanations[answer[i]]``. Each distinct leaf's is built once, by
+    climbing: in M trees, slot ``M + j`` is the ``j % 2`` child of the (j // 2)-th internal slot.
+    """
+    root = _method_column(model, method)
+    V = _checked_bits(matrix, 2, model.feature_count)
+    feature, _, value, _ = model.table
+    leaves, answer = np.unique(_descend(model.table, V, [root])[:, 0], return_inverse=True)
+    M, internal = len(model.columns), np.flatnonzero(feature >= 0)
+    explanations = []
+    for leaf in leaves.tolist():
+        steps, slot = [], leaf
+        while slot >= M:
+            slot, bit = internal.item((slot - M) // 2), (slot - M) % 2
+            index = feature.item(slot)
+            steps.append(ExplanationStep(index, bool(bit), model.catalog.describe(index)))
+        explanations.append(Explanation(method, tuple(reversed(steps)), value.item(leaf)))
+    return answer, explanations
 
 
 class _Layout(NamedTuple):
@@ -249,20 +264,20 @@ def _top_k(E: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return columns[at, order], values[at, order]
 
 
-def _descend(table, block: np.ndarray, trees: int) -> np.ndarray:
-    """(rows, trees) expectations of the (rows, F) query ``block`` in a ``ModelSet.table``.
+def _descend(table, block: np.ndarray, roots) -> np.ndarray:
+    """(rows, len(roots)) leaf slots that (rows, F) ``block`` reaches from ``roots`` in a table.
 
-    A (rows, trees) cursor matrix starts at the roots and steps ``depth``
-    times, one gather a step. A cursor at a leaf stays there: both its child
-    slots point back at it, so the bit its -1 feature reads does not matter.
+    A cursor matrix starts at the root slots and steps ``depth`` times, one
+    gather a step. A cursor at a leaf stays there: both its child slots point
+    back at it, so the bit its -1 feature reads does not matter.
     """
-    feature, child, value, depth = table
+    feature, child, _, depth = table
     bits = block.reshape(-1)
     row_base = np.arange(0, bits.size, block.shape[1])[:, None]
-    cur = np.broadcast_to(np.arange(trees), (block.shape[0], trees))
+    cur = np.broadcast_to(np.asarray(roots, dtype=np.intp), (block.shape[0], len(roots)))
     for _ in range(depth):
         cur = child[2 * cur + bits[row_base + feature[cur]]]
-    return value[cur]
+    return cur
 
 
 class ModelArena:
@@ -276,10 +291,11 @@ class ModelArena:
     def expectations(self, matrix: np.ndarray) -> np.ndarray:
         """(B, F) query matrix -> (B, M) expectation matrix, names order."""
         V = _checked_bits(matrix, 2, self.feature_count)
-        M = len(self.names)
-        out = np.empty((V.shape[0], M), dtype=np.float64)
+        roots, value = np.arange(len(self.names)), self.table[2]
+        out = np.empty((V.shape[0], roots.size), dtype=np.float64)
         for start in range(0, V.shape[0], _BLOCK_ROWS):
-            out[start:start + _BLOCK_ROWS] = _descend(self.table, V[start:start + _BLOCK_ROWS], M)
+            block = V[start:start + _BLOCK_ROWS]
+            out[start:start + len(block)] = value[_descend(self.table, block, roots)]
         return out
 
     def _top_blocks(self, matrix: np.ndarray, k: int):

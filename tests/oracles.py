@@ -17,6 +17,7 @@ from pamper._kernels import pack_bits
 from pamper.corpus import EMPTY_CATALOG, METHOD_TOKEN, Corpus
 from pamper.errors import ModelParseError, _is_int, decode_utf8
 from pamper.preprocess import BinaryDataset
+from pamper.recommend import Explanation, ExplanationStep
 from pamper.trees import Internal, Leaf, ModelSet
 
 
@@ -90,6 +91,26 @@ def ranking(model, bits) -> list[tuple[str, float]]:
     """Every method with its walked expectation, highest first, ties by name."""
     walked = [(name, walk_tree(tree, bits)) for name, tree in model.trees.items()]
     return sorted(walked, key=lambda item: (-item[1], item[0]))
+
+
+def reference_why(model: ModelSet, bits, method: str) -> Explanation:
+    """One method's decision path for one vector, walked slot by slot down ``model.table``.
+
+    The ground truth for ``recommend.batch_why_method``: from the method's
+    root slot, read the bit of the slot's feature, record the step and move to
+    that child, until the cursor reaches a leaf, whose child slots point back
+    at it.
+    """
+    slot = model.columns[method]
+    feature, child, value, _ = model.table
+    bits = np.asarray(bits).tolist()
+    steps = []
+    while child.item(2 * slot) != slot:
+        index = feature.item(slot)
+        bit = bits[index]
+        steps.append(ExplanationStep(index, bool(bit), model.catalog.describe(index)))
+        slot = child.item(2 * slot + bit)
+    return Explanation(method, tuple(steps), value.item(slot))
 
 
 def top_k_by_argsort(E, k):

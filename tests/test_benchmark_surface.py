@@ -101,8 +101,8 @@ def test_tracer_records_the_spans_behind_the_exact_counts(tmp_path, capsys, monk
         rows[command] = rows.get(command, 0) + span[6]["rows"]
     # rank and why step the model's node table themselves and never build an arena.
     assert rows == {"cli.cmd_which": 1, "cli.cmd_evaluate": 15}
-    # pamper rank ranks its vectors, one or a file, in one batch_rank_method call.
-    queries = ("batch_rank_method", "why_method", "ModelArena.batch_rank")
+    # pamper rank and pamper why answer their vectors, one or a file, in one library call.
+    queries = ("batch_rank_method", "batch_why_method", "ModelArena.batch_rank")
     for name in (f"recommend.{query}" for query in queries):
         assert named(name), name
     # query-cli reports the model load of every request as trees.model_from_text.

@@ -11,12 +11,12 @@ import pytest
 import pamper
 from pamper import recommend
 from pamper.cli import main
-from pamper.corpus import parse_database, parse_vector, parse_vectors
-from pamper.recommend import rank_method, render_recommendation, which_method
-from pamper.trees import Leaf, ModelSet, load_model, save_model
+from pamper.corpus import FeatureCatalog, parse_database, parse_vector, parse_vectors
+from pamper.recommend import rank_method, render_explanation, render_recommendation, which_method
+from pamper.trees import Leaf, ModelSet, load_model, save_model, used_features
 
 from cli_helpers import run_main
-from oracles import random_tree, ranking, reference_which_text
+from oracles import random_tree, ranking, reference_which_text, reference_why
 
 DB_TEXT = "simp, [1,0]\nsimp, [1,1]\nauto, [0,1]\nauto, [0,0]\n"
 VECTORS_TEXT = "# queries\n[1,0]\n\n[0,1]\n"
@@ -142,6 +142,45 @@ def test_batch_rank_prints_the_per_row_ranks(tmp_path, capsys):
             json.dumps({"method": method, "rank": r, "total": 12}) + "\n" for r in ranks
         ]
         assert ranks[:50] == [rank_method(model, row, method)[0] for row in rows[:50]]
+
+
+def test_batch_why_prints_the_per_row_paths(tmp_path, capsys):
+    rng = np.random.default_rng(79)
+    trees = {f"m{i}": random_tree(rng, 3, 4) for i in range(4)}
+    trees["base"] = Leaf(0.4119, 7)
+    model = ModelSet(3, trees, max_depth=4)
+    save_model(model, str(tmp_path / "model.txt"))
+    catalog = tmp_path / "catalog.txt"
+    catalog.write_text("1\tthe goal is an equation\n", encoding="utf-8")
+    described = model.with_catalog(FeatureCatalog({1: "the goal is an equation"}))
+    assert 1 in used_features(model)
+    rows = rng.integers(0, 2, (recommend._BLOCK_ROWS + 5, 3)).tolist()
+    vectors = _vector_file(tmp_path / "v.txt", rows)
+    for method in trees:
+        argv = ["why", str(tmp_path / "model.txt"), vectors, method]
+        paths = [reference_why(model, row, method) for row in rows]
+        assert main(argv) == 0
+        assert _lines(capsys.readouterr().out) == _lines(
+            "".join(render_explanation(path) + "\n" for path in paths)
+        )
+        assert main(argv + ["--json"]) == 0
+        assert _lines(capsys.readouterr().out) == [
+            json.dumps({
+                "method": method,
+                "expectation": path.expectation,
+                "steps": [
+                    {"feature": step.feature, "value": step.value, "description": step.description}
+                    for step in path.steps
+                ],
+            }) + "\n"
+            for path in paths
+        ]
+        assert main(argv + ["--catalog", str(catalog)]) == 0
+        assert _lines(capsys.readouterr().out) == _lines("".join(
+            render_explanation(reference_why(described, row, method)) + "\n" for row in rows
+        ))
+    # The last method, "base", is one leaf.
+    assert render_explanation(paths[0]) == "No branching features; baseline expectation 0.4119."
 
 
 def test_parse_vectors_matches_stacked_literals():
@@ -344,6 +383,39 @@ def test_train_bytes_are_pinned(tmp_path, capsys, monkeypatch, flags, threads):
     outputs = {"model.txt": model_path.read_bytes(), "stdout": stdout}
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
     assert digests == TRAIN_GOLDEN_DIGESTS[flags]
+
+
+# sha256 of each query command's stdout over QUERY_ROWS vectors, on the golden corpus's
+# default model.
+QUERY_ROWS = 2 * 1024 + 5
+QUERY_GOLDEN_DIGESTS = {
+    "which": "ce123f016eb775758862d9248e564517571f31fb02fcd59361647ce053f4db49",
+    "which --json": "a88076f6dffb75100615276e137c69ef6732f5fb23ea942fc1778e33257305db",
+    "rank simp": "33fd615b4465129e24d6f196dc56446d8b1c11e9603346bc818c5dbd5ddc2e8c",
+    "rank simp --json": "3dcf5ffc569b3b72c5137a5d93c9351e032b61bf9b6c2f947568df5cd0591c0e",
+    "why simp": "d9dc61d5d7681b8ccf200184507378647d295f941a768d4ae10303d0a0df0037",
+    "why simp --json": "2bde0004ece7025c31580a31d481eb764cc0e395c6d6d196d6ac69a3422130bf",
+    "why simp --catalog {catalog}": "2567fbd6cfded1475f4d8fc43bec5b250d3a77a23ad6db7741551fd28351c088",
+}
+
+
+def test_query_bytes_are_pinned(tmp_path, capsys):
+    config = tmp_path / "planted.txt"
+    config.write_text(GOLDEN_CONFIG, encoding="utf-8")
+    db_path, model_path = tmp_path / "db.txt", str(tmp_path / "model.txt")
+    assert main(["gen", str(config), "800", "11", "-o", str(db_path)]) == 0
+    assert main(["train", str(db_path), model_path]) == 0
+    capsys.readouterr()
+    rows = np.random.default_rng(17).integers(0, 2, (QUERY_ROWS, 10)).tolist()
+    vectors = _vector_file(tmp_path / "v.txt", rows)
+    catalog = tmp_path / "catalog.txt"
+    catalog.write_text("0\tthe goal is an equation\n7\tthe goal has a quantifier\n")
+    digests = {}
+    for key in QUERY_GOLDEN_DIGESTS:
+        command, *rest = [arg.format(catalog=catalog) for arg in key.split()]
+        assert main([command, model_path, vectors, *rest]) == 0
+        digests[key] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == QUERY_GOLDEN_DIGESTS
 
 
 def test_prune_lists_used_features(tmp_path, model, capsys):

@@ -18,6 +18,7 @@ from pamper.recommend import (
     Recommendation,
     as_vector,
     batch_rank_method,
+    batch_why_method,
     rank_method,
     render_explanation,
     render_rank,
@@ -28,7 +29,14 @@ from pamper.recommend import (
 )
 from pamper.trees import Internal, Leaf, ModelSet
 
-from oracles import random_model, ranking, reference_which_text, top_k_by_argsort, walk_tree
+from oracles import (
+    random_model,
+    ranking,
+    reference_which_text,
+    reference_why,
+    top_k_by_argsort,
+    walk_tree,
+)
 
 
 def _hand_model():
@@ -508,3 +516,47 @@ def test_batch_rank_method_matches_rank_method():
         rank_method(model, [[2]], "zap")
     with pytest.raises(VectorWidthMismatchError):
         batch_rank_method(model, np.zeros((1, model.feature_count + 1), dtype=np.uint8), name)
+
+
+@TIED
+def test_batch_why_method_matches_the_slot_walk(values):
+    # Random trees, a root leaf and a path that tests feature 0 twice, under a
+    # catalog that describes every other feature.
+    rng = np.random.default_rng(67)
+    for _ in range(12):
+        base = random_model(rng, max_features=4, values=values)
+        F = base.feature_count
+        trees = dict(base.trees)
+        trees["root-leaf"] = Leaf(0.375, 2)
+        again = Internal(0, Leaf(0.25, 1), Leaf(0.5, 1))
+        trees["twice"] = Internal(0, again, Internal(F - 1, Leaf(0.75, 1), Leaf(1.0, 1)))
+        catalog = FeatureCatalog({j: f"goal property {j} holds" for j in range(0, F, 2)})
+        model = ModelSet(F, trees, catalog, max_depth=max(base.max_depth, 2))
+        V = rng.integers(0, 2, (300, F)).astype(np.uint8)
+        for name in model.trees:
+            answer, explanations = batch_why_method(model, V, name)
+            want = [reference_why(model, row, name) for row in V]
+            assert [explanations[i] for i in answer.tolist()] == want
+            # One explanation per distinct leaf reached, and each one is some row's.
+            assert len(set(explanations)) == len(explanations)
+            assert sorted(set(answer.tolist())) == list(range(len(explanations)))
+            assert [why_method(model, row, name) for row in V[:20]] == want[:20]
+        assert ((0, False, "goal property 0 holds"),) * 2 in {e.steps for e in want}
+        assert reference_why(model, V[0], "root-leaf").steps == ()
+
+
+def test_batch_why_method_checks_like_batch_rank_method():
+    model = _hand_model()
+    # An unknown method is reported before a bad vector or matrix.
+    with pytest.raises(UnknownMethodError):
+        batch_why_method(model, np.zeros((1, 3, 1), dtype=np.uint8), "zap")
+    with pytest.raises(UnknownMethodError):
+        why_method(model, [[2]], "zap")
+    for bad in (np.zeros((1, 2, 1)), np.zeros(2), [[0, 2]], [[1, -1]], np.zeros((2, 3))):
+        with pytest.raises((ValueError, PamperError)) as want:
+            batch_rank_method(model, bad, "simp")
+        with pytest.raises((ValueError, PamperError)) as got:
+            batch_why_method(model, bad, "simp")
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+    answer, explanations = batch_why_method(model, np.zeros((0, 2), dtype=np.uint8), "simp")
+    assert answer.shape == (0,) and explanations == []
