@@ -13,11 +13,11 @@ file holds one bracketed vector per line under the same line rules.
 
 An input written wholly in the canonical form that ``serialize_database``
 (and so ``pamper gen``) writes -- ASCII, every line ``<name>, [b,...,b]``
-(or ``[b,...,b]`` in a vector file) of one width and ended by LF -- is
-read by a vectorized path over the raw bytes, in row blocks. Any other
-input, valid or not, goes through the strict line parser, which is the
-only place that raises, so every accepted form, error and line number is
-the same on both paths.
+(or ``[b,...,b]`` in a vector file) of one width and ended by LF, or
+empty or starting with ``#`` -- is read by a vectorized path over the
+raw bytes, in row blocks. Any other input, valid or not, goes through the
+strict line parser, which is the only place that raises, so every
+accepted form, error and line number is the same on both paths.
 
 A feature catalog is a separate tab-separated file mapping feature indices
 to human-readable descriptions, used when rendering explanations::
@@ -39,11 +39,12 @@ from .errors import (
     DuplicateIndexError,
     EmptyDatabaseError,
     InconsistentWidthError,
-    InvalidValueError,
     MalformedLineError,
     PamperError,
     VectorWidthMismatchError,
-    _is_int,
+    _as_bits,
+    _check_feature_count,
+    _check_index,
     decode_utf8,
 )
 
@@ -56,7 +57,7 @@ class Corpus:
 
     ``features`` is adopted as the backing store and marked read-only, so
     pass a copy if you need to keep a writable original. Rows are uint8 in
-    {0, 1} and the matrix is C-contiguous.
+    {0, 1} (``_as_bits``) and the matrix is C-contiguous.
     """
 
     method_names: tuple[str, ...]
@@ -64,27 +65,15 @@ class Corpus:
     feature_count: int
 
     def __post_init__(self):
-        if not _is_int(self.feature_count):
-            raise InvalidValueError(f"feature count must be an integer, got {self.feature_count!r}")
-        if self.feature_count < 1:
-            raise InvalidValueError("feature count must be positive")
-        X = self.features
-        if not (
-            isinstance(X, np.ndarray)
-            and X.dtype == np.uint8
-            and X.ndim == 2
-            and X.flags.c_contiguous
-        ):
-            X = np.ascontiguousarray(X, dtype=np.uint8)
-            if X.ndim != 2:
-                raise ValueError("features must be a 2-D array")
+        _check_feature_count(self.feature_count)
+        X = _as_bits("feature values", self.features)
+        if X.ndim != 2:
+            raise ValueError("features must be a 2-D array")
         if X.shape != (len(self.method_names), self.feature_count):
             raise ValueError(
                 f"features shape {X.shape} does not match "
                 f"{len(self.method_names)} points x {self.feature_count} features"
             )
-        if X.size and X.max() > 1:
-            raise ValueError("feature values must be 0 or 1")
         for name in set(self.method_names):
             if not METHOD_TOKEN.match(name):
                 raise ValueError(f"invalid method name: {name!r}")
@@ -113,7 +102,7 @@ class Corpus:
         """New corpus holding the given rows, in the given order."""
         idx = np.asarray(indices, dtype=np.int64)
         names = tuple(self.method_names[i] for i in idx.tolist())
-        return Corpus(names, np.ascontiguousarray(self.features[idx]), self.feature_count)
+        return Corpus(names, self.features[idx], self.feature_count)
 
 
 def data_lines(data: str | bytes, error: type[PamperError]) -> list[tuple[int, str]]:
@@ -172,13 +161,14 @@ def _line_ends(buf: np.ndarray) -> np.ndarray:
 def _canonical_records(data: str | bytes, width: int | None):
     """The records of an input written wholly in canonical form, or None.
 
-    With ``width`` None the lines are database records ``<name>, [b,...,b]``
-    and the first line fixes the width; otherwise they are vector-file lines
-    ``[b,...,b]`` of ``width`` flags. Returns ``(names, X)``, ``names`` None
-    for a vector file, only when the input is ASCII, ends in LF, and every
-    line has exactly that form, width and a ``METHOD_TOKEN`` name: then the
-    strict parser would return the same records. Any other input gives None
-    and is left to the strict parser, so this never raises.
+    Empty lines and lines starting with ``#`` are skipped. With ``width``
+    None the data lines are database records ``<name>, [b,...,b]`` and the
+    first fixes the width; otherwise they are vector-file lines ``[b,...,b]``
+    of ``width`` flags. Returns ``(names, X)``, ``names`` None for a vector
+    file, only when the input is ASCII, ends in LF, and each of its (one or
+    more) data lines has exactly that form, width and a ``METHOD_TOKEN``
+    name: then the strict parser would return the same records. Any other
+    input gives None and is left to the strict parser, so this never raises.
 
     Each row block gathers the fixed-length tail after each line's name
     (``, [`` or ``[``, then 2F bytes of flags, commas and ``]``) through a
@@ -194,12 +184,17 @@ def _canonical_records(data: str | bytes, width: int | None):
     buf = np.frombuffer(data, dtype=np.uint8)
     ends = _line_ends(buf)
     starts = np.concatenate(([0], ends[:-1] + 1))
+    data_rows = (ends > starts) & (buf[starts] != ord("#"))
+    if not data_rows.all():
+        starts, ends = starts[data_rows], ends[data_rows]
+    if not len(ends):
+        return None
     named = width is None
     head = b", [" if named else b"["
     if named:
-        at = data.find(head, 0, int(ends[0]))
+        at = data.find(head, starts[0], ends[0])
         span = int(ends[0]) - at - len(head)
-        if at < 1 or span % 2:
+        if at <= starts[0] or span % 2:
             return None
         width = span // 2
     if width < 1:
@@ -345,14 +340,15 @@ def corpus_stats(corpus: Corpus) -> list[tuple[str, int, float]]:
 
 @dataclass(frozen=True, eq=False)
 class FeatureCatalog:
-    """Feature index -> human-readable description, immutable."""
+    """Feature index (``_check_index``) -> human-readable description, immutable."""
 
     descriptions: dict[int, str]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "descriptions", MappingProxyType(dict(self.descriptions))
-        )
+        descriptions = dict(self.descriptions)
+        for index in descriptions:
+            _check_index(index)
+        object.__setattr__(self, "descriptions", MappingProxyType(descriptions))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FeatureCatalog):
@@ -395,8 +391,7 @@ def parse_feature_catalog(text: str | bytes, feature_count: int | None = None) -
             index = int(head.strip())
         except ValueError:
             raise BadIndexError(line_no, f"bad feature index: {head.strip()!r}") from None
-        if index < 0:
-            raise BadIndexError(line_no, f"negative feature index: {index}")
+        _check_index(index, line_no)
         if feature_count is not None and index >= feature_count:
             raise BadIndexError(
                 line_no, f"catalog index {index} out of range for {feature_count} features"

@@ -5,6 +5,7 @@ input problems to a single exit code. Parse errors carry the 1-based line
 number of the offending input line; ``decode_utf8`` reports a byte that is
 not UTF-8 the same way, as the parse error of the file being read. A
 value out of its parameter's range raises InvalidValueError, also a ValueError.
+Rules that several constructors share (``_check_*``, ``_as_bits``) live here.
 """
 from __future__ import annotations
 
@@ -44,6 +45,37 @@ def _check_int(what: str, value, low: int) -> None:
     if not _is_int(value) or value < low:
         kind = "positive" if low else "nonnegative"
         raise InvalidValueError(f"{what} must be a {kind} integer, got {value!r}")
+
+
+def _check_feature_count(count) -> None:
+    """Raise InvalidValueError unless ``count`` is an ``_is_int`` integer >= 1."""
+    if not _is_int(count):
+        raise InvalidValueError(f"feature count must be an integer, got {count!r}")
+    if count < 1:
+        raise InvalidValueError("feature count must be positive")
+
+
+def _check_index(index, line_no: int | None = None) -> None:
+    """Raise BadIndexError at ``line_no`` unless ``index`` is an ``_is_int`` integer >= 0."""
+    if not _is_int(index):
+        raise BadIndexError(line_no, f"feature index must be an integer, got {index!r}")
+    if index < 0:
+        raise BadIndexError(line_no, f"negative feature index: {index}")
+
+
+def _as_bits(what: str, values, error: type[ValueError] = ValueError) -> np.ndarray:
+    """``values`` as a C-contiguous uint8 array (the input itself if it is one) when every entry
+    is 0 or 1, else ``error("<what> must be 0 or 1")``. Checked before any cast: bool and unsigned
+    arrays by their maximum, int, float and object ones entry by entry, strings never.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind in "bu":
+        ok = arr.max(initial=0) <= 1
+    else:
+        ok = arr.dtype.kind in "ifO" and ((arr == 0) | (arr == 1)).all()
+    if not ok:
+        raise error(f"{what} must be 0 or 1")
+    return np.ascontiguousarray(arr, dtype=np.uint8)
 
 
 class MalformedLineError(_LineError):

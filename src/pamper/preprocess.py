@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _kernels
 from .corpus import Corpus
-from .errors import EmptyDatasetError
+from .errors import EmptyDatasetError, _as_bits
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,8 +25,8 @@ class BinaryDataset:
     ``columns`` holds the corpus's feature columns as packed bitsets, one
     row of ``uint64`` words per feature (see ``_kernels.pack_bits``); all
     datasets of a corpus share the one read-only array. ``labels`` holds
-    this method's 0/1 labels in corpus order, and ``positives`` is their
-    sum.
+    this method's 0/1 labels (``_as_bits``, 1-D) in corpus order, and
+    ``positives`` is their sum.
     """
 
     method: str
@@ -35,9 +35,13 @@ class BinaryDataset:
     positives: int = field(init=False)
 
     def __post_init__(self):
-        if self.columns.shape[1] != -(-self.labels.shape[0] // 64):
+        labels = _as_bits("labels", self.labels)
+        if labels.ndim != 1:
+            raise ValueError("labels must be 1-dimensional")
+        if self.columns.shape[1] != -(-labels.shape[0] // 64):
             raise ValueError("labels and columns disagree on point count")
-        object.__setattr__(self, "positives", int(self.labels.sum()))
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "positives", int(labels.sum()))
 
     def __len__(self) -> int:
         return self.labels.shape[0]

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, TextIO
 import numpy as np
 
 from ._format import sig4
-from .errors import UnknownMethodError, VectorWidthMismatchError, _check_int
+from .errors import UnknownMethodError, VectorWidthMismatchError, _as_bits, _check_int
 from .trees import ModelSet
 
 
@@ -47,18 +47,16 @@ class Explanation:
 def _checked_bits(v, ndim: int, feature_count: int | None) -> np.ndarray:
     """Check a query vector (``ndim`` 1) or matrix (``ndim`` 2); return it as uint8.
 
-    Every entry must be 0 or 1, checked before the cast so that no value
-    wraps into range, and the last axis must hold ``feature_count`` entries
-    when that is given.
+    Every entry must be 0 or 1 (``_as_bits``), and the last axis must hold
+    ``feature_count`` entries when that is given.
     """
     arr = np.asarray(v)
     if arr.ndim != ndim:
         raise ValueError(f"query {'vector' if ndim == 1 else 'matrix'} must be {ndim}-dimensional")
-    if arr.size and not ((arr == 0) | (arr == 1)).all():
-        raise ValueError("query vector entries must be 0 or 1")
+    arr = _as_bits("query vector entries", arr)
     if feature_count is not None and arr.shape[-1] != feature_count:
         raise VectorWidthMismatchError(arr.shape[-1], feature_count)
-    return np.ascontiguousarray(arr, dtype=np.uint8)
+    return arr
 
 
 def as_vector(v, feature_count: int | None = None) -> np.ndarray:

@@ -38,8 +38,10 @@ from .errors import (
     InvalidValueError,
     PamperError,
     PlantedConfigError,
+    _as_bits,
+    _check_feature_count,
+    _check_index,
     _check_int,
-    _is_int,
 )
 
 _SUM_TOL = 1e-9
@@ -61,8 +63,8 @@ class PlantedRule:
         if not self.weight >= 0.0:
             raise InvalidDistributionError(f"rule weight must be nonnegative, got {self.weight!r}")
         for index in self.pattern:
-            if index < 0:
-                raise BadIndexError(None, f"negative feature index: {index}")
+            _check_index(index)
+        _as_bits("pattern values", list(self.pattern.values()), InvalidValueError)
         _check_distribution(self.distribution)
 
 
@@ -70,8 +72,8 @@ class PlantedRule:
 class PlantedModel:
     """Rules plus a fallback, checked when built.
 
-    A rule checks its own weight, index signs and distribution; the model
-    checks its feature count and noise, every index against
+    A rule checks its own weight, indices, pattern values and distribution;
+    the model checks its feature count and noise, every index against
     ``feature_count``, the weight sum and the fallback. Each error's ``part``
     names the config key or the index of the rule that set the bad value.
     """
@@ -84,11 +86,10 @@ class PlantedModel:
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
         object.__setattr__(self, "fallback", MappingProxyType(dict(self.fallback)))
-        if not _is_int(self.feature_count):
-            reason = f"feature count must be an integer, got {self.feature_count!r}"
-            raise _of("features", InvalidValueError(reason))
-        if self.feature_count < 1:
-            raise _of("features", InvalidValueError("feature count must be positive"))
+        try:
+            _check_feature_count(self.feature_count)
+        except InvalidValueError as exc:
+            raise _of("features", exc)
         if not 0.0 <= self.noise <= 1.0:
             raise _of("noise", InvalidValueError("noise must lie in [0, 1]"))
         total_weight = 0.0

@@ -142,17 +142,36 @@ def _vector_file(database_text: str) -> str:
     return "".join(line.partition(", ")[2] + "\n" for line in database_text.splitlines())
 
 
-def test_canonical_input_skips_the_strict_parser(monkeypatch):
+def _with_skipped_lines(rng, text: str) -> str:
+    """``text`` after a ``# x, [0]`` comment, with empty and ``#`` lines between its lines."""
+    skipped = ("\n", "#\n", "# a, [1,0]\n", "#[1]\n")
+    out = ["# x, [0]\n"]
+    for line in text.splitlines(keepends=True):
+        if rng.random() < 0.3:
+            out.append(skipped[int(rng.integers(len(skipped)))])
+        out.append(line)
+    return "".join(out)
+
+
+def _no_strict_parser(monkeypatch):
     for name in ("data_lines", "_parse_record", "_parse_bits"):
         monkeypatch.setattr(corpus_module, name, _strict_parser_must_not_run)
+
+
+def test_canonical_input_skips_the_strict_parser(monkeypatch):
+    _no_strict_parser(monkeypatch)
     rng = np.random.default_rng(808)
+    skip_rng = np.random.default_rng(809)
     for _ in range(40):
         c = random_corpus(rng)
         text = serialize_database(c)
         assert parse_database(text.encode("ascii")) == c
         assert parse_database(text) == c  # ASCII text, as open(...).read() gives
+        # Empty and '#' lines are skipped; a leading comment does not set the width.
+        assert parse_database(_with_skipped_lines(skip_rng, text).encode("ascii")) == c
         vectors = _vector_file(text)
-        for data in (vectors, vectors.encode("ascii")):
+        mixed = _with_skipped_lines(skip_rng, vectors)
+        for data in (vectors, vectors.encode("ascii"), mixed, mixed.encode("ascii")):
             got = parse_vectors(data, c.feature_count)
             assert got.dtype == np.uint8 and np.array_equal(got, c.features)
 
@@ -184,10 +203,23 @@ ROWS = (("a", "b"), [[1, 0], [0, 1]])
 
 
 @pytest.mark.parametrize(
+    "parse,data,want",
+    [
+        pytest.param(parse_database, b"a, [1,0]\n\n# note\nb, [0,1]\n", ROWS, id="database"),
+        pytest.param(
+            lambda d: parse_vectors(d, 2), b"[1,0]\n\n# note\n[0,1]\n", ROWS[1], id="vector-file"
+        ),
+    ],
+)
+def test_blank_and_comment_lines_keep_the_canonical_reader(monkeypatch, parse, data, want):
+    _no_strict_parser(monkeypatch)
+    assert _outcome(parse, data) == want
+
+
+@pytest.mark.parametrize(
     "data,want",
     [
         pytest.param(b"a, [1,0]\r\nb, [0,1]\r\n", ROWS, id="crlf"),
-        pytest.param(b"a, [1,0]\n\n# note\nb, [0,1]\n", ROWS, id="blank-and-comment"),
         pytest.param(b"a, [1, 0]\nb, [0,1]\n", ROWS, id="spaced-vector"),
         pytest.param("# r\u00e9sum\u00e9\na, [1,0]\nb, [0,1]\n".encode("utf-8"), ROWS, id="non-ascii-comment"),
         pytest.param(b"a, [1,0]\nb, [0,1]", ROWS, id="no-final-lf"),
@@ -212,7 +244,6 @@ def test_other_databases_take_the_strict_parser(strict_runs, data, want):
     "data,want",
     [
         pytest.param(b"[1,0]\r\n[0,1]\r\n", ROWS[1], id="crlf"),
-        pytest.param(b"[1,0]\n\n# note\n[0,1]\n", ROWS[1], id="blank-and-comment"),
         pytest.param(b"[1, 0]\n[0,1]\n", ROWS[1], id="spaced-vector"),
         pytest.param("# r\u00e9sum\u00e9\n[1,0]\n[0,1]\n".encode("utf-8"), ROWS[1], id="non-ascii-comment"),
         pytest.param(b"[1,0]\n[0,1]", ROWS[1], id="no-final-lf"),

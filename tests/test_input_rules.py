@@ -1,0 +1,119 @@
+"""One table per input rule: every constructor or query that takes the input applies it.
+
+Bits: every array that must hold only 0 and 1 is checked before any cast, so
+no entry wraps (256, -1), truncates (0.5) or parses (a string) into range,
+and a 0/1 array of any dtype is taken as uint8. Indices: a feature index is
+an integer (not a bool) and not negative.
+"""
+import numpy as np
+import pytest
+
+from pamper.corpus import Corpus, FeatureCatalog
+from pamper.errors import BadIndexError, InvalidValueError
+from pamper.preprocess import BinaryDataset
+from pamper.recommend import ModelArena, as_vector, batch_rank_method, batch_why_method
+from pamper.synth import PlantedModel, PlantedRule, generate
+from pamper.trees import Internal, Leaf, ModelSet
+
+MODEL = ModelSet(
+    2,
+    {"a": Internal(0, Leaf(0.25, 1), Leaf(0.75, 1)), "b": Internal(1, Leaf(0.1, 1), Leaf(0.9, 1))},
+    max_depth=1,
+)
+
+
+def _planted_bits(bits):
+    """The features of a point drawn from a rule that pins all four bits to ``bits``."""
+    rule = PlantedRule(dict(enumerate(bits.reshape(-1).tolist())), {"a": 1.0}, 1.0)
+    return generate(PlantedModel((rule,), {"b": 1.0}, 4), 1, 0).features[0]
+
+
+def _why_values(bits):
+    answer, explanations = batch_why_method(MODEL, bits, "a")
+    return np.array([explanations[i].expectation for i in answer])
+
+
+# Each taker gets a (2, 2) array of bits and returns what it stored or answered.
+BIT_TAKERS = {
+    "Corpus": lambda bits: Corpus(("a", "b"), bits, 2).features,
+    "BinaryDataset": lambda bits: BinaryDataset(
+        "a", bits.reshape(-1), np.zeros((2, 1), dtype=np.uint64)
+    ).labels,
+    "PlantedRule": _planted_bits,
+    "as_vector": lambda bits: as_vector(bits.reshape(-1)),
+    "ModelArena.expectations": lambda bits: ModelArena(MODEL).expectations(bits),
+    "batch_rank_method": lambda bits: batch_rank_method(MODEL, bits, "a")[0],
+    "batch_why_method": _why_values,
+}
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [2, -1, 256, 0.5, float("nan"), "1"],
+    ids=["two", "minus-one", "256", "half", "nan", "string"],
+)
+def test_every_bit_taker_rejects_an_entry_other_than_0_and_1(bad):
+    bits = np.array([[bad, 1], [0, 1]])
+    for name, take in BIT_TAKERS.items():
+        error = InvalidValueError if name == "PlantedRule" else ValueError
+        with pytest.raises(error, match="must be 0 or 1"):
+            take(bits)
+
+
+@pytest.mark.parametrize(
+    "bits",
+    [
+        np.array([[True, False], [False, True]]),
+        np.array([[1.0, 0.0], [-0.0, 1.0]]),
+        np.array([[1, 0], [0, 1]], dtype=np.int64),
+        np.array([[1, 0], [0, 1]], dtype=object),
+    ],
+    ids=["bool", "float", "int64", "object"],
+)
+def test_every_bit_taker_takes_0_and_1_of_any_dtype_as_uint8(bits):
+    for name, take in BIT_TAKERS.items():
+        got, want = take(bits), take(np.asarray(bits, dtype=np.uint8))
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    # C-contiguous uint8 bits are adopted, not copied.
+    X = np.array([[1, 0], [0, 1]], dtype=np.uint8)
+    assert Corpus(("a", "b"), X, 2).features is X and not X.flags.writeable
+    labels = np.array([1, 0, 0, 1], dtype=np.uint8)
+    dataset = BinaryDataset("a", labels, np.zeros((2, 1), dtype=np.uint64))
+    assert dataset.labels is labels and dataset.positives == 2
+
+
+def test_binary_dataset_labels_are_one_dimensional():
+    columns = np.zeros((2, 1), dtype=np.uint64)
+    with pytest.raises(ValueError, match="labels must be 1-dimensional"):
+        BinaryDataset("a", np.array([[1, 0, 0, 0]], dtype=np.uint8), columns)
+    # The label check comes before the point-count check.
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        BinaryDataset("a", np.array([2] + [0] * 99), columns)
+
+
+# Each taker gets one feature index and returns the indices it stored.
+INDEX_TAKERS = {
+    "PlantedRule": lambda index: PlantedRule({index: True}, {"a": 1.0}, 0.5).pattern.keys(),
+    "FeatureCatalog": lambda index: FeatureCatalog({index: "it holds"}).descriptions.keys(),
+}
+
+
+@pytest.mark.parametrize(
+    "index,message",
+    [
+        (-1, "negative feature index: -1"),
+        (np.int64(-3), "negative feature index: -3"),
+        (1.5, "feature index must be an integer, got 1.5"),
+        (2.0, "feature index must be an integer, got 2.0"),
+        (True, "feature index must be an integer, got True"),
+        ("1", "feature index must be an integer, got '1'"),
+    ],
+    ids=["minus-one", "int64-negative", "half", "float", "bool", "string"],
+)
+def test_every_index_taker_rejects_an_index_that_is_not_a_nonnegative_integer(index, message):
+    for name, take in INDEX_TAKERS.items():
+        with pytest.raises(BadIndexError) as info:
+            take(index)
+        assert str(info.value) == message, name
+    for name, take in INDEX_TAKERS.items():
+        assert list(take(np.int64(3))) == [3] and list(take(0)) == [0], name
