@@ -26,15 +26,15 @@ to human-readable descriptions, used when rendering explanations::
 """
 from __future__ import annotations
 
-import re
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from types import MappingProxyType
 
 import numpy as np
 
 from .errors import (
+    METHOD_TOKEN,
     BadIndexError,
     DuplicateIndexError,
     EmptyDatabaseError,
@@ -45,10 +45,9 @@ from .errors import (
     _as_bits,
     _check_feature_count,
     _check_index,
+    _check_name,
     decode_utf8,
 )
-
-METHOD_TOKEN = re.compile(r"[A-Za-z0-9_'.\-]+\Z")
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,8 +74,7 @@ class Corpus:
                 f"{len(self.method_names)} points x {self.feature_count} features"
             )
         for name in set(self.method_names):
-            if not METHOD_TOKEN.match(name):
-                raise ValueError(f"invalid method name: {name!r}")
+            _check_name(name)
         X.setflags(write=False)
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "method_names", tuple(self.method_names))
@@ -141,8 +139,7 @@ def _parse_record(line: str, line_no: int) -> tuple[str, bytearray]:
     if not sep:
         raise MalformedLineError(line_no, "expected '<method>, [<bits>]'")
     method = head.strip()
-    if not METHOD_TOKEN.match(method):
-        raise MalformedLineError(line_no, f"invalid method name: {method!r}")
+    _check_name(method, partial(MalformedLineError, line_no))
     return method, _parse_bits(rest, line_no)
 
 
@@ -340,14 +337,16 @@ def corpus_stats(corpus: Corpus) -> list[tuple[str, int, float]]:
 
 @dataclass(frozen=True, eq=False)
 class FeatureCatalog:
-    """Feature index (``_check_index``) -> human-readable description, immutable."""
+    """Feature index (``_check_index``) -> nonblank ``str`` description, immutable."""
 
     descriptions: dict[int, str]
 
     def __post_init__(self):
         descriptions = dict(self.descriptions)
-        for index in descriptions:
+        for index, description in descriptions.items():
             _check_index(index)
+            if not (isinstance(description, str) and description.strip()):
+                raise ValueError(f"feature description must be nonblank text: {description!r}")
         object.__setattr__(self, "descriptions", MappingProxyType(descriptions))
 
     def __eq__(self, other) -> bool:
@@ -396,10 +395,7 @@ def parse_feature_catalog(text: str | bytes, feature_count: int | None = None) -
             raise BadIndexError(
                 line_no, f"catalog index {index} out of range for {feature_count} features"
             )
-        description = rest.strip()
-        if not description:
-            raise BadIndexError(line_no, "empty description")
         if index in descriptions:
             raise DuplicateIndexError(line_no, index)
-        descriptions[index] = description
+        descriptions[index] = rest.strip()  # nonblank: the line is stripped, so it ends in text
     return FeatureCatalog(descriptions)

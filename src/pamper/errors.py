@@ -5,11 +5,17 @@ input problems to a single exit code. Parse errors carry the 1-based line
 number of the offending input line; ``decode_utf8`` reports a byte that is
 not UTF-8 the same way, as the parse error of the file being read. A
 value out of its parameter's range raises InvalidValueError, also a ValueError.
-Rules that several constructors share (``_check_*``, ``_as_bits``) live here.
+Rules that several constructors share (``_check_*``, ``_as_bits``) live here,
+among them the method-name grammar ``METHOD_TOKEN``: each taker passes
+``_check_name`` its own error class, line-numbered if it reads a file.
 """
 from __future__ import annotations
 
+import re
+
 import numpy as np
+
+METHOD_TOKEN = re.compile(r"[A-Za-z0-9_'.\-]+\Z")
 
 
 class PamperError(Exception):
@@ -61,6 +67,12 @@ def _check_index(index, line_no: int | None = None) -> None:
         raise BadIndexError(line_no, f"feature index must be an integer, got {index!r}")
     if index < 0:
         raise BadIndexError(line_no, f"negative feature index: {index}")
+
+
+def _check_name(name, error=ValueError) -> None:
+    """Raise ``error`` with the name unless ``name`` is a ``str`` that ``METHOD_TOKEN`` matches."""
+    if not (isinstance(name, str) and METHOD_TOKEN.match(name)):
+        raise error(f"invalid method name: {name!r}")
 
 
 def _as_bits(what: str, values, error: type[ValueError] = ValueError) -> np.ndarray:

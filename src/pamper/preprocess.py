@@ -38,7 +38,10 @@ class BinaryDataset:
         labels = _as_bits("labels", self.labels)
         if labels.ndim != 1:
             raise ValueError("labels must be 1-dimensional")
-        if self.columns.shape[1] != -(-labels.shape[0] // 64):
+        columns = self.columns
+        if not isinstance(columns, np.ndarray) or columns.dtype != np.uint64 or columns.ndim != 2:
+            raise ValueError("columns must be a 2-D uint64 array")
+        if columns.shape[1] != -(-labels.shape[0] // 64):
             raise ValueError("labels and columns disagree on point count")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "positives", int(labels.sum()))

@@ -31,7 +31,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .corpus import METHOD_TOKEN, Corpus, data_lines
+from .corpus import Corpus, data_lines
 from .errors import (
     BadIndexError,
     InvalidDistributionError,
@@ -42,6 +42,7 @@ from .errors import (
     _check_feature_count,
     _check_index,
     _check_int,
+    _check_name,
 )
 
 _SUM_TOL = 1e-9
@@ -118,8 +119,7 @@ def _check_distribution(dist) -> None:
         raise InvalidDistributionError("distribution has no methods")
     total = 0.0
     for name, prob in dist.items():
-        if not METHOD_TOKEN.match(name):
-            raise InvalidDistributionError(f"invalid method name: {name!r}")
+        _check_name(name, InvalidDistributionError)
         if not prob >= 0.0:
             raise InvalidDistributionError(
                 f"probability for {name} must be nonnegative, got {prob!r}"

@@ -20,6 +20,7 @@ import re
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from types import MappingProxyType
 from typing import Iterator, NamedTuple, Union
@@ -27,13 +28,14 @@ from typing import Iterator, NamedTuple, Union
 import numpy as np
 
 from . import _kernels
-from .corpus import EMPTY_CATALOG, METHOD_TOKEN, Corpus, FeatureCatalog
+from .corpus import EMPTY_CATALOG, Corpus, FeatureCatalog
 from .errors import (
     EmptyDatasetError,
     InvalidValueError,
     ModelParseError,
     PamperError,
     _check_int,
+    _check_name,
     _is_int,
     decode_utf8,
 )
@@ -119,10 +121,10 @@ class ModelSet:
 
     def __post_init__(self):
         _check_header(self.feature_count, self.max_depth)
+        for name in self.trees:
+            _check_name(name)
         rows = {}
         for name, tree in sorted(self.trees.items()):
-            if not METHOD_TOKEN.match(name):
-                raise ValueError(f"invalid method name: {name!r}")
             rows[name] = _node_rows(tree)
             _check_rows(rows[name], self.feature_count, self.max_depth)
         self.catalog.check_range(self.feature_count)
@@ -555,8 +557,7 @@ def model_from_text(text: str | bytes) -> ModelSet:
         name, sep, body = line.partition("\t")
         if not sep:
             raise ModelParseError(line_no, "expected '<method><TAB><tree>'")
-        if not METHOD_TOKEN.match(name):
-            raise ModelParseError(line_no, f"invalid method name: {name!r}")
+        _check_name(name, partial(ModelParseError, line_no))
         if name in trees:
             raise ModelParseError(line_no, f"duplicate method: {name}")
         trees[name] = _parse_tree(body, line_no, feature_count, max_depth)

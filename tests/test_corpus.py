@@ -461,3 +461,22 @@ def test_corpus_admits_only_an_integer_feature_count(count, message):
     assert str(info.value) == message
     corpus = Corpus(("a", "b"), X, np.int64(2))
     assert serialize_database(corpus) == "a, [1,0]\nb, [0,1]\n"
+
+
+def test_corpus_features_are_two_dimensional():
+    with pytest.raises(ValueError) as info:
+        Corpus(("a",), np.array([1], dtype=np.uint8), 1)
+    assert str(info.value) == "features must be a 2-D array"
+
+
+def test_corpus_stats_of_an_empty_corpus():
+    with pytest.raises(EmptyDatabaseError) as info:
+        corpus_stats(Corpus((), np.zeros((0, 2), dtype=np.uint8), 2))
+    assert str(info.value) == "corpus has no points"
+
+
+@pytest.mark.parametrize("data", [b"\n", b"#\n", b"# a, [0]\n\n#\n", "\n# x\n"])
+def test_only_blank_and_comment_lines_are_an_empty_database(data):
+    with pytest.raises(EmptyDatabaseError):
+        parse_database(data)
+    assert parse_vectors(data, 3).shape == (0, 3)

@@ -3,17 +3,25 @@
 Bits: every array that must hold only 0 and 1 is checked before any cast, so
 no entry wraps (256, -1), truncates (0.5) or parses (a string) into range,
 and a 0/1 array of any dtype is taken as uint8. Indices: a feature index is
-an integer (not a bool) and not negative.
+an integer (not a bool) and not negative. Method names: a ``str`` that the
+name grammar matches in full, else each taker's own ValueError class with one
+message. Descriptions and packed columns are checked by their one taker each.
 """
 import numpy as np
 import pytest
 
-from pamper.corpus import Corpus, FeatureCatalog
-from pamper.errors import BadIndexError, InvalidValueError
+from pamper.corpus import Corpus, FeatureCatalog, parse_database
+from pamper.errors import (
+    BadIndexError,
+    InvalidDistributionError,
+    InvalidValueError,
+    MalformedLineError,
+    ModelParseError,
+)
 from pamper.preprocess import BinaryDataset
 from pamper.recommend import ModelArena, as_vector, batch_rank_method, batch_why_method
 from pamper.synth import PlantedModel, PlantedRule, generate
-from pamper.trees import Internal, Leaf, ModelSet
+from pamper.trees import Internal, Leaf, ModelSet, model_from_text
 
 MODEL = ModelSet(
     2,
@@ -90,6 +98,23 @@ def test_binary_dataset_labels_are_one_dimensional():
     with pytest.raises(ValueError, match="labels must be 0 or 1"):
         BinaryDataset("a", np.array([2] + [0] * 99), columns)
 
+def test_binary_dataset_columns_are_a_2d_uint64_array():
+    labels = np.array([1, 0, 0, 1], dtype=np.uint8)
+    for columns in (
+        np.zeros((2, 1)),
+        np.zeros((2, 1), dtype=np.int64),
+        np.zeros(1, dtype=np.uint64),
+        [[0], [0]],
+    ):
+        with pytest.raises(ValueError, match="columns must be a 2-D uint64 array"):
+            BinaryDataset("a", labels, columns)
+    # The column check comes before the point-count check.
+    with pytest.raises(ValueError, match="columns must be a 2-D uint64 array"):
+        BinaryDataset("a", labels, np.zeros(2))
+    with pytest.raises(ValueError, match="labels and columns disagree on point count"):
+        BinaryDataset("a", labels, np.zeros((2, 2), dtype=np.uint64))
+
+
 
 # Each taker gets one feature index and returns the indices it stored.
 INDEX_TAKERS = {
@@ -117,3 +142,53 @@ def test_every_index_taker_rejects_an_index_that_is_not_a_nonnegative_integer(in
         assert str(info.value) == message, name
     for name, take in INDEX_TAKERS.items():
         assert list(take(np.int64(3))) == [3] and list(take(0)) == [0], name
+
+
+@pytest.mark.parametrize("description", [5, None, b"x", "", " \t"])
+def test_feature_catalog_descriptions_are_nonblank_text(description):
+    with pytest.raises(ValueError) as info:
+        FeatureCatalog({0: description})
+    assert str(info.value) == f"feature description must be nonblank text: {description!r}"
+    assert FeatureCatalog({0: " it holds"}).describe(0) == " it holds"
+
+
+# Each taker gets one method name; text takers read it from a line, at the given line.
+NAME_TAKERS = {
+    "Corpus": (lambda name: Corpus((name,), np.array([[1]]), 1), ValueError, None),
+    "ModelSet": (lambda name: ModelSet(1, {name: Leaf(0.5, 1)}), ValueError, None),
+    "PlantedRule": (
+        lambda name: PlantedRule({0: True}, {name: 1.0}, 0.5), InvalidDistributionError, None
+    ),
+    "PlantedModel": (
+        lambda name: PlantedModel((), {name: 1.0}, 1), InvalidDistributionError, None
+    ),
+    "parse_database": (
+        lambda name: parse_database(f"a, [0]\n{name}, [1]\n"), MalformedLineError, 2
+    ),
+    "model_from_text": (
+        lambda name: model_from_text(f"pamper-model v1 features=1 depth=1\n{name}\tL(1,1)\n"),
+        ModelParseError,
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name", [1, None, b"a", "bad name", ""], ids=["int", "none", "bytes", "space", "empty"]
+)
+def test_every_name_taker_rejects_a_name_outside_the_grammar(name):
+    for taker, (take, error, line_no) in NAME_TAKERS.items():
+        if line_no is not None and not isinstance(name, str):
+            continue  # a name read from text is always a str
+        with pytest.raises(error) as info:
+            take(name)
+        assert type(info.value) is error, taker
+        at = "" if line_no is None else f"line {line_no}: "
+        assert str(info.value) == f"{at}invalid method name: {name!r}", taker
+    for taker, (take, _, _) in NAME_TAKERS.items():
+        take("x'_.-9")
+
+
+def test_model_set_checks_names_before_sorting_them():
+    with pytest.raises(ValueError, match="invalid method name: 1"):
+        ModelSet(1, {"a": Leaf(0.5, 1), 1: Leaf(0.5, 1)})

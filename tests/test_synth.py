@@ -264,3 +264,26 @@ def test_trained_model_recovers_planted_rules():
     probe = np.zeros(6, dtype=np.uint8)
     probe[1] = 1
     assert which_method(trained, probe, k=1).ranked[0][0] == "blast"
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("fallback : a:1,", "empty distribution entry"),
+        ("fallback : a:0.5,, b:0.5", "empty distribution entry"),
+        ("fallback : a", "expected '<method>:<prob>', got 'a'"),
+        ("rule 0.5 : -> a:1", "empty pattern entry"),
+        ("rule 0.5 : 0=1, -> a:1", "empty pattern entry"),
+        ("fallback zipf 1.0 a b", "expected 'fallback zipf <s> : <names>'"),
+    ],
+)
+def test_parse_config_entry_errors(line, message):
+    with pytest.raises(PlantedConfigError) as err:
+        parse_planted_config(f"features = 3\n{line}\nfallback : a:1\n")
+    assert str(err.value) == f"line 2: {message}"
+
+
+def test_rule_without_methods_is_rejected():
+    with pytest.raises(InvalidDistributionError) as err:
+        PlantedRule({0: True}, {}, 0.5)
+    assert str(err.value) == "distribution has no methods"
