@@ -19,6 +19,9 @@ raw bytes, in row blocks. Any other input, valid or not, goes through the
 strict line parser, which is the only place that raises, so every
 accepted form, error and line number is the same on both paths.
 
+A ``Corpus`` works out its methods once, as ``vocab`` and ``codes``; every
+reader of a row's method, from ``take`` to the evaluation, indexes by code.
+
 A feature catalog is a separate tab-separated file mapping feature indices
 to human-readable descriptions, used when rendering explanations::
 
@@ -26,8 +29,7 @@ to human-readable descriptions, used when rendering explanations::
 """
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from types import MappingProxyType
 
@@ -56,28 +58,42 @@ class Corpus:
 
     ``features`` is adopted as the backing store and marked read-only, so
     pass a copy if you need to keep a writable original. Rows are uint8 in
-    {0, 1} (``_as_bits``) and the matrix is C-contiguous.
+    {0, 1} (``_as_bits``) and the matrix is C-contiguous. ``vocab`` holds the
+    sorted distinct names and ``codes`` each row's index into it (read-only ``intp``).
     """
 
     method_names: tuple[str, ...]
     features: np.ndarray
     feature_count: int
+    vocab: tuple[str, ...] = field(init=False, repr=False)
+    codes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_feature_count(self.feature_count)
         X = _as_bits("feature values", self.features)
         if X.ndim != 2:
             raise ValueError("features must be a 2-D array")
-        if X.shape != (len(self.method_names), self.feature_count):
-            raise ValueError(
-                f"features shape {X.shape} does not match "
-                f"{len(self.method_names)} points x {self.feature_count} features"
-            )
-        for name in set(self.method_names):
+        names = self.method_names
+        if isinstance(names, str):
+            raise ValueError(f"method names must be a sequence of names, not the str {names!r}")
+        if X.shape != (len(names), self.feature_count):
+            shape = f"{len(names)} points x {self.feature_count} features"
+            raise ValueError(f"features shape {X.shape} does not match {shape}")
+        try:
+            distinct = set(names)
+        except TypeError:  # an unhashable entry, which the scan below names
+            distinct = names
+        for name in distinct:
             _check_name(name)
+        vocab = tuple(sorted(distinct))
+        code_of = dict(zip(vocab, range(len(vocab))))
+        codes = np.fromiter(map(code_of.__getitem__, names), dtype=np.intp, count=len(names))
         X.setflags(write=False)
+        codes.setflags(write=False)
         object.__setattr__(self, "features", X)
-        object.__setattr__(self, "method_names", tuple(self.method_names))
+        object.__setattr__(self, "method_names", tuple(names))
+        object.__setattr__(self, "vocab", vocab)
+        object.__setattr__(self, "codes", codes)
 
     def __len__(self) -> int:
         return len(self.method_names)
@@ -93,13 +109,13 @@ class Corpus:
 
     @cached_property
     def method_counts(self) -> dict[str, int]:
-        """Occurrence count per distinct method name."""
-        return dict(Counter(self.method_names))
+        """Occurrence count per distinct method name, in ``vocab`` (name) order."""
+        return dict(zip(self.vocab, np.bincount(self.codes, minlength=len(self.vocab)).tolist()))
 
     def take(self, indices) -> "Corpus":
         """New corpus holding the given rows, in the given order."""
         idx = np.asarray(indices, dtype=np.int64)
-        names = tuple(self.method_names[i] for i in idx.tolist())
+        names = tuple(map(self.vocab.__getitem__, self.codes[idx].tolist()))
         return Corpus(names, self.features[idx], self.feature_count)
 
 
@@ -268,14 +284,14 @@ def serialize_database(corpus: Corpus) -> str:
     width = 2 * corpus.feature_count + 1
     template = np.empty((min(len(corpus), _BLOCK_ROWS), width), dtype=np.uint8)
     template[:] = np.frombuffer(b"0," * (corpus.feature_count - 1) + b"0]\n", dtype=np.uint8)
-    prefix = {name: f"{name}, [".encode("ascii") for name in set(corpus.method_names)}
+    prefix = [f"{name}, [".encode("ascii") for name in corpus.vocab]
     out = []
     for r0 in range(0, len(corpus), _BLOCK_ROWS):
         rows = corpus.features[r0:r0 + _BLOCK_ROWS]
         cells = template[:len(rows)]
         np.add(rows, 48, out=cells[:, :-1:2])
         parts = [b""] * (2 * len(rows))
-        parts[::2] = map(prefix.__getitem__, corpus.method_names[r0:r0 + len(rows)])
+        parts[::2] = map(prefix.__getitem__, corpus.codes[r0:r0 + len(rows)].tolist())
         parts[1::2] = cells.view(f"S{width}").ravel().tolist()
         out.append(b"".join(parts).decode("ascii"))
     return "".join(out)
@@ -327,12 +343,8 @@ def corpus_stats(corpus: Corpus) -> list[tuple[str, int, float]]:
     if len(corpus) == 0:
         raise EmptyDatabaseError("corpus has no points")
     total = len(corpus)
-    rows = [
-        (name, count, 100.0 * count / total)
-        for name, count in corpus.method_counts.items()
-    ]
-    rows.sort(key=lambda r: (-r[1], r[0]))
-    return rows
+    rows = [(name, count, 100.0 * count / total) for name, count in corpus.method_counts.items()]
+    return sorted(rows, key=lambda r: (-r[1], r[0]))
 
 
 @dataclass(frozen=True, eq=False)

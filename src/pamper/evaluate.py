@@ -5,11 +5,10 @@ part, and every held-out point asks: at what rank does the method actually
 used appear in the recommendation? The top-n coincidence rate of a method
 is the percentage of its held-out points whose true method ranked n or
 better. Methods seen only in evaluation cannot be ranked and are tallied
-separately as unlearned.
+separately as unlearned. Method columns are looked up once per ``vocab`` name.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,10 +136,9 @@ def run_evaluation(
     arena = ModelArena(model)
     methods = arena.names
     col_of = model.columns
-
-    eval_names = eval_corpus.method_names
-    unlearned = Counter(name for name in eval_names if name not in col_of)
-    cols = np.array([col_of.get(name, -1) for name in eval_names], dtype=np.int64)
+    vocab_cols = np.array([col_of.get(name, -1) for name in eval_corpus.vocab], dtype=np.intp)
+    cols = vocab_cols[eval_corpus.codes]
+    unlearned = {m: n for m, n in eval_corpus.method_counts.items() if m not in col_of}
     known = cols >= 0
     known_cols = cols[known]
     ranks = arena.batch_rank(eval_corpus.features[known], known_cols)
@@ -162,9 +160,7 @@ def run_evaluation(
         ),
         key=lambda r: (-r.train_count, r.method),
     )
-    report = EvaluationReport(
-        tuple(rows), dict(sorted(unlearned.items())), len(train_corpus), len(eval_corpus), top_n
-    )
+    report = EvaluationReport(tuple(rows), unlearned, len(train_corpus), len(eval_corpus), top_n)
     return model, report
 
 

@@ -2,9 +2,10 @@
 
 Learning "which method fits this proof state" is recast as one binary
 regression problem per method: a point's label is 1.0 for the method that
-was actually applied and 0.0 in every other method's dataset. The feature
-columns are packed into bitsets once and every dataset shares that one
-array, so memory grows with methods x points, never methods x points x
+was actually applied and 0.0 in every other method's dataset, so method
+``i`` of the corpus's ``vocab`` takes ``codes == i`` as its labels. The
+feature columns are packed into bitsets once and every dataset shares that
+one array, so memory grows with methods x points, never methods x points x
 features.
 """
 from __future__ import annotations
@@ -61,11 +62,9 @@ def single_target_split(corpus: Corpus) -> dict[str, BinaryDataset]:
         raise EmptyDatasetError("corpus has no points")
     columns = _kernels.pack_bits(corpus.features.T)
     columns.setflags(write=False)
-    names = np.asarray(corpus.method_names, dtype=object)
-    vocab, inverse = np.unique(names, return_inverse=True)
     datasets: dict[str, BinaryDataset] = {}
-    for target, name in enumerate(vocab.tolist()):
-        labels = (inverse == target).astype(np.uint8)
+    for code, name in enumerate(corpus.vocab):
+        labels = (corpus.codes == code).astype(np.uint8)
         labels.setflags(write=False)
         datasets[name] = BinaryDataset(name, labels, columns)
     return datasets

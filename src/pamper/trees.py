@@ -12,6 +12,9 @@ For 0/1 labels a region's RSS collapses to positives*(size-positives)/size,
 so split selection runs entirely on integer counts. Comparisons between
 candidate splits cross-multiply the exact rationals, which makes the chosen
 feature and tie-break independent of floating-point rounding.
+
+Every model, trained, loaded or given a catalog, is made by the one
+``ModelSet`` constructor and stored as its trees' preorder rows.
 """
 from __future__ import annotations
 
@@ -19,8 +22,8 @@ import os
 import re
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 from itertools import chain
 from types import MappingProxyType
 from typing import Iterator, NamedTuple, Union
@@ -107,10 +110,10 @@ class ModelSet:
     ``max_depth`` records the limit used at training time. A model is its
     model text: two models are equal when ``model_to_text`` writes the same
     text for both and their catalogs are equal. Every model is stored as its
-    trees' preorder rows: given nodes, as ``train`` gives them, are read into
-    rows and admitted only if the writer prints them as text the loader
-    reads back (``_check_rows``), and ``model_from_text`` parses into rows.
-    The rows are numbered once into ``table``, which every query steps.
+    trees' preorder rows, numbered once into ``table``: given nodes, as
+    ``train`` gives them, are read into rows and admitted only if the writer
+    prints them as text the loader reads back (``_check_rows``); another
+    model's ``trees`` share their rows, checked again only if they do not fit.
     """
 
     feature_count: int
@@ -120,15 +123,24 @@ class ModelSet:
     table: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        _check_header(self.feature_count, self.max_depth)
-        for name in self.trees:
-            _check_name(name)
-        rows = {}
-        for name, tree in sorted(self.trees.items()):
-            rows[name] = _node_rows(tree)
-            _check_rows(rows[name], self.feature_count, self.max_depth)
-        self.catalog.check_range(self.feature_count)
-        trees = _Trees(rows)
+        feature_count, max_depth, trees = self.feature_count, self.max_depth, self.trees
+        _check_int("feature_count", feature_count, 1)
+        if feature_count > np.iinfo(np.intp).max:  # the node table indexes features as intp
+            raise InvalidValueError(f"feature_count must fit a numpy intp, got {feature_count}")
+        _check_int("max_depth", max_depth, 1)
+        if not isinstance(trees, _Trees):
+            for name in trees:
+                _check_name(name)
+            rows = {}
+            for name, tree in sorted(trees.items()):
+                rows[name] = _node_rows(tree)
+                _check_rows(rows[name], feature_count, max_depth)
+            trees = _Trees(rows)
+        feature, _, _, depth = trees.table
+        if depth > max_depth or feature.max(initial=-1) >= feature_count:  # shared, unfit rows
+            for rows in trees.rows:
+                _check_rows(rows, feature_count, max_depth)
+        self.catalog.check_range(feature_count)
         object.__setattr__(self, "trees", trees)
         object.__setattr__(self, "table", trees.table)
 
@@ -143,26 +155,27 @@ class ModelSet:
         return self.trees.columns
 
     def with_catalog(self, catalog: FeatureCatalog) -> ModelSet:
-        """This model with ``catalog``, sharing its trees and table; only the catalog is checked."""
-        catalog.check_range(self.feature_count)
-        return _assemble(self.feature_count, self.trees, catalog, self.max_depth)
+        """This model with ``catalog``, sharing its trees and table."""
+        return replace(self, catalog=catalog)
 
 
 class _Trees(Mapping):
     """A model's read-only name -> tree mapping over its trees' preorder rows.
 
-    ``rows`` lists each tree's flat rows in name order, and ``table``
-    numbers them. Names, ``len`` and ``in`` come from the names alone; the
-    ``Leaf`` / ``Internal`` nodes are built from the rows, once, when a
-    caller first reads a tree.
+    ``rows`` lists each tree's flat rows in name order; ``table`` numbers them
+    when first read. Names, ``len`` and ``in`` come from the names alone, and
+    the ``Leaf`` / ``Internal`` nodes are built from the rows once, when first read.
     """
 
     def __init__(self, rows: dict):
         names = sorted(rows)
         self.columns = MappingProxyType(dict(zip(names, range(len(names)))))
         self.rows = [rows[name] for name in names]
-        self.table = _node_table(self.rows)
         self._roots = None
+
+    @cached_property
+    def table(self) -> tuple:
+        return _node_table(self.rows)
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -180,16 +193,6 @@ class _Trees(Mapping):
 
     def __repr__(self) -> str:
         return repr(dict(self))
-
-
-def _assemble(feature_count: int, trees: _Trees, catalog, max_depth: int) -> ModelSet:
-    """A ModelSet over trees already checked against this header, without checking them again."""
-    model = object.__new__(ModelSet)
-    model.__dict__.update(
-        feature_count=feature_count, trees=trees, catalog=catalog, max_depth=max_depth,
-        table=trees.table,
-    )
-    return model
 
 
 def _node_rows(tree: TreeNode) -> list:
@@ -229,14 +232,6 @@ def _tree_from_rows(rows: list) -> TreeNode:
     return done.pop()
 
 
-def _check_header(feature_count, max_depth) -> None:
-    """Raise InvalidValueError unless both are positive and the feature count fits an intp."""
-    _check_int("feature_count", feature_count, 1)
-    if feature_count > np.iinfo(np.intp).max:  # the node table indexes features as intp
-        raise InvalidValueError(f"feature_count must fit a numpy intp, got {feature_count}")
-    _check_int("max_depth", max_depth, 1)
-
-
 def _check_rows(rows: list, feature_count: int, max_depth: int) -> None:
     """Check that one tree's rows fit the header and that their model text loads back to them.
 
@@ -244,8 +239,7 @@ def _check_rows(rows: list, feature_count: int, max_depth: int) -> None:
     prints as ``np.float64(...)``, and ``int`` or ``bool`` without a decimal
     point), and a count or feature index an integer that ``_is_int`` admits.
     As in the writer, a row is an internal node when the next row is deeper.
-    Plain values cost one identity test each. The parser enforces the same
-    rules, so ``model_from_text`` does not call this.
+    Plain values cost one identity test each. The parser enforces the same rules.
     """
     depths = rows[0::4]
     for depth, feature, expectation, count, below in zip(
@@ -531,9 +525,8 @@ def _parse_tree(body: str, line_no: int, feature_count: int, max_depth: int) -> 
 def model_from_text(text: str | bytes) -> ModelSet:
     """Parse model text; raises ModelParseError with the offending line.
 
-    The parser's rows, trees in name order, are the model: ``_node_table``
-    numbers them as it numbers the rows of a model built from nodes, and
-    the nodes themselves are built only when a caller reads ``trees``.
+    The parser's rows, which it has checked, go to ``ModelSet`` as trees
+    in name order, and the nodes are built only when a caller reads them.
     """
     text = decode_utf8(text, ModelParseError)
     lines = text.split("\n")
@@ -561,8 +554,7 @@ def model_from_text(text: str | bytes) -> ModelSet:
         if name in trees:
             raise ModelParseError(line_no, f"duplicate method: {name}")
         trees[name] = _parse_tree(body, line_no, feature_count, max_depth)
-    _check_header(feature_count, max_depth)  # the rules ModelSet applies, among them the intp bound
-    return _assemble(feature_count, _Trees(trees), EMPTY_CATALOG, max_depth)
+    return ModelSet(feature_count, _Trees(trees), EMPTY_CATALOG, max_depth)
 
 
 def save_model(model: ModelSet, sink) -> None:

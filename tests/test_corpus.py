@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from pamper.errors import (
     VectorWidthMismatchError,
 )
 from pamper import corpus as corpus_module
+from pamper.preprocess import single_target_split
 from pamper.synth import parse_planted_config
 
 from oracles import random_corpus, random_method_names, reference_serialize_database
@@ -480,3 +483,23 @@ def test_only_blank_and_comment_lines_are_an_empty_database(data):
     with pytest.raises(EmptyDatabaseError):
         parse_database(data)
     assert parse_vectors(data, 3).shape == (0, 3)
+
+
+def test_vocab_codes_counts_and_labels_follow_the_names():
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        c = random_corpus(rng)
+        order = rng.permutation(len(c))[: int(rng.integers(0, len(c) + 1))]
+        for corpus in (c, c.take(order)):
+            names = corpus.method_names
+            vocab = tuple(sorted(set(names)))
+            assert corpus.vocab == vocab
+            assert corpus.codes.dtype == np.intp and not corpus.codes.flags.writeable
+            assert corpus.codes.tolist() == [vocab.index(name) for name in names]
+            assert corpus.method_counts == Counter(names)
+            assert list(corpus.method_counts) == list(vocab)
+            if len(corpus):
+                split = single_target_split(corpus)
+                assert list(split) == list(vocab)
+                for i, dataset in enumerate(split.values()):
+                    assert np.array_equal(dataset.labels, corpus.codes == i)

@@ -189,6 +189,23 @@ def test_every_name_taker_rejects_a_name_outside_the_grammar(name):
         take("x'_.-9")
 
 
+@pytest.mark.parametrize(
+    "names,message",
+    [
+        ("ab", "method names must be a sequence of names, not the str 'ab'"),
+        (([1], "a"), "invalid method name: [1]"),
+        (("a", {}), "invalid method name: {}"),
+    ],
+    ids=["str", "list-name", "dict-name"],
+)
+def test_corpus_names_are_a_sequence_of_names(names, message):
+    # A str is a sequence of one-letter names, and an unhashable entry fails set().
+    with pytest.raises(ValueError) as info:
+        Corpus(names, np.array([[1], [0]]), 1)
+    assert type(info.value) is ValueError and str(info.value) == message
+    assert Corpus(["b", "a"], np.array([[1], [0]]), 1).vocab == ("a", "b")
+
+
 def test_model_set_checks_names_before_sorting_them():
     with pytest.raises(ValueError, match="invalid method name: 1"):
         ModelSet(1, {"a": Leaf(0.5, 1), 1: Leaf(0.5, 1)})

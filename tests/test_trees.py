@@ -771,3 +771,43 @@ def test_queries_build_no_tree_node(tmp_path, monkeypatch):
             code, out, err = run_main(argv)
             assert (code, err) == (0, ""), argv
             assert out
+
+
+def test_a_model_over_shared_trees_is_checked_as_one_over_their_nodes():
+    rng = np.random.default_rng(21)
+    checked = 0
+    for _ in range(40):
+        model = random_model(rng)
+        loaded = model_from_text(model_to_text(model))
+        built = ModelSet(model.feature_count, dict(loaded.trees), max_depth=model.max_depth)
+        assert loaded == built
+        used = used_features(model)
+        headers = [(model.feature_count + 1, model.max_depth + 1)]
+        if used:
+            headers.append((max(used), model.max_depth))
+        if model.max_depth > 1:
+            headers.append((model.feature_count, model.max_depth - 1))
+        for source in (model, loaded):
+            for feature_count, max_depth in headers:
+                try:
+                    want = ModelSet(feature_count, dict(source.trees), max_depth=max_depth)
+                except ValueError as exc:
+                    with pytest.raises(ValueError) as info:
+                        ModelSet(feature_count, source.trees, max_depth=max_depth)
+                    assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+                    checked += 1
+                    continue
+                shared = ModelSet(feature_count, source.trees, max_depth=max_depth)
+                assert shared.trees is source.trees and shared.table is source.table
+                assert shared == want
+    assert checked > 40
+
+
+def test_with_catalog_shares_the_trees_and_checks_the_catalog():
+    model = random_model(np.random.default_rng(22))
+    described = model.with_catalog(FeatureCatalog({0: "the goal is an equation"}))
+    assert described.trees is model.trees and described.table is model.table
+    assert described.catalog.describe(0) == "the goal is an equation"
+    assert model_to_text(described) == model_to_text(model) and described != model
+    with pytest.raises(BadIndexError):
+        model.with_catalog(FeatureCatalog({model.feature_count: "out of range"}))
