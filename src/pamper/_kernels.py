@@ -10,6 +10,8 @@ import numpy as np
 # Name reported by benchmark tooling: the one kernel is plain numpy.
 backend_name = "pure"
 
+_BIT_WEIGHTS = np.array([1, 2, 4, 8, 16, 32, 64, 128], dtype=np.uint8)
+
 
 def pack_bits(bits):
     """Pack 0/1 values along the last axis into whole, zero-padded uint64 words."""
@@ -17,6 +19,26 @@ def pack_bits(bits):
     packed = np.zeros(bits.shape[:-1] + (-(-n // 64) * 8,), dtype=np.uint8)
     packed[..., : -(-n // 8)] = np.packbits(bits, axis=-1, bitorder="little")
     return packed.view(np.uint64)
+
+
+def pack_columns(features):
+    """``pack_bits(features.T)``: a bitset per column of a C-contiguous (rows, F) 0/1 uint8 matrix.
+
+    Each block of eight rows becomes one byte per column through a single
+    uint8 ``einsum`` against the weights 1, 2, ..., 128, whose sum is at most
+    255. Only the last partial 64-row block is copied, to pad it with zero rows.
+    """
+    n, width = features.shape
+    head = n - n % 64
+    packed = np.empty((-(-n // 64) * 8, width), dtype=np.uint8)
+    blocks = [(features[:head], packed[:head // 8])]
+    if head < n:
+        tail = np.zeros((64, width), dtype=np.uint8)
+        tail[:n - head] = features[head:]
+        blocks.append((tail, packed[head // 8:]))
+    for rows, out in blocks:
+        np.einsum("bkf,k->bf", rows.reshape(-1, 8, width), _BIT_WEIGHTS, out=out)
+    return np.ascontiguousarray(packed.T).view(np.uint64)
 
 
 def node_counts(Xp, yp, mask):

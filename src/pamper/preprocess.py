@@ -60,7 +60,7 @@ def single_target_split(corpus: Corpus) -> dict[str, BinaryDataset]:
     """
     if len(corpus) == 0:
         raise EmptyDatasetError("corpus has no points")
-    columns = _kernels.pack_bits(corpus.features.T)
+    columns = _kernels.pack_columns(corpus.features)
     columns.setflags(write=False)
     datasets: dict[str, BinaryDataset] = {}
     for code, name in enumerate(corpus.vocab):

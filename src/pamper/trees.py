@@ -14,7 +14,12 @@ candidate splits cross-multiply the exact rationals, which makes the chosen
 feature and tie-break independent of floating-point rounding.
 
 Every model, trained, loaded or given a catalog, is made by the one
-``ModelSet`` constructor and stored as its trees' preorder rows.
+``ModelSet`` constructor and stored as preorder node arrays: one array per
+field (depth, feature, value, count) over all its trees in name order, plus
+each tree's end. Model text that ``model_to_text`` could have written is
+read in bulk, straight into those arrays (``_canonical_trees``); any other
+text goes to the strict parser (``_parse_tree``), which is the only code
+that raises, so its messages and line numbers are the only ones a user sees.
 """
 from __future__ import annotations
 
@@ -33,6 +38,7 @@ import numpy as np
 from . import _kernels
 from .corpus import EMPTY_CATALOG, Corpus, FeatureCatalog
 from .errors import (
+    METHOD_TOKEN,
     EmptyDatasetError,
     InvalidValueError,
     ModelParseError,
@@ -110,10 +116,10 @@ class ModelSet:
     ``max_depth`` records the limit used at training time. A model is its
     model text: two models are equal when ``model_to_text`` writes the same
     text for both and their catalogs are equal. Every model is stored as its
-    trees' preorder rows, numbered once into ``table``: given nodes, as
+    trees' preorder node arrays, numbered once into ``table``: given nodes, as
     ``train`` gives them, are read into rows and admitted only if the writer
     prints them as text the loader reads back (``_check_rows``); another
-    model's ``trees`` share their rows, checked again only if they do not fit.
+    model's ``trees`` share their arrays, checked again only if they do not fit.
     """
 
     feature_count: int
@@ -135,7 +141,7 @@ class ModelSet:
             for name, tree in sorted(trees.items()):
                 rows[name] = _node_rows(tree)
                 _check_rows(rows[name], feature_count, max_depth)
-            trees = _Trees(rows)
+            trees = _Trees.from_rows(rows)
         feature, _, _, depth = trees.table
         if depth > max_depth or feature.max(initial=-1) >= feature_count:  # shared, unfit rows
             for rows in trees.rows:
@@ -160,22 +166,59 @@ class ModelSet:
 
 
 class _Trees(Mapping):
-    """A model's read-only name -> tree mapping over its trees' preorder rows.
+    """A model's read-only name -> tree mapping over its nodes' preorder arrays.
 
-    ``rows`` lists each tree's flat rows in name order; ``table`` numbers them
-    when first read. Names, ``len`` and ``in`` come from the names alone, and
-    the ``Leaf`` / ``Internal`` nodes are built from the rows once, when first read.
+    ``depth``, ``feature``, ``value`` and ``count`` hold one entry per node,
+    tree after tree in name order and each tree in preorder, as the rows of
+    ``_parse_tree`` hold them; tree ``i`` ends before node ``ends[i]``.
+    ``table`` numbers the nodes when first read. Names, ``len`` and ``in``
+    come from the names alone; each tree's ``rows`` and its ``Leaf`` /
+    ``Internal`` nodes are built from the arrays once, when first read.
     """
 
-    def __init__(self, rows: dict):
-        names = sorted(rows)
+    def __init__(self, names: list, depth, feature, value, count, ends):
         self.columns = MappingProxyType(dict(zip(names, range(len(names)))))
-        self.rows = [rows[name] for name in names]
+        self.depth, self.feature, self.value, self.count = depth, feature, value, count
+        self.ends = ends
+        for array in (depth, feature, value, count, ends):
+            array.setflags(write=False)
         self._roots = None
+
+    @classmethod
+    def from_rows(cls, rows: dict) -> _Trees:
+        """The trees of name -> checked preorder rows, flattened once in name order."""
+        names = sorted(rows)
+        flat = list(chain.from_iterable(map(rows.__getitem__, names)))
+        return cls(
+            names,
+            np.array(flat[0::4], dtype=np.intp),
+            np.array(flat[1::4], dtype=np.intp),
+            np.array(flat[2::4], dtype=np.float64),
+            np.array(flat[3::4], dtype=object),  # counts past int64 print exactly
+            np.cumsum([len(rows[name]) // 4 for name in names], dtype=np.intp),
+        )
+
+    @cached_property
+    def level_order(self) -> np.ndarray:
+        """The node indices level by level across the trees, as ``_node_table`` numbers them."""
+        return np.argsort(self.depth, kind="stable")
 
     @cached_property
     def table(self) -> tuple:
-        return _node_table(self.rows)
+        order = self.level_order
+        depth = int(self.depth.max(initial=0))
+        return _node_table(self.feature[order], self.value[order], len(self.columns), depth)
+
+    @cached_property
+    def rows(self) -> list:
+        """Each tree's flat preorder rows, in name order, as ``_parse_tree`` writes them."""
+        flat = [None] * (4 * self.depth.size)
+        flat[0::4] = self.depth.tolist()
+        flat[1::4] = self.feature.tolist()
+        flat[2::4] = self.value.tolist()
+        flat[3::4] = self.count.tolist()
+        ends = (4 * self.ends).tolist()
+        return [flat[start:end] for start, end in zip([0] + ends, ends)]
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -257,29 +300,25 @@ def _check_rows(rows: list, feature_count: int, max_depth: int) -> None:
             raise ValueError(f"count must be a nonnegative int, got {count!r}")
 
 
-def _node_table(rows: list) -> tuple:
-    """Number each tree's preorder rows into one read-only table ``(feature, child, value, depth)``.
+def _node_table(feature, value, roots: int, depth: int) -> tuple:
+    """Number the nodes' features and values, in ``level_order``, into one read-only table.
 
-    One stable sort by depth lists the nodes level by level across the
-    trees, each level in tree order and, within a tree, in preorder, which
-    is left to right. The roots are slots ``0 .. len(rows)-1``; the i-th
-    internal node's children are slots ``len(rows) + 2i`` (bit clear) and
-    ``len(rows) + 2i + 1`` (bit set), stored at ``child[2*s]`` and
+    The table is ``(feature, child, value, depth)``. ``level_order``, one
+    stable sort by depth, lists the nodes level by level across the trees,
+    each level in tree order and, within a tree, in preorder, which is left
+    to right. The roots are slots ``0 .. roots-1``; the i-th
+    internal node's children are slots ``roots + 2i`` (bit clear) and
+    ``roots + 2i + 1`` (bit set), stored at ``child[2*s]`` and
     ``child[2*s + 1]`` of its slot ``s``. A leaf has ``feature`` -1, points
     both child slots at itself and holds its expectation in ``value``;
     ``depth`` counts the levels below the roots.
     """
-    flat = list(chain.from_iterable(rows))
-    depths = np.array(flat[0::4], dtype=np.intp)
-    order = np.argsort(depths, kind="stable")
-    feature = np.array(flat[1::4], dtype=np.intp)[order]
-    value = np.array(flat[2::4], dtype=np.float64)[order]
     internal = feature >= 0
-    first = np.where(internal, len(rows) + 2 * (np.cumsum(internal) - 1), np.arange(feature.size))
+    first = np.where(internal, roots + 2 * (np.cumsum(internal) - 1), np.arange(feature.size))
     child = np.stack([first, first + internal], axis=1).reshape(-1)
     for array in (feature, child, value):
         array.setflags(write=False)
-    return feature, child, value, int(depths.max(initial=0))
+    return feature, child, value, depth
 
 
 def _choose_split(n_true, pos_true, n, pos):
@@ -522,12 +561,176 @@ def _parse_tree(body: str, line_no: int, feature_count: int, max_depth: int) -> 
         i += 1
 
 
+_CANONICAL_HEADER = re.compile(rb"pamper-model v1 features=([1-9]\d{0,17}) depth=([1-9]\d{0,17})")
+_TREE_BYTES = b"NL(),-.0123456789e"  # the writer's delimiters, then its number bytes
+_NUMBERS_ONLY = bytes.maketrans(b"NL(),", b"     ")
+_N, _L, _OPEN, _CLOSE, _COMMA = b"NL(),"
+_POW10 = 10 ** np.arange(18, dtype=np.int64)
+
+
+def _decimals(buf, starts, ends) -> tuple:
+    """The values of the runs ``buf[starts[i]:ends[i]]``, and the runs' byte offsets run after run.
+
+    The values are int64, or None unless every run is 1-18 digits, which int64 holds.
+    """
+    lengths = ends - starts
+    first = np.cumsum(lengths) - lengths
+    offsets = np.arange(lengths.sum()) + np.repeat(starts - first, lengths)
+    digits = buf[offsets] - ord("0")  # wraps past 9 for every other byte
+    if lengths.max(initial=0) > 18 or not (digits <= 9).all():
+        return None, offsets
+    return np.add.reduceat(digits * _POW10[np.repeat(ends - 1, lengths) - offsets], first), offsets
+
+
+def _canonical_trees(data: str | bytes):
+    """``(feature_count, max_depth, trees)`` of model text wholly in canonical form, or None.
+
+    Canonical text is what ``model_to_text`` writes: ASCII ending in LF, the
+    header with numbers that have no leading zero, then one
+    ``<name>\t<tree>`` line per tree, the ``METHOD_TOKEN`` names strictly
+    ascending. Each tree holds only the writer's bytes, in the grammar that
+    ``_parse_tree`` reads and with nothing around a number. Features and
+    counts are 1-18 digits, so they fit int64. Each expectation is a float
+    in [0, 1] whose last digit is not a 0 unless it follows the point, as
+    in ``0.0``: ``repr`` writes no other trailing zero in a fraction, so
+    ``0.50`` and ``0`` (and an exponent such as ``1e-50``) are left to the
+    strict parser. Every feature is below the header's count and every
+    internal node shallower than its depth. The strict parser reads such
+    text to the same model. Any other text gives None and is left to it, so
+    this never raises.
+
+    ``_canonical_nodes`` reads the node arrays. Each internal node's next
+    node in preorder must then sit at the first child slot that
+    ``_node_table`` gives it, which holds only if every internal node has
+    exactly two children.
+    """
+    nodes = _canonical_nodes(data)  # its buffers are freed before the table is built
+    if nodes is None:
+        return None
+    feature_count, max_depth, names, *arrays = nodes
+    trees = _Trees(names, *arrays)
+    feature, child, _, _ = trees.table
+    slots = np.flatnonzero(feature >= 0)  # the internal nodes, level by level
+    order = trees.level_order
+    if order.size != len(names) + 2 * slots.size:
+        return None
+    if (order[child[2 * slots]] != order[slots] + 1).any():
+        return None
+    return feature_count, max_depth, trees
+
+
+def _canonical_nodes(data: str | bytes):
+    """The header, names and preorder node arrays of canonical model text, or None.
+
+    The trees are joined into one buffer and checked in one pass over its
+    delimiters: each node opens with ``N(`` or ``L(``, a number and a
+    ``,``, a leaf then has its count and ``)``, an internal node's ``,`` is
+    followed by its first child, and a leaf by ``)``s and, unless it ends
+    its tree, one ``,``. A node's depth is its count of open ``(``; only
+    the roots and each tree's last ``)`` are at depth 0. Features and
+    counts are converted from their digits in numpy; the expectations are
+    cut at the delimiters and converted with ``float``, one token each.
+    Returns ``(feature_count, max_depth, names, depth, feature, value,
+    count, ends)`` as ``_Trees`` takes them.
+    """
+    if isinstance(data, str):
+        if not data.isascii():
+            return None
+        data = data.encode("ascii")
+    if not (isinstance(data, bytes) and data.endswith(b"\n") and data.isascii()):
+        return None
+    lines = data.split(b"\n")  # the last is empty
+    match = _CANONICAL_HEADER.fullmatch(lines[0])
+    if match is None or len(lines) < 3:
+        return None
+    feature_count, max_depth = int(match[1]), int(match[2])
+    names, bodies = [], []
+    for line in lines[1:-1]:
+        name, _, body = line.partition(b"\t")
+        names.append(name.decode("ascii"))
+        bodies.append(body)
+    if names != sorted(set(names)) or not all(map(METHOD_TOKEN.match, names)):
+        return None
+    text = b"".join(bodies)
+    if text.translate(None, _TREE_BYTES):
+        return None
+    buf = np.frombuffer(text, dtype=np.uint8)
+    sizes = [len(body) for body in bodies]
+    ends = np.cumsum(sizes)
+    at = np.flatnonzero(
+        (buf == _N) | (buf == _L) | (buf == _OPEN) | (buf == _CLOSE) | (buf == _COMMA)
+    )
+    sym = buf[at]
+    opener = np.flatnonzero((sym == _N) | (sym == _L))
+    n = opener.size
+    if not n or opener[-1] + 3 >= sym.size or at[0] != 0 or at[-1] != buf.size - 1:
+        return None
+    leaf = sym[opener] == _L
+    internal = ~leaf
+    gap = np.diff(at) > 1  # a number between delimiters k and k + 1
+    after = np.append(opener[1:], sym.size)  # the next node's opener
+    shaped = (
+        (sym[opener + 1] == _OPEN) & gap[opener + 1] & (sym[opener + 2] == _COMMA)
+        & np.where(leaf, gap[opener + 2] & (sym[opener + 3] == _CLOSE), after == opener + 3)
+    )
+    level = np.cumsum((sym == _OPEN).view(np.int8) - (sym == _CLOSE).view(np.int8))
+    bounds = np.searchsorted(at, np.stack([ends - sizes, ends - 1], axis=1).ravel())
+    zeros = np.flatnonzero(level == 0)
+    tree_ends = np.searchsorted(at[opener], ends)
+    followed = leaf.copy()
+    followed[tree_ends - 1] = False  # a tree's last leaf; a ',' follows every other leaf
+    separators = after[followed] - 1
+    if not (
+        shaped.all()
+        and zeros.size == bounds.size and (zeros == bounds).all()
+        and (sym[separators] == _COMMA).all()
+        and np.count_nonzero(sym == _OPEN) == n
+        and np.count_nonzero(sym == _COMMA) == n + separators.size
+        and np.count_nonzero(gap) == n + np.count_nonzero(leaf)
+    ):
+        return None
+    depth = level[opener]
+    last = at[opener[leaf] + 2] - 1  # each expectation's last byte
+    features, feature_bytes = _decimals(buf, at[opener[internal] + 1] + 1, at[opener[internal] + 2])
+    counts, count_bytes = _decimals(buf, at[opener[leaf] + 2] + 1, at[opener[leaf] + 3])
+    if (
+        features is None
+        or counts is None
+        or features.max(initial=-1) >= feature_count
+        or depth[internal].max(initial=-1) >= max_depth
+        or ((buf[last] == ord("0")) & (buf[last - 1] != ord("."))).any()
+    ):
+        return None
+    numbers = np.frombuffer(bytearray(text.translate(_NUMBERS_ONLY)), dtype=np.uint8)
+    numbers[feature_bytes] = numbers[count_bytes] = ord(" ")  # leaving the expectations
+    try:
+        expectations = np.array(list(map(float, numbers.tobytes().split())), dtype=np.float64)
+    except ValueError:
+        return None
+    if not ((expectations >= 0.0) & (expectations <= 1.0)).all():
+        return None
+    feature = np.full(n, -1, dtype=np.intp)
+    feature[internal] = features
+    value = np.zeros(n, dtype=np.float64)
+    value[leaf] = expectations
+    count = np.zeros(n, dtype=np.int64)
+    count[leaf] = counts
+    return feature_count, max_depth, names, depth, feature, value, count, tree_ends
+
+
 def model_from_text(text: str | bytes) -> ModelSet:
     """Parse model text; raises ModelParseError with the offending line.
 
-    The parser's rows, which it has checked, go to ``ModelSet`` as trees
-    in name order, and the nodes are built only when a caller reads them.
+    Canonical text, as ``model_to_text`` writes it, is read in bulk by
+    ``_canonical_trees``. Any other text goes to the strict parser, whose
+    checked rows go to ``ModelSet`` as trees in name order; it is the only
+    code here that raises. Either way the nodes are built only when a caller
+    reads them.
     """
+    canonical = _canonical_trees(text)
+    if canonical is not None:
+        feature_count, max_depth, trees = canonical
+        return ModelSet(feature_count, trees, EMPTY_CATALOG, max_depth)
     text = decode_utf8(text, ModelParseError)
     lines = text.split("\n")
     match = _HEADER.match(lines[0].rstrip("\r"))
@@ -554,7 +757,7 @@ def model_from_text(text: str | bytes) -> ModelSet:
         if name in trees:
             raise ModelParseError(line_no, f"duplicate method: {name}")
         trees[name] = _parse_tree(body, line_no, feature_count, max_depth)
-    return ModelSet(feature_count, _Trees(trees), EMPTY_CATALOG, max_depth)
+    return ModelSet(feature_count, _Trees.from_rows(trees), EMPTY_CATALOG, max_depth)
 
 
 def save_model(model: ModelSet, sink) -> None:

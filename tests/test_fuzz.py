@@ -1,13 +1,15 @@
 """Differential and fuzz tests for the input parsers.
 
 The model loader is compared against the recursive reference parser in
-``oracles`` on mutated model texts, the database and vector-file readers
-against their strict line parser on mutated canonical files, and every
-parser is fed random bytes, which may only ever raise ``PamperError``.
+``oracles`` on mutated model texts, and its bulk reader against its strict
+parser on mutated canonical models; the database and vector-file readers
+are compared against their strict line parser on mutated canonical files,
+and every parser is fed random bytes, which may only ever raise ``PamperError``.
 The CLI is driven with random argv and ``PAMPER_THREADS`` values, which may
 only ever exit 0 or 2, without a traceback.
 """
 import os
+import re
 from unittest import mock
 
 import numpy as np
@@ -16,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pamper import corpus as corpus_module
+from pamper import trees as trees_module
 from pamper.corpus import (
     Corpus,
     parse_database,
@@ -105,6 +108,109 @@ def test_loader_agrees_with_reference_on_edge_bodies(body):
 @given(mutated_model_texts())
 def test_loader_agrees_with_reference_on_mutated_texts(data):
     assert_same_verdict(data)
+
+
+CANONICAL_MODELS = [
+    model_to_text(random_model(np.random.default_rng(seed), values=values)).encode("ascii")
+    for seed, values in zip(range(10), [None, None, None, None, None, [0.0, 1.0, 0.5, 1e-05]] * 2)
+] + [
+    model_to_text(train(generate(parse_planted_config(
+        "features = 4\nnoise = 0.2\nrule 0.5 : 0=1 -> simp:1.0\nfallback : auto:0.6, blast:0.4\n"
+    ), 200, 5))).encode("ascii"),
+    b"pamper-model v1 features=12 depth=12\nm\t" + b"N(11," * 12 + b"L(0.5,3)" + b",L(-0.0,9))" * 12
+    + b"\nn\tL(1.0,123456789012345678)\n",
+]
+# Digit rewrites keep a model canonical, so they are drawn more often than the rest.
+MODEL_EDITS = [
+    "digit", "digit", "digit", "piece", "piece", "truncate", "flip", "insert", "delete", "swap",
+    "append",
+]
+PIECES = re.compile(rb"N\(\d+,|L\([^,]*,\d+\)|\)|,")  # the writer's pieces of a tree
+MODEL_TOKENS = [
+    b",", b")", b"(", b"N(", b"L(", b"0", b"9", b".", b"e", b"-", b"\t", b"\n", b"\r", b" ", b"_",
+]
+
+
+@st.composite
+def mutated_canonical_models(draw):
+    """Canonical model text after one to four rewritten digits, deletes,
+    copies or moves of a tree piece (``N(f,``, ``L(x,c)``, ``)`` or ``,``),
+    truncations, byte flips, inserts or deletes of a model token, swaps of
+    two lines, or appended bytes (a 0 after a number among them)."""
+    data = bytearray(draw(st.sampled_from(CANONICAL_MODELS)))
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(data)))
+        edit = draw(st.sampled_from(MODEL_EDITS))
+        if edit == "digit":
+            at = next((i for i in range(pos, len(data)) if data[i] in b"0123456789"), None)
+            if at is not None:
+                data[at] = draw(st.sampled_from(b"0123456789"))
+        elif edit == "piece":
+            lines = bytes(data).split(b"\n")
+            k = draw(st.integers(0, len(lines) - 1))
+            name, tab, body = lines[k].partition(b"\t")
+            pieces = PIECES.findall(body)
+            if pieces:
+                i = draw(st.integers(0, len(pieces) - 1))
+                move = draw(st.sampled_from(["delete", "copy", "move"]))
+                piece = pieces[i] if move == "copy" else pieces.pop(i)
+                if move != "delete":
+                    pieces.insert(draw(st.integers(0, len(pieces))), piece)
+                lines[k] = name + tab + b"".join(pieces)
+                data = bytearray(b"\n".join(lines))
+        elif edit == "truncate":
+            del data[pos:]
+        elif edit == "flip" and pos < len(data):
+            data[pos] = draw(st.sampled_from(b"NL(),.-e019\t\n\r ") | st.integers(0, 255))
+        elif edit == "insert":
+            data[pos:pos] = draw(st.sampled_from(MODEL_TOKENS))
+        elif edit == "delete":
+            token = draw(st.sampled_from(MODEL_TOKENS))
+            at = data.find(token, pos)
+            if at >= 0:
+                del data[at:at + len(token)]
+        elif edit == "swap":
+            lines = bytes(data).split(b"\n")
+            i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+            data = bytearray(b"\n".join(lines))
+        elif edit == "append":
+            at = data.find(b",", pos)
+            data[at:at] = draw(st.sampled_from([b"0", b"00", b"1"])) if at >= 0 else b""
+    return bytes(data)
+
+
+def strict_model(data):
+    with mock.patch.object(trees_module, "_canonical_trees", lambda data: None):
+        return model_from_text(data)
+
+
+@FUZZ
+@given(mutated_canonical_models())
+def test_bulk_model_reader_agrees_with_the_strict_parser(data):
+    try:
+        want = strict_model(data)
+    except PamperError as exc:
+        assert trees_module._canonical_trees(data) is None
+        with pytest.raises(PamperError) as info:
+            model_from_text(data)
+        got = info.value
+        assert type(got) is type(exc)
+        assert getattr(got, "line_no", None) == getattr(exc, "line_no", None)
+        assert str(got) == str(exc)
+        return
+    for source in (data, data.decode("utf-8")):
+        got = model_from_text(source)
+        assert (got.feature_count, got.max_depth, list(got.trees)) == (
+            want.feature_count, want.max_depth, list(want.trees),
+        )
+        *arrays, depth = got.table
+        *expected, want_depth = want.table
+        assert depth == want_depth
+        for array, reference in zip(arrays, expected):
+            # Compared as bits, so that -0.0 and 0.0 differ.
+            assert array.dtype == reference.dtype and array.tobytes() == reference.tobytes()
+        assert model_to_text(got) == model_to_text(want)
 
 
 CANONICAL_CORPORA = [

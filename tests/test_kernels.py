@@ -55,6 +55,17 @@ def test_word_boundaries_and_extreme_masks():
         _check(X, y, np.ones(n, dtype=np.uint8))
 
 
+def test_pack_columns_packs_as_pack_bits_of_the_transpose():
+    rng = np.random.default_rng(37)
+    for n in (1, 7, 8, 9, 63, 64, 65, 129, 1000):
+        for width in (1, 3, 108):
+            X = (rng.random((n, width)) < rng.uniform(0.1, 0.9)).astype(np.uint8)
+            X.setflags(write=False)
+            got, want = _kernels.pack_columns(X), _kernels.pack_bits(X.T)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+
 def test_kernels_accept_readonly_arrays():
     X = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.uint8)
     Xp = _kernels.pack_bits(X.T)

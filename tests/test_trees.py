@@ -741,6 +741,80 @@ def test_loaded_trees_are_built_once_on_first_read(monkeypatch):
     assert model.columns == {"a": 0, "b": 1}
 
 
+def _must_not_parse(*args):
+    raise AssertionError("the strict parser read canonical model text")
+
+
+def _chain_text(when_false: str, when_true: str) -> str:
+    # A 3000-deep chain on feature 0, under a header that allows it.
+    body = "N(0," * 3000 + when_false + f",{when_true})" * 3000
+    return f"pamper-model v1 features=1 depth=3001\nm\t{body}\n"
+
+
+DEEP = _chain_text("L(0.0,1)", "L(1.0,1)")
+
+
+def test_canonical_model_text_skips_the_strict_parser(monkeypatch):
+    rng = np.random.default_rng(41)
+    texts = [model_to_text(random_model(rng, values=[0.0, 1.0, 1e-05, 0.1])) for _ in range(20)]
+    texts += [model_to_text(random_model(rng)) for _ in range(20)]
+    corpus = parse_database("a, [1,0]\na, [1,1]\nb, [0,1]\nb, [0,0]\nb, [1,1]\nc, [0,1]\n")
+    texts.append(model_to_text(train(corpus)))
+    texts.append(DEEP)
+    monkeypatch.setattr(trees, "_parse_tree", _must_not_parse)
+    for text in texts:
+        for data in (text, text.encode("ascii")):
+            assert model_to_text(model_from_text(data)) == text
+
+
+TWO = H2 + "a\tN(1,L(0.5,3),L(1.0,4))\nb\tL(0.25,2)\n"
+
+
+@pytest.mark.parametrize(
+    "text,canonical",
+    [
+        pytest.param(TWO.replace("\n", "\r\n"), TWO, id="crlf"),
+        pytest.param(H2 + "b\tL(0.25,2)\na\tN(1,L(0.5,3),L(1.0,4))\n", TWO, id="reordered"),
+        pytest.param(H1 + "a\tL(0.50,1)\n", H1 + "a\tL(0.5,1)\n", id="trailing-zero"),
+        pytest.param(H1 + f"a\tL(0.5,{2**80})\n", H1 + f"a\tL(0.5,{2**80})\n", id="count-2**80"),
+        pytest.param(_chain_text("L(0,1)", "L(1,1)"), DEEP, id="deep-3000"),
+    ],
+)
+def test_other_model_text_goes_to_the_strict_parser(monkeypatch, text, canonical):
+    parsed = []
+    parse = trees._parse_tree
+    monkeypatch.setattr(trees, "_parse_tree", lambda *args: parsed.append(args[1]) or parse(*args))
+    model = model_from_text(text)
+    assert parsed
+    assert model_to_text(model) == canonical
+    monkeypatch.setattr(trees, "_parse_tree", _must_not_parse)
+    if canonical != text:
+        assert model_from_text(canonical) == model
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        pytest.param(["a\tN(0,L(0.5,1))"], id="one-child"),
+        pytest.param(["a\tN(0,L(0.5,1),L(0.5,1),L(0.5,1))"], id="three-children"),
+        pytest.param(["a\tN(0,N(1,L(0.5,1),L(0.5,1),L(0.5,1)))"], id="one-and-three-children"),
+        pytest.param(["a\tN(0,L(0.5,1)L(0.5,1),)"], id="comma-after-branch"),
+        pytest.param(["a\tL(0.5,1)", "b\tL(0.5,1))"], id="extra-close"),
+        pytest.param(["a\tL(0.5,1),L(0.5,1)"], id="two-roots"),
+        pytest.param(["a\tN(0,N(1,N(0,L(0.5,1),L(1.0,1)),L(1.0,1)),L(1.0,1))"], id="too-deep"),
+        pytest.param(["a\tN(2,L(0.5,1),L(1.0,1))"], id="feature-out-of-range"),
+        pytest.param(["a\tL(1.5,1)"], id="expectation-out-of-range"),
+        pytest.param(["a\tL(0.5,1.0)"], id="float-count"),
+    ],
+)
+def test_faults_in_canonical_looking_text_are_the_strict_parsers(lines):
+    text = H2 + "".join(line + "\n" for line in lines)
+    assert trees._canonical_trees(text) is None
+    with pytest.raises(ModelParseError) as info:
+        model_from_text(text)
+    assert info.value.line_no == 1 + len(lines)
+
+
 def test_queries_build_no_tree_node(tmp_path, monkeypatch):
     model = random_model(np.random.default_rng(4))
     path = tmp_path / "model.txt"
