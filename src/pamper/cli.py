@@ -11,11 +11,18 @@ Query vectors are written in the database's bracket syntax, either inline
 (``[1,0,1]``) or as a file with one vector per line. PAMPER_THREADS, the
 only thread setting, sets the training workers of train and evaluate (0
 or unset = one per CPU); a value that is not a nonnegative integer exits 2.
+
+The argparse parser is built once per process, on the first ``main``
+call. ``main`` then runs the function ``cmd_<command>`` that this module
+holds at call time, so a rebound ``cmd_*`` is the one that runs.
+``evaluate`` and ``gen`` import their modules when they run, so the
+other commands never load them.
 """
 from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import os
 import sys
@@ -34,15 +41,6 @@ from .corpus import (
     serialize_database,
 )
 from .errors import PamperError
-from .evaluate import (
-    SplitSpec,
-    render_csv,
-    render_fig2_csv,
-    render_fig3_csv,
-    render_table,
-    run_evaluation,
-    split_corpus,
-)
 from .recommend import (
     batch_rank_method,
     batch_why_method,
@@ -50,7 +48,6 @@ from .recommend import (
     render_rank,
     write_which,
 )
-from .synth import generate, parse_planted_config
 from .trees import (
     ModelSet,
     TrainConfig,
@@ -170,6 +167,11 @@ def cmd_why(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from .evaluate import (
+        SplitSpec, render_csv, render_fig2_csv, render_fig3_csv, render_table, run_evaluation,
+        split_corpus,
+    )
+
     spec = SplitSpec(eval_fraction=args.fraction, seed=args.seed)
     cfg = TrainConfig(max_depth=args.max_depth, min_points_to_split=args.min_split)
     _check_out_dir(args.out_dir)
@@ -195,6 +197,8 @@ def cmd_prune(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .synth import generate, parse_planted_config
+
     model = parse_planted_config(_read_bytes(args.config))
     corpus = generate(model, args.n, args.seed)
     text = serialize_database(corpus)
@@ -220,7 +224,8 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pamper",
         description="Train, query, and evaluate proof-method recommendation trees.",
@@ -232,14 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", help="output model path")
     p.add_argument("--max-depth", type=int, default=5)
     p.add_argument("--min-split", type=int, default=2, help="smallest node worth splitting")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("which", help="rank methods for a proof state")
     p.add_argument("model")
     p.add_argument("vector", help="[1,0,...] literal or a file with one vector per line")
     p.add_argument("-k", type=int, default=15, help="entries to print")
     p.add_argument("--json", action="store_true", help="JSON lines, full precision")
-    p.set_defaults(func=cmd_which)
 
     p = sub.add_parser("why", help="explain one method's expectation")
     p.add_argument("model")
@@ -247,14 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("method")
     p.add_argument("--catalog", help="feature catalog for readable sentences")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_why)
 
     p = sub.add_parser("rank", help="rank of one method for a proof state")
     p.add_argument("model")
     p.add_argument("vector")
     p.add_argument("method")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("evaluate", help="hold out a split and score coincidence rates")
     p.add_argument("database")
@@ -264,35 +265,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=".", help="where report files go")
     p.add_argument("--max-depth", type=int, default=5)
     p.add_argument("--min-split", type=int, default=2)
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("prune", help="list the feature indices the model branches on")
     p.add_argument("model")
     p.add_argument("--catalog")
-    p.set_defaults(func=cmd_prune)
 
     p = sub.add_parser("gen", help="generate a synthetic database from a planted config")
     p.add_argument("config")
     p.add_argument("n", type=int, help="number of points")
     p.add_argument("seed", type=int)
     p.add_argument("-o", "--output", help="write here instead of stdout")
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("stats", help="method usage summary of a database")
     p.add_argument("database")
-    p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("inspect", help="show a model's header and tree sizes")
     p.add_argument("model")
-    p.set_defaults(func=cmd_inspect)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (PamperError, OSError) as exc:
         print(f"pamper: {exc}", file=sys.stderr)
         return 2

@@ -26,7 +26,6 @@ from __future__ import annotations
 import os
 import re
 from collections.abc import Mapping
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from itertools import chain
@@ -415,6 +414,8 @@ def train(corpus: Corpus, cfg: TrainConfig | None = None) -> ModelSet:
     depends only on its own dataset, which keeps the result identical for
     any thread count.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     cfg = cfg or TrainConfig()
     datasets = single_target_split(corpus)
     names = list(datasets)

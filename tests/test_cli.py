@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import pamper
-from pamper import recommend
+from pamper import cli, recommend
 from pamper.cli import main
 from pamper.corpus import FeatureCatalog, parse_database, parse_vector, parse_vectors
 from pamper.recommend import rank_method, render_explanation, render_recommendation, which_method
@@ -809,6 +809,21 @@ def test_inspect_summary(model, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "methods: 2  features: 2  depth limit: 5"
     assert lines[1] == "  auto: depth=1 splits=1 leaves=2"
+
+
+def test_internal_error_exits_1_from_the_command_bound_at_call_time(db, capsys, monkeypatch):
+    assert main(["stats", db]) == 0  # the parser exists before the command is rebound
+
+    def broken(args):
+        raise RuntimeError("broken command")
+
+    monkeypatch.setattr(cli, "cmd_stats", broken)
+    capsys.readouterr()
+    assert main(["stats", "x"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("Traceback")
+    assert captured.err.endswith("RuntimeError: broken command\n")
 
 
 def test_module_entry_point(tmp_path, db, model):

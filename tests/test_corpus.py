@@ -228,6 +228,10 @@ def test_blank_and_comment_lines_keep_the_canonical_reader(monkeypatch, parse, d
         pytest.param(b"a, [1,0]\nb, [0,1]", ROWS, id="no-final-lf"),
         pytest.param("a, [1]\n#\ud800\n", (("a",), [[1]]), id="lone-surrogate-text"),
         pytest.param(
+            b"a, [\n", (MalformedLineError, 1, "line 1: feature vector must be bracketed"),
+            id="no-flags",
+        ),
+        pytest.param(
             b"a, []\n", (MalformedLineError, 1, "line 1: feature flag must be 0 or 1, got ''"),
             id="zero-width",
         ),

@@ -815,6 +815,14 @@ def test_faults_in_canonical_looking_text_are_the_strict_parsers(lines):
     assert info.value.line_no == 1 + len(lines)
 
 
+def test_non_ascii_model_text_goes_to_the_strict_parser():
+    text = H2 + "simp\u00e9\tL(0.5,1)\n"
+    assert trees._canonical_nodes(text) is None
+    with pytest.raises(ModelParseError) as info:
+        model_from_text(text)
+    assert (info.value.line_no, str(info.value)) == (2, "line 2: invalid method name: 'simp\u00e9'")
+
+
 def test_queries_build_no_tree_node(tmp_path, monkeypatch):
     model = random_model(np.random.default_rng(4))
     path = tmp_path / "model.txt"
