@@ -52,8 +52,9 @@ def node_counts(Xp, yp, mask):
     """
     n_true = np.bitwise_count(Xp & mask).sum(axis=1, dtype=np.int64)
     live = np.flatnonzero(mask & yp)
-    pos_mask = mask[live] & yp[live]
-    return n_true, np.bitwise_count(Xp[:, live] & pos_mask).sum(axis=1, dtype=np.int64)
+    sub = Xp[:, live]  # a copy, so the AND can run in place
+    sub &= mask[live] & yp[live]
+    return n_true, np.bitwise_count(sub).sum(axis=1, dtype=np.int64)
 
 
 def partition(Xp, mask, feature):

@@ -65,6 +65,12 @@ def _read_bytes(path: str) -> bytes:
         return handle.read()
 
 
+def _read_database(path: str):
+    """The corpus of a database file, read through an open handle so it is never held whole."""
+    with open(path, "rb") as handle:
+        return parse_database(handle)
+
+
 _REPORT_FILES = ("report.txt", "report.csv", "fig2.csv", "fig3.csv")
 
 
@@ -96,7 +102,8 @@ def _attach_catalog(model: ModelSet, catalog_path: str | None) -> ModelSet:
 def _read_vectors(source: str, feature_count: int) -> np.ndarray:
     if source.lstrip().startswith("["):
         return parse_vector(source, feature_count)[None, :]
-    vectors = parse_vectors(_read_bytes(source), feature_count)
+    with open(source, "rb") as handle:
+        vectors = parse_vectors(handle, feature_count)
     if not len(vectors):
         raise PamperError(f"no vectors found in {source}")
     return vectors
@@ -115,7 +122,7 @@ def _print_model_summary(model: ModelSet, points: int | None = None) -> None:
 
 def cmd_train(args) -> int:
     cfg = TrainConfig(max_depth=args.max_depth, min_points_to_split=args.min_split)
-    corpus = parse_database(_read_bytes(args.database))
+    corpus = _read_database(args.database)
     model = train(corpus, cfg)
     save_model(model, args.model)
     print(f"model written to {args.model}")
@@ -175,7 +182,7 @@ def cmd_evaluate(args) -> int:
     spec = SplitSpec(eval_fraction=args.fraction, seed=args.seed)
     cfg = TrainConfig(max_depth=args.max_depth, min_points_to_split=args.min_split)
     _check_out_dir(args.out_dir)
-    train_part, eval_part = split_corpus(parse_database(_read_bytes(args.database)), spec)
+    train_part, eval_part = split_corpus(_read_database(args.database), spec)
     _, report = run_evaluation(train_part, eval_part, cfg, top_n=args.top)
     os.makedirs(args.out_dir, exist_ok=True)
     out_dir = Path(args.out_dir)
@@ -212,7 +219,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    corpus = parse_database(_read_bytes(args.database))
+    corpus = _read_database(args.database)
     rows = corpus_stats(corpus)
     shown = quantize_percents([r[2] for r in rows])
     name_width = max(len("method"), max(len(r[0]) for r in rows))

@@ -15,9 +15,10 @@ An input written wholly in the canonical form that ``serialize_database``
 (and so ``pamper gen``) writes -- ASCII, every line ``<name>, [b,...,b]``
 (or ``[b,...,b]`` in a vector file) of one width and ended by LF, or
 empty or starting with ``#`` -- is read by a vectorized path over the
-raw bytes, in row blocks. Any other input, valid or not, goes through the
-strict line parser, which is the only place that raises, so every
-accepted form, error and line number is the same on both paths.
+raw bytes, in line-aligned blocks of about 1 MB, so a file object is never
+held whole. Any other input, valid or not, goes through the strict line
+parser, which is the only place that raises, so every accepted form, error
+and line number is the same on both paths.
 
 A ``Corpus`` works out its methods once, as ``vocab`` and ``codes``; every
 reader of a row's method, from ``take`` to the evaluation, indexes by code.
@@ -29,6 +30,7 @@ to human-readable descriptions, used when rendering explanations::
 """
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from types import MappingProxyType
@@ -159,103 +161,138 @@ def _parse_record(line: str, line_no: int) -> tuple[str, bytearray]:
     return method, _parse_bits(rest, line_no)
 
 
-_BLOCK_ROWS = 4096  # rows per block of the canonical reader and of the writer
-_SCAN_BYTES = 1 << 20  # bytes per block of the line-end scan
+_BLOCK_ROWS = 4096  # rows per block of the writer
+_SCAN_BYTES = 1 << 20  # bytes per line-aligned block of the canonical reader
 
 
-def _line_ends(buf: np.ndarray) -> np.ndarray:
-    """Offsets of every LF in ``buf``, scanned in blocks of ``_SCAN_BYTES``."""
-    return np.concatenate([
-        np.flatnonzero(buf[at:at + _SCAN_BYTES] == 10) + at
-        for at in range(0, buf.size, _SCAN_BYTES)
-    ])
-
-
-def _canonical_records(data: str | bytes, width: int | None):
+def _canonical_records(source, width: int | None):
     """The records of an input written wholly in canonical form, or None.
 
-    Empty lines and lines starting with ``#`` are skipped. With ``width``
-    None the data lines are database records ``<name>, [b,...,b]`` and the
-    first fixes the width; otherwise they are vector-file lines ``[b,...,b]``
-    of ``width`` flags. Returns ``(names, X)``, ``names`` None for a vector
-    file, only when the input is ASCII, ends in LF, and each of its (one or
-    more) data lines has exactly that form, width and a ``METHOD_TOKEN``
-    name: then the strict parser would return the same records. Any other
-    input gives None and is left to the strict parser, so this never raises.
+    ``source`` is bytes, text, or a seekable binary file object read from
+    its current position. Empty lines and lines starting with ``#`` are
+    skipped. With ``width`` None the data lines are database records
+    ``<name>, [b,...,b]`` and the first fixes the width; otherwise they are
+    vector-file lines ``[b,...,b]`` of ``width`` flags. Returns
+    ``(names, X)``, ``names`` None for a vector file, only when the input is
+    ASCII, ends in LF, and each of its (one or more) data lines has exactly
+    that form, width and a ``METHOD_TOKEN`` name: then the strict parser
+    would return the same records. Any other input gives None and is left
+    to the strict parser, so this never raises.
 
-    Each row block gathers the fixed-length tail after each line's name
-    (``, [`` or ``[``, then 2F bytes of flags, commas and ``]``) through a
+    The input is read in line-aligned blocks, ``_SCAN_BYTES`` bytes and the
+    rest of the line they end in, so the whole file is never held. Each
+    block gathers the fixed-length tail after each line's name (``, [`` or
+    ``[``, then 2F bytes of flags, commas and ``]``) through a
     sliding-window view, checks every byte of it in one comparison and
-    copies the flags out; distinct names are decoded and checked once.
+    writes the flags into one matrix. That matrix is allocated once, for the
+    most rows the input size admits (a data line takes at least ``2F + 5``
+    bytes, or ``2F + 2`` in a vector file; untouched pages hold no memory),
+    and shrunk in place to the rows read. Distinct names are decoded and
+    checked once.
     """
-    if isinstance(data, str):
-        if not data.isascii():
+    if isinstance(source, str):
+        if not source.isascii():
             return None
-        data = data.encode("ascii")
-    if not (isinstance(data, bytes) and data.endswith(b"\n") and data.isascii()):
+        source = source.encode("ascii")
+    if isinstance(source, bytes):
+        source = io.BytesIO(source)
+    elif not hasattr(source, "read"):
         return None
-    buf = np.frombuffer(data, dtype=np.uint8)
-    ends = _line_ends(buf)
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    data_rows = (ends > starts) & (buf[starts] != ord("#"))
-    if not data_rows.all():
-        starts, ends = starts[data_rows], ends[data_rows]
-    if not len(ends):
-        return None
+    start = source.tell()
+    size = source.seek(0, io.SEEK_END) - start
+    source.seek(start)
     named = width is None
     head = b", [" if named else b"["
-    if named:
-        at = data.find(head, starts[0], ends[0])
-        span = int(ends[0]) - at - len(head)
-        if at <= starts[0] or span % 2:
-            return None
-        width = span // 2
-    if width < 1:
-        return None
-    tail = len(head) + 2 * width
-    lengths = ends - starts
-    if (lengths.min() <= tail) if named else (lengths != tail).any():
-        return None
-    want = np.frombuffer(head + b"0," * (width - 1) + b"0]", dtype=np.uint8)
-    keep = np.full(tail, 0xFF, dtype=np.uint8)
-    keep[len(head)::2] = 0xFE  # '0' and '1' differ only in the low bit
-    windows = np.lib.stride_tricks.sliding_window_view(buf, tail)
-    X = np.empty((len(ends), width), dtype=np.uint8)
+    X = None
+    rows = 0
     names: list[str] = []
     decoded: dict[bytes, str] = {}
-    for r0 in range(0, len(ends), _BLOCK_ROWS):
-        tail_at = ends[r0:r0 + _BLOCK_ROWS] - tail
-        block = windows[tail_at]
-        if not ((block & keep) == want).all():
+    while block := source.read(_SCAN_BYTES):
+        block += source.readline()
+        if not (isinstance(block, bytes) and block.endswith(b"\n") and block.isascii()):
             return None
-        np.bitwise_and(block[:, len(head)::2], 1, out=X[r0:r0 + len(block)])
+        buf = np.frombuffer(block, dtype=np.uint8)
+        ends = np.flatnonzero(buf == 10)
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        data_rows = (ends > starts) & (buf[starts] != ord("#"))
+        if not data_rows.all():
+            starts, ends = starts[data_rows], ends[data_rows]
+        if not len(ends):
+            continue
+        if X is None:
+            if named:
+                at = block.find(head, starts[0], ends[0])
+                span = int(ends[0]) - at - len(head)
+                if at <= starts[0] or span % 2:
+                    return None
+                width = span // 2
+            if width < 1:
+                return None
+            tail = len(head) + 2 * width
+            X = np.empty((size // (tail + 1 + named), width), dtype=np.uint8)
+            want = np.frombuffer(head + b"0," * (width - 1) + b"0]", dtype=np.uint8)
+            keep = np.full(tail, 0xFF, dtype=np.uint8)
+            keep[len(head)::2] = 0xFE  # '0' and '1' differ only in the low bit
+        lengths = ends - starts
+        if (lengths.min() <= tail) if named else (lengths != tail).any():
+            return None
+        tail_at = ends - tail
+        cells = np.lib.stride_tricks.sliding_window_view(buf, tail)[tail_at]
+        if rows + len(cells) > len(X) or not ((cells & keep) == want).all():
+            return None  # the file grew while it was read, or a line is not canonical
+        np.bitwise_and(cells[:, len(head)::2], 1, out=X[rows:rows + len(cells)])
+        rows += len(cells)
         if not named:
             continue
-        spans = map(slice, starts[r0:r0 + len(block)].tolist(), tail_at.tolist())
-        keys = list(map(data.__getitem__, spans))
+        keys = list(map(block.__getitem__, map(slice, starts.tolist(), tail_at.tolist())))
         for key in set(keys).difference(decoded):
             name = key.decode("ascii")
             if not METHOD_TOKEN.match(name):
                 return None
             decoded[key] = name
         names.extend(map(decoded.__getitem__, keys))
+    if X is None:
+        return None
+    X.resize((rows, width), refcheck=False)  # no view of X is alive; the rows stay in place
     return (names if named else None), X
 
 
-def parse_database(text: str | bytes) -> Corpus:
-    """Parse database text into a validated corpus.
+def _ingest(source, width: int | None):
+    """``(records, None)`` from ``_canonical_records``, or else ``(None, the whole input)``.
+
+    A binary file object that cannot seek is read whole first. One that can
+    is read from where it stands and, when the canonical reader gives up,
+    read whole again from there for the strict parser.
+    """
+    start = None
+    if hasattr(source, "read"):
+        if source.seekable():
+            start = source.tell()
+        else:
+            source = source.read()
+    records = _canonical_records(source, width)
+    if records is not None:
+        return records, None
+    if start is not None:
+        source.seek(start)
+        source = source.read()
+    return None, source
+
+
+def parse_database(source) -> Corpus:
+    """Parse a database, as bytes, text or a binary file object, into a validated corpus.
 
     Raises MalformedLineError / InconsistentWidthError with the 1-based
     line number on bad records (bytes that are not UTF-8 included) and
     EmptyDatabaseError when no data lines remain after skipping blanks and
-    comments.
+    comments. A file object is read from its current position.
     """
-    canonical = _canonical_records(text, None)
-    if canonical is not None:
-        names, X = canonical
+    records, text = _ingest(source, None)
+    if records is not None:
+        names, X = records
         return Corpus(tuple(names), X, X.shape[1])
     lines = data_lines(text, MalformedLineError)
-    del text  # a caller that hands over its bytes gets them freed before the records are parsed
+    del text, source  # input read here is freed before the records are parsed
     methods: list[str] = []
     bits = bytearray()
     width = -1
@@ -310,19 +347,20 @@ def parse_vector(text: str, feature_count: int | None = None) -> np.ndarray:
     return np.frombuffer(row, dtype=np.uint8)
 
 
-def parse_vectors(data: str | bytes, feature_count: int) -> np.ndarray:
+def parse_vectors(source, feature_count: int) -> np.ndarray:
     """Parse a vector file, one bracketed vector per line, into a (rows, F) uint8 matrix.
 
     Lines follow the database rules (blank and ``#`` lines skipped, LF or
     CRLF). A bad line raises MalformedLineError, and a vector whose width is
     not ``feature_count`` raises VectorWidthMismatchError, each with its
-    1-based line number. A file without data lines gives zero rows.
+    1-based line number. A file without data lines gives zero rows. The
+    input is bytes, text or a binary file object, as in ``parse_database``.
     """
-    canonical = _canonical_records(data, feature_count)
-    if canonical is not None:
-        return canonical[1]
-    lines = data_lines(data, MalformedLineError)
-    del data  # as in parse_database
+    records, text = _ingest(source, feature_count)
+    if records is not None:
+        return records[1]
+    lines = data_lines(text, MalformedLineError)
+    del text, source  # as in parse_database
     bits = bytearray()
     rows = 0
     for line_no, line in lines:

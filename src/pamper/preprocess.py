@@ -5,12 +5,12 @@ regression problem per method: a point's label is 1.0 for the method that
 was actually applied and 0.0 in every other method's dataset, so method
 ``i`` of the corpus's ``vocab`` takes ``codes == i`` as its labels. The
 feature columns are packed into bitsets once and every dataset shares that
-one array, so memory grows with methods x points, never methods x points x
-features.
+one array; each method's labels are packed too, so memory grows with
+methods x points / 64 words, never methods x points x features.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,36 +19,48 @@ from .corpus import Corpus
 from .errors import EmptyDatasetError, _as_bits
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class BinaryDataset:
     """One method's binary view of the corpus.
 
     ``columns`` holds the corpus's feature columns as packed bitsets, one
     row of ``uint64`` words per feature (see ``_kernels.pack_bits``); all
-    datasets of a corpus share the one read-only array. ``labels`` holds
-    this method's 0/1 labels (``_as_bits``, 1-D) in corpus order, and
-    ``positives`` is their sum.
+    datasets of a corpus share the one read-only array. ``words`` holds this
+    method's 0/1 labels over the ``points`` rows, in corpus order, packed
+    the same way into one read-only row of words; ``labels`` unpacks them on
+    each read, and ``positives`` is their sum. The constructor takes the
+    labels unpacked (``_as_bits``, 1-D).
     """
 
     method: str
-    labels: np.ndarray
+    words: np.ndarray
+    points: int
     columns: np.ndarray
-    positives: int = field(init=False)
+    positives: int
 
-    def __post_init__(self):
-        labels = _as_bits("labels", self.labels)
+    def __init__(self, method: str, labels, columns):
+        labels = _as_bits("labels", labels)
         if labels.ndim != 1:
             raise ValueError("labels must be 1-dimensional")
-        columns = self.columns
         if not isinstance(columns, np.ndarray) or columns.dtype != np.uint64 or columns.ndim != 2:
             raise ValueError("columns must be a 2-D uint64 array")
         if columns.shape[1] != -(-labels.shape[0] // 64):
             raise ValueError("labels and columns disagree on point count")
-        object.__setattr__(self, "labels", labels)
+        words = _kernels.pack_bits(labels)
+        words.setflags(write=False)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "points", labels.shape[0])
+        object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "positives", int(labels.sum()))
 
+    @property
+    def labels(self) -> np.ndarray:
+        """The 0/1 labels as a fresh uint8 array, unpacked from ``words``."""
+        return np.unpackbits(self.words.view(np.uint8), count=self.points, bitorder="little")
+
     def __len__(self) -> int:
-        return self.labels.shape[0]
+        return self.points
 
 
 def single_target_split(corpus: Corpus) -> dict[str, BinaryDataset]:
@@ -56,15 +68,14 @@ def single_target_split(corpus: Corpus) -> dict[str, BinaryDataset]:
 
     Point order is preserved inside every dataset, each method's positive
     labels sum to its corpus count, and methods absent from the corpus get
-    no dataset.
+    no dataset. Each method's labels are packed as its dataset is built, so
+    no unpacked label array outlives its method's turn.
     """
     if len(corpus) == 0:
         raise EmptyDatasetError("corpus has no points")
     columns = _kernels.pack_columns(corpus.features)
     columns.setflags(write=False)
-    datasets: dict[str, BinaryDataset] = {}
-    for code, name in enumerate(corpus.vocab):
-        labels = (corpus.codes == code).astype(np.uint8)
-        labels.setflags(write=False)
-        datasets[name] = BinaryDataset(name, labels, columns)
-    return datasets
+    return {
+        name: BinaryDataset(name, corpus.codes == code, columns)
+        for code, name in enumerate(corpus.vocab)
+    }

@@ -267,14 +267,24 @@ def _descend(table, block: np.ndarray, roots) -> np.ndarray:
 
     A cursor matrix starts at the root slots and steps ``depth`` times, one
     gather a step. A cursor at a leaf stays there: both its child slots point
-    back at it, so the bit its -1 feature reads does not matter.
+    back at it, so the bit its -1 feature reads does not matter. Each step
+    works in place on the cursors and one index matrix of the same shape, so
+    only the step's uint8 bits are allocated; ``mode="clip"``, which no index
+    here needs, keeps ``np.take`` from buffering its output.
     """
     feature, child, _, depth = table
     bits = block.reshape(-1)
     row_base = np.arange(0, bits.size, block.shape[1])[:, None]
-    cur = np.broadcast_to(np.asarray(roots, dtype=np.intp), (block.shape[0], len(roots)))
+    cur = np.empty((block.shape[0], len(roots)), dtype=np.intp)
+    cur[:] = roots
+    at = np.empty_like(cur)
     for _ in range(depth):
-        cur = child[2 * cur + bits[row_base + feature[cur]]]
+        np.take(feature, cur, out=at, mode="clip")
+        at += row_base
+        cur *= 2
+        cur += bits[at]
+        np.take(child, cur, out=at, mode="clip")
+        cur, at = at, cur
     return cur
 
 

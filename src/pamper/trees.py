@@ -384,8 +384,7 @@ def build_tree(dataset: BinaryDataset, cfg: TrainConfig | None = None) -> TreeNo
     if n == 0:
         raise EmptyDatasetError()
     root = _kernels.pack_bits(np.ones(n, dtype=np.uint8))
-    yp = _kernels.pack_bits(dataset.labels)
-    return _tree_from_rows(_grow(dataset.columns, yp, root, n, dataset.positives, cfg))
+    return _tree_from_rows(_grow(dataset.columns, dataset.words, root, n, dataset.positives, cfg))
 
 
 def resolve_threads(_ignored: None = None) -> int:

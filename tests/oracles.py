@@ -6,6 +6,7 @@ package's optimized paths have something honest to be compared against.
 """
 from __future__ import annotations
 
+import io
 import json
 import re
 from fractions import Fraction
@@ -190,6 +191,62 @@ def reference_serialize_database(corpus: Corpus) -> str:
     for name, row in zip(corpus.method_names, corpus.features):
         out.append(f"{name}, [{','.join('1' if b else '0' for b in row.tolist())}]\n")
     return "".join(out)
+
+
+class Unseekable(io.RawIOBase):
+    """A binary stream over ``data`` that cannot seek, as a pipe or a socket cannot."""
+
+    def __init__(self, data: bytes):
+        self._inner = io.BytesIO(data)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        return self._inner.readinto(buffer)
+
+
+def input_sources(data: bytes):
+    """``data`` as bytes, as a seekable binary file object, and as one that cannot seek."""
+    yield data
+    with io.BytesIO(data) as handle:
+        yield handle
+    with Unseekable(data) as handle:
+        yield handle
+
+
+def late_block_inputs(vectors: bool = False) -> dict[str, bytes]:
+    """A canonical database, or vector file, of 400 rows x 6 flags (about 8 kB), and variants.
+
+    Each variant's odd part comes after the first 5 kB: a CRLF, a width
+    change, a non-ASCII comment, a byte that is not UTF-8 or a tab, all on
+    or after the last row, or a first 5 kB that is one comment. Also a
+    missing final LF, an empty input and an input of one comment line.
+    """
+    rng = np.random.default_rng(77)
+    bits = (rng.random((400, 6)) < 0.5).astype(int).tolist()
+    lines = [
+        ("" if vectors else f"m{i % 7}, ") + "[" + ",".join(map(str, row)) + "]"
+        for i, row in enumerate(bits)
+    ]
+    last = lines[-1]
+    comment = "# " + "x" * 5000
+
+    def text(rows: list[str]) -> bytes:
+        return "".join(row + "\n" for row in rows).encode("utf-8")
+
+    return {
+        "canonical": text(lines),
+        "comment-only-first-block": text([comment, "", "#"] + lines),
+        "crlf-late": text(lines[:-1]) + (last + "\r\n").encode("ascii"),
+        "width-change-late": text(lines[:-1] + [last[:-1] + ",1]"]),
+        "non-ascii-comment-late": text(lines + ["# r\u00e9sum\u00e9"]),
+        "non-utf8-byte-late": text(lines[:-1]) + b"\xff" + text([last]),
+        "tab-late": text(lines[:-1] + [last.replace("[", "\t[")]),
+        "no-final-lf": text(lines)[:-1],
+        "empty": b"",
+        "comments-only": text([comment]),
+    }
 
 
 def random_tree(rng, n_feat: int, depth_left: int, values=None):

@@ -4,6 +4,7 @@ Each test is self-contained: it builds its own data, states its tolerance
 inline, and fails loudly. conftest prints one PASS/FAIL line per test.
 """
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from pamper.recommend import (
     which_method,
     why_method,
 )
+from pamper.preprocess import single_target_split
 from pamper.synth import PlantedModel, PlantedRule, generate, zipf_imbalance
 from pamper.trees import (
     Internal,
@@ -281,3 +283,31 @@ def test_scale_and_throughput(tmp_path):
     rate = len(recommendations) / (time.perf_counter() - started)
     assert len(recommendations) == 20000
     assert rate >= 10000.0, f"only {rate:.0f} vectors/s"
+
+
+def test_bounded_ingest(tmp_path):
+    # The 100k x 108 x 169 scale database (22 MB) parsed from an open file
+    # holds at most half the file above its feature matrix at peak (traced),
+    # so the file is never held whole; the split then adds only the packed
+    # columns and one packed row of label words per method.
+    names = [f"m{i:03d}" for i in range(169)]
+    corpus = generate(PlantedModel((), zipf_imbalance(names, 1.4322), 108, 0.3), 100000, seed=3)
+    path = tmp_path / "scale.db"
+    path.write_text(serialize_database(corpus), encoding="ascii")
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        with open(path, "rb") as handle:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            got = parse_database(handle)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        base = tracemalloc.get_traced_memory()[0]
+        datasets = list(single_target_split(got).values())
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert got == corpus
+    assert peak < got.features.nbytes + size // 2, f"peak {peak} for a {size}-byte file"
+    packed = datasets[0].columns.nbytes + sum(ds.words.nbytes for ds in datasets)
+    assert retained < packed + 1024 * len(datasets), f"split retained {retained}, packed {packed}"

@@ -490,6 +490,21 @@ def test_unreadable_paths_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["train", "stats", "evaluate", "which"])
+@pytest.mark.parametrize("kind", ["empty", "directory", "missing"])
+def test_unreadable_input_paths_keep_their_message(tmp_path, model, command, kind):
+    # Databases and vector files are parsed from an open handle; opening it fails as reading did.
+    path = {"empty": "", "directory": str(tmp_path), "missing": str(tmp_path / "no.db")}[kind]
+    argv = {
+        "train": ["train", path, str(tmp_path / "model.txt")],
+        "stats": ["stats", path],
+        "evaluate": ["evaluate", path, "--out-dir", str(tmp_path / "out")],
+        "which": ["which", model, path],
+    }[command]
+    reason = "[Errno 21] Is a directory" if kind == "directory" else "[Errno 2] No such file or directory"
+    assert run_main(argv) == (2, "", f"pamper: {reason}: {path!r}\n")
+
+
 def test_malformed_inputs_exit_2(tmp_path, model, capsys):
     bad_db = tmp_path / "bad.txt"
     bad_db.write_text("simp [1,0]\n", encoding="utf-8")

@@ -1,3 +1,6 @@
+import io
+import os
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -27,9 +30,15 @@ from pamper.errors import (
 )
 from pamper import corpus as corpus_module
 from pamper.preprocess import single_target_split
-from pamper.synth import parse_planted_config
+from pamper.synth import PlantedModel, generate, parse_planted_config, zipf_imbalance
 
-from oracles import random_corpus, random_method_names, reference_serialize_database
+from oracles import (
+    input_sources,
+    late_block_inputs,
+    random_corpus,
+    random_method_names,
+    reference_serialize_database,
+)
 
 
 def test_parse_single_record():
@@ -179,6 +188,23 @@ def test_canonical_input_skips_the_strict_parser(monkeypatch):
             assert got.dtype == np.uint8 and np.array_equal(got, c.features)
 
 
+@pytest.mark.parametrize("size", [1, 7, 64, 4096])
+def test_small_blocks_and_file_objects_keep_the_canonical_reader(monkeypatch, size):
+    _no_strict_parser(monkeypatch)
+    monkeypatch.setattr(corpus_module, "_SCAN_BYTES", size)
+    rng = np.random.default_rng(810)
+    skip_rng = np.random.default_rng(811)
+    for _ in range(10):
+        c = random_corpus(rng)
+        text = _with_skipped_lines(skip_rng, serialize_database(c))
+        for source in input_sources(text.encode("ascii")):
+            assert parse_database(source) == c
+        vectors = _with_skipped_lines(skip_rng, _vector_file(serialize_database(c)))
+        for source in input_sources(vectors.encode("ascii")):
+            got = parse_vectors(source, c.feature_count)
+            assert got.dtype == np.uint8 and np.array_equal(got, c.features)
+
+
 @pytest.fixture
 def strict_runs(monkeypatch):
     runs = []
@@ -269,6 +295,94 @@ def test_other_databases_take_the_strict_parser(strict_runs, data, want):
 def test_other_vector_files_take_the_strict_parser(strict_runs, data, want):
     assert _outcome(lambda d: parse_vectors(d, 2), data) == want
     assert strict_runs == [MalformedLineError]
+
+
+@pytest.mark.parametrize(
+    "name,runs",
+    [("canonical", 0), ("comment-only-first-block", 0), ("crlf-late", 1),
+     ("width-change-late", 1), ("tab-late", 1), ("no-final-lf", 1)],
+)
+def test_an_odd_late_block_sends_the_whole_input_to_the_strict_parser_once(
+    strict_runs, monkeypatch, name, runs
+):
+    monkeypatch.setattr(corpus_module, "_SCAN_BYTES", 64)
+    for vectors in (False, True):
+        data = late_block_inputs(vectors)[name]
+        parse = (lambda d: parse_vectors(d, 6)) if vectors else parse_database
+        want = _outcome(parse, data)
+        for source in input_sources(data):
+            strict_runs.clear()
+            assert _outcome(parse, source) == want
+            assert strict_runs == [MalformedLineError] * runs
+
+
+def test_a_file_object_is_read_from_where_it_stands():
+    for name in ("canonical", "crlf-late", "width-change-late"):
+        data = late_block_inputs()[name]
+        with io.BytesIO(b"not a record\n" + data) as handle:
+            handle.seek(13)
+            assert _outcome(parse_database, handle) == _outcome(parse_database, data)
+            assert handle.tell() == 13 + len(data)
+
+
+class _GrowingFile(io.BytesIO):
+    """A file that held half its bytes when its size was taken, and the rest once read."""
+
+    def seek(self, offset, whence=io.SEEK_SET):
+        at = super().seek(offset, whence)
+        return at // 2 if whence == io.SEEK_END else at
+
+
+def test_a_file_that_grows_while_read_goes_to_the_strict_parser(strict_runs):
+    data = late_block_inputs()["canonical"]
+    with _GrowingFile(data) as handle:
+        assert parse_database(handle) == parse_database(data)
+    assert strict_runs == [MalformedLineError]
+
+
+def _through_a_pipe(parse, data: bytes):
+    reader, writer = os.pipe()
+    # The input fits the pipe's buffer, so the write returns before anything reads.
+    with open(writer, "wb") as sink:
+        sink.write(data)
+    with open(reader, "rb") as source:
+        assert not source.seekable()
+        return _outcome(parse, source)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"a, [1,0]\nb, [0,1]\n", b"[1,0]\n[0,1]\n", b"a, [1,0]\nb, [0,1,1]\n", b"a, [1,0]\r\n", b""],
+    ids=["database", "vector-file", "mixed-widths", "crlf", "empty"],
+)
+def test_a_pipe_gives_what_bytes_give(data):
+    for parse in (parse_database, lambda d: parse_vectors(d, 2)):
+        assert _through_a_pipe(parse, data) == _outcome(parse, data)
+
+
+def test_parsing_a_file_object_never_holds_the_file(tmp_path, monkeypatch):
+    # The traced peak is the feature matrix plus a slack that does not grow
+    # with the file: a handful of small blocks, and the names and codes of
+    # the corpus itself (24 bytes a row here, 0.5 MB in all).
+    slack = 1 << 20
+    names = [f"m{i:02d}" for i in range(40)]
+    corpus = generate(PlantedModel((), zipf_imbalance(names, 1.2), 108, 0.3), 20000, seed=5)
+    path = tmp_path / "db.txt"
+    path.write_text(serialize_database(corpus), encoding="ascii")
+    assert path.stat().st_size > 4 * slack
+    monkeypatch.setattr(corpus_module, "_SCAN_BYTES", 4096)
+    tracemalloc.start()
+    try:
+        with open(path, "rb") as handle:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            got = parse_database(handle)
+            peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert got == corpus
+    assert got.features.base is None  # shrunk in place to its rows, not a slice of a larger array
+    assert peak < got.features.nbytes + slack, (peak, got.features.nbytes)
 
 
 def test_counts_sum_to_points_property():

@@ -4,7 +4,9 @@ The model loader is compared against the recursive reference parser in
 ``oracles`` on mutated model texts, and its bulk reader against its strict
 parser on mutated canonical models; the database and vector-file readers
 are compared against their strict line parser on mutated canonical files,
-and every parser is fed random bytes, which may only ever raise ``PamperError``.
+and against themselves with the read size cut to a few bytes, from bytes
+and from file objects, so that block boundaries fall anywhere in a line;
+every parser is fed random bytes, which may only ever raise ``PamperError``.
 The CLI is driven with random argv and ``PAMPER_THREADS`` values, which may
 only ever exit 0 or 2, without a traceback.
 """
@@ -31,7 +33,13 @@ from pamper.synth import generate, parse_planted_config
 from pamper.trees import model_from_text, model_to_text, save_model, train
 
 from cli_helpers import run_main
-from oracles import random_corpus, random_model, reference_model_from_text
+from oracles import (
+    input_sources,
+    late_block_inputs,
+    random_corpus,
+    random_model,
+    reference_model_from_text,
+)
 
 FUZZ = settings(max_examples=400, deadline=None, derandomize=True, database=None)
 
@@ -298,6 +306,43 @@ def test_ingest_agrees_with_the_strict_parser_on_mutated_files(case):
     assert_paths_agree(parse, data)
     if data.isascii():
         assert_paths_agree(parse, data.decode("ascii"))
+
+
+READ_SIZES = [1, 7, 64, 4096]
+
+
+def streamed_outcome(parse, source):
+    try:
+        got = parse(source)
+    except PamperError as exc:
+        return type(exc), getattr(exc, "line_no", None), str(exc)
+    if isinstance(got, Corpus):
+        features = got.features
+        return got.method_names, got.vocab, got.codes.tolist(), features.dtype, features.tolist()
+    return got.dtype, got.shape, got.tolist()
+
+
+def assert_streaming_agrees(parse, data: bytes) -> None:
+    """Parsing ``data`` in small blocks, from bytes or a file object, gives what one block gives."""
+    want = streamed_outcome(parse, data)
+    for size in READ_SIZES:
+        with mock.patch.object(corpus_module, "_SCAN_BYTES", size):
+            for source in input_sources(data):
+                assert streamed_outcome(parse, source) == want, (size, type(source).__name__)
+
+
+@FUZZ
+@given(mutated_canonical_files())
+def test_block_boundaries_do_not_change_what_ingest_gives(case):
+    data, width, vectors = case
+    assert_streaming_agrees((lambda d: parse_vectors(d, width)) if vectors else parse_database, data)
+
+
+@pytest.mark.parametrize("name", list(late_block_inputs()))
+@pytest.mark.parametrize("vectors", [False, True], ids=["database", "vector-file"])
+def test_late_blocks_and_edges_agree_with_one_block(name, vectors):
+    data = late_block_inputs(vectors)[name]
+    assert_streaming_agrees((lambda d: parse_vectors(d, 6)) if vectors else parse_database, data)
 
 
 INPUT_ALPHABET = st.sampled_from(

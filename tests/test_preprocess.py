@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pamper.corpus import parse_database
 from pamper.errors import EmptyDatasetError
 from pamper.preprocess import single_target_split
+from pamper.synth import PlantedModel, generate, zipf_imbalance
 
 from oracles import random_corpus
 
@@ -70,3 +73,32 @@ def test_empty_corpus_rejected():
     with pytest.raises(EmptyDatasetError):
         single_target_split(empty)
 
+
+
+def test_labels_are_kept_packed_and_unpacked_on_read():
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        c = random_corpus(rng)
+        for code, ds in enumerate(single_target_split(c).values()):
+            assert ds.words.dtype == np.uint64 and ds.words.shape == (-(-len(c) // 64),)
+            assert not ds.words.flags.writeable
+            assert ds.labels.dtype == np.uint8
+            assert np.array_equal(ds.labels, c.codes == code)
+            assert ds.positives == c.method_counts[ds.method]
+
+
+def test_the_split_retains_only_packed_columns_and_labels():
+    names = [f"m{i:02d}" for i in range(40)]
+    c = generate(PlantedModel((), zipf_imbalance(names, 1.2), 108, 0.3), 20000, seed=5)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        split = single_target_split(c)
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    datasets = list(split.values())
+    packed = datasets[0].columns.nbytes + sum(ds.words.nbytes for ds in datasets)
+    # Beyond the packed arrays, a few hundred bytes of objects per method;
+    # one unpacked uint8 label array per method would be 20 kB each.
+    assert packed <= retained < packed + 1024 * len(datasets), (retained, packed)
