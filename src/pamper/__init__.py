@@ -21,7 +21,7 @@ _MODULE_OF = {
         "corpus": "Corpus FeatureCatalog corpus_stats parse_database parse_feature_catalog"
         " parse_vector parse_vectors serialize_database",
         "evaluate": "EvaluationReport MethodEval SplitSpec render_csv render_fig2_csv"
-        " render_fig3_csv render_table run_evaluation split_corpus",
+        " render_fig3_csv render_table run_evaluation",
         "preprocess": "BinaryDataset single_target_split",
         "recommend": "Explanation ModelArena Recommendation batch_rank_method batch_why_method"
         " rank_method render_explanation render_rank render_recommendation which_method"

@@ -16,7 +16,10 @@ The argparse parser is built once per process, on the first ``main``
 call. ``main`` then runs the function ``cmd_<command>`` that this module
 holds at call time, so a rebound ``cmd_*`` is the one that runs.
 ``evaluate`` and ``gen`` import their modules when they run, so the
-other commands never load them.
+other commands never load them. ``evaluate`` holds out row i of the
+database when the i-th draw of numpy's ``Generator(PCG64(seed)).random(n)``
+is below ``--fraction``, computed by ``pamper._pcg64`` without importing
+``numpy.random``, and trains on the other rows of the one parsed corpus.
 """
 from __future__ import annotations
 
@@ -176,14 +179,13 @@ def cmd_why(args) -> int:
 def cmd_evaluate(args) -> int:
     from .evaluate import (
         SplitSpec, render_csv, render_fig2_csv, render_fig3_csv, render_table, run_evaluation,
-        split_corpus,
     )
 
     spec = SplitSpec(eval_fraction=args.fraction, seed=args.seed)
     cfg = TrainConfig(max_depth=args.max_depth, min_points_to_split=args.min_split)
     _check_out_dir(args.out_dir)
-    train_part, eval_part = split_corpus(_read_database(args.database), spec)
-    _, report = run_evaluation(train_part, eval_part, cfg, top_n=args.top)
+    corpus = _read_database(args.database)
+    _, report = run_evaluation(corpus, spec.held_out(len(corpus)), cfg, top_n=args.top)
     os.makedirs(args.out_dir, exist_ok=True)
     out_dir = Path(args.out_dir)
     table = render_table(report)

@@ -21,7 +21,7 @@ parser, which is the only place that raises, so every accepted form, error
 and line number is the same on both paths.
 
 A ``Corpus`` works out its methods once, as ``vocab`` and ``codes``; every
-reader of a row's method, from ``take`` to the evaluation, indexes by code.
+reader of a row's method, from the writer to the evaluation, indexes by code.
 
 A feature catalog is a separate tab-separated file mapping feature indices
 to human-readable descriptions, used when rendering explanations::
@@ -113,12 +113,6 @@ class Corpus:
     def method_counts(self) -> dict[str, int]:
         """Occurrence count per distinct method name, in ``vocab`` (name) order."""
         return dict(zip(self.vocab, np.bincount(self.codes, minlength=len(self.vocab)).tolist()))
-
-    def take(self, indices) -> "Corpus":
-        """New corpus holding the given rows, in the given order."""
-        idx = np.asarray(indices, dtype=np.int64)
-        names = tuple(map(self.vocab.__getitem__, self.codes[idx].tolist()))
-        return Corpus(names, self.features[idx], self.feature_count)
 
 
 def data_lines(data: str | bytes, error: type[PamperError]) -> list[tuple[int, str]]:

@@ -5,9 +5,10 @@ input problems to a single exit code. Parse errors carry the 1-based line
 number of the offending input line; ``decode_utf8`` reports a byte that is
 not UTF-8 the same way, as the parse error of the file being read. A
 value out of its parameter's range raises InvalidValueError, also a ValueError.
-Rules that several constructors share (``_check_*``, ``_as_bits``) live here,
-among them the method-name grammar ``METHOD_TOKEN``: each taker passes
-``_check_name`` its own error class, line-numbered if it reads a file.
+Rules that several constructors share (``_check_*``, ``_as_bits``,
+``_as_row_mask``) live here, among them the method-name grammar
+``METHOD_TOKEN``: each taker passes ``_check_name`` its own error class,
+line-numbered if it reads a file.
 """
 from __future__ import annotations
 
@@ -90,6 +91,18 @@ def _as_bits(what: str, values, error: type[ValueError] = ValueError) -> np.ndar
     return np.ascontiguousarray(arr, dtype=np.uint8)
 
 
+def _as_row_mask(what: str, values, points: int) -> np.ndarray:
+    """``values`` as a bool mask with one entry per row of a ``points``-row corpus: ``_as_bits``,
+    then 1-D and of length ``points``, each else ValueError.
+    """
+    mask = _as_bits(what, values)
+    if mask.ndim != 1:
+        raise ValueError(f"{what} must be 1-dimensional")
+    if mask.shape[0] != points:
+        raise ValueError(f"{what} has {mask.shape[0]} entries, the corpus has {points} points")
+    return mask.view(np.bool_)
+
+
 class MalformedLineError(_LineError):
     """A database or vector line does not match the record grammar."""
 
@@ -151,17 +164,6 @@ class UnknownMethodError(PamperError):
     def __init__(self, method: str):
         super().__init__(f"unknown method: {method}")
         self.method = method
-
-
-class FeatureWidthMismatchError(PamperError):
-    """Training and evaluation corpora disagree on feature count."""
-
-    def __init__(self, got: int, want: int):
-        super().__init__(
-            f"evaluation corpus has {got} features, training corpus has {want}"
-        )
-        self.got = got
-        self.want = want
 
 
 class InvalidDistributionError(InvalidValueError):

@@ -1,4 +1,4 @@
-"""Held-out evaluation: train/eval splitting and top-n coincidence rates.
+"""Held-out evaluation: the held-out mask and top-n coincidence rates.
 
 A corpus is split point-wise at random, a model is trained on the large
 part, and every held-out point asks: at what rank does the method actually
@@ -6,6 +6,10 @@ used appear in the recommendation? The top-n coincidence rate of a method
 is the percentage of its held-out points whose true method ranked n or
 better. Methods seen only in evaluation cannot be ranked and are tallied
 separately as unlearned. Method columns are looked up once per ``vocab`` name.
+
+The split is a boolean mask over the one parsed corpus (``SplitSpec.held_out``).
+Training takes the other rows as its root mask, so the only rows copied are
+the held-out feature rows that get ranked.
 """
 from __future__ import annotations
 
@@ -13,14 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _pcg64
 from ._format import pct0, pct1, quantize_percents
 from .corpus import Corpus
 from .errors import (
-    FeatureWidthMismatchError,
     InvalidValueError,
     NoEvalPointsError,
     NoTrainPointsError,
     PamperError,
+    _as_row_mask,
     _check_int,
 )
 from .recommend import ModelArena
@@ -31,6 +36,15 @@ _FIG3_THRESHOLDS = (25, 50, 75, 90)
 
 @dataclass(frozen=True)
 class SplitSpec:
+    """A deterministic per-point Bernoulli split, drawn by ``held_out``.
+
+    Row i of an n-point corpus is held out for evaluation when the i-th of
+    n draws of numpy's ``Generator(PCG64(seed)).random(n)`` is below
+    ``eval_fraction``, so the same corpus and seed give the same partition
+    on any platform. The draws are computed by ``pamper._pcg64``, which
+    gives that stream bit for bit without importing ``numpy.random``.
+    """
+
     eval_fraction: float = 0.10
     seed: int = 0
 
@@ -39,24 +53,11 @@ class SplitSpec:
             raise InvalidValueError(f"eval_fraction must lie in (0, 1), got {self.eval_fraction!r}")
         _check_int("seed", self.seed, 0)
 
-
-def split_corpus(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus]:
-    """Deterministic per-point Bernoulli split into (train, eval).
-
-    Uses the PCG64 generator seeded with spec.seed, one uniform draw per
-    point in corpus order, so the same corpus and seed always produce the
-    same exact partition on any platform.
-    """
-    n = len(corpus)
-    if n < 2:
-        raise PamperError("corpus must have at least 2 points to split")
-    rng = np.random.Generator(np.random.PCG64(spec.seed))
-    draws = rng.random(n)
-    eval_mask = draws < spec.eval_fraction
-    return (
-        corpus.take(np.flatnonzero(~eval_mask)),
-        corpus.take(np.flatnonzero(eval_mask)),
-    )
+    def held_out(self, n: int) -> np.ndarray:
+        """The boolean mask of the rows an n-point corpus holds out for evaluation."""
+        if n < 2:
+            raise PamperError("corpus must have at least 2 points to split")
+        return _pcg64.below(int(self.seed), n, self.eval_fraction)
 
 
 @dataclass(frozen=True)
@@ -103,45 +104,54 @@ class EvaluationReport:
 
 
 def run_evaluation(
-    train_corpus: Corpus,
-    eval_corpus: Corpus,
+    corpus: Corpus,
+    held_out,
     cfg: TrainConfig | None = None,
     top_n: int = 15,
 ) -> tuple[ModelSet, EvaluationReport]:
-    """Train on one corpus, score coincidence rates on the other.
+    """Train on the corpus rows outside ``held_out``, score coincidence rates on the rows in it.
 
-    Returns the trained model and the report. Eval points of methods never
-    seen in training are counted under ``unlearned`` and excluded from the
-    coincidence math; per-method eval counts plus the unlearned total always
-    add up to the eval corpus size. Every known eval point is ranked in one
-    ``ModelArena.batch_rank`` call, which holds one ``_BLOCK_ROWS`` block of
-    (rows, methods) expectations at a time. Training uses the thread count
-    that ``PAMPER_THREADS`` sets (see ``resolve_threads``).
-    ``top_n`` may not exceed the larger of 15 and the training method count.
+    ``held_out`` is a boolean mask over the corpus (``_as_row_mask``), such
+    as ``SplitSpec.held_out(len(corpus))`` draws. Training takes the other
+    rows as its root mask (``train(corpus, cfg, rows=~held_out)``), so the
+    model is the one trained on a copy of them. Returns the trained model and
+    the report. Eval points of methods never seen in training are counted
+    under ``unlearned`` and excluded from the coincidence math; per-method
+    eval counts plus the unlearned total always add up to the held-out
+    count. Every known eval point is ranked in one ``ModelArena.batch_rank``
+    call, which holds one ``_BLOCK_ROWS`` block of (rows, methods)
+    expectations at a time. Training uses the thread count that
+    ``PAMPER_THREADS`` sets (see ``resolve_threads``). ``top_n`` may not
+    exceed the larger of 15 and the training method count.
     """
     _check_int("top_n", top_n, 1)
-    if train_corpus.feature_count != eval_corpus.feature_count:
-        raise FeatureWidthMismatchError(
-            eval_corpus.feature_count, train_corpus.feature_count
-        )
-    if len(train_corpus) == 0:
+    held_out = _as_row_mask("held_out", held_out, len(corpus))
+    eval_rows = np.flatnonzero(held_out)
+    total_eval = eval_rows.size
+    total_train = len(corpus) - total_eval
+    if total_train == 0:
         raise NoTrainPointsError()
-    if len(eval_corpus) == 0:
+    if total_eval == 0:
         raise NoEvalPointsError()
-    limit = max(15, len(train_corpus.method_counts))  # no rank exceeds the method count
+    train_rows = ~held_out
+    vocab = corpus.vocab
+    train_counts = np.bincount(corpus.codes[train_rows], minlength=len(vocab))
+    limit = max(15, np.count_nonzero(train_counts))  # no rank exceeds the method count
     if top_n > limit:
         raise InvalidValueError(f"top_n must be at most max(15, methods) = {limit}, got {top_n}")
 
-    model = train(train_corpus, cfg)
+    model = train(corpus, cfg, rows=train_rows)
     arena = ModelArena(model)
     methods = arena.names
     col_of = model.columns
-    vocab_cols = np.array([col_of.get(name, -1) for name in eval_corpus.vocab], dtype=np.intp)
-    cols = vocab_cols[eval_corpus.codes]
-    unlearned = {m: n for m, n in eval_corpus.method_counts.items() if m not in col_of}
+    vocab_cols = np.array([col_of.get(name, -1) for name in vocab], dtype=np.intp)
+    eval_codes = corpus.codes[eval_rows]
+    cols = vocab_cols[eval_codes]
+    eval_by_name = zip(vocab, np.bincount(eval_codes, minlength=len(vocab)).tolist())
+    unlearned = {m: n for m, n in eval_by_name if n and m not in col_of}
     known = cols >= 0
     known_cols = cols[known]
-    ranks = arena.batch_rank(eval_corpus.features[known], known_cols)
+    ranks = arena.batch_rank(corpus.features[eval_rows[known]], known_cols)
     eval_counts = np.bincount(known_cols, minlength=len(methods))
     rank_hits = np.zeros((len(methods), top_n), dtype=np.int64)
     hit = ranks <= top_n
@@ -150,17 +160,17 @@ def run_evaluation(
     # Scaling by the rounded reciprocal is the pinned form (100.0 * hits / ec can differ
     # by one ulp). A method with no eval points has no hits, so its row is all 0.0.
     coincidence = np.cumsum(rank_hits, axis=1) * (100.0 / np.maximum(eval_counts, 1))[:, None]
-    train_counts = train_corpus.method_counts
+    train_count = dict(zip(vocab, train_counts.tolist()))
     learned = max(known_cols.size, 1)  # with no learned eval point every eval count is 0
     rows = sorted(
         (
-            MethodEval(name, train_counts[name], 100.0 * train_counts[name] / len(train_corpus),
+            MethodEval(name, train_count[name], 100.0 * train_count[name] / total_train,
                        ec, 100.0 * ec / learned, tuple(series))
             for name, ec, series in zip(methods, eval_counts.tolist(), coincidence.tolist())
         ),
         key=lambda r: (-r.train_count, r.method),
     )
-    report = EvaluationReport(tuple(rows), unlearned, len(train_corpus), len(eval_corpus), top_n)
+    report = EvaluationReport(tuple(rows), unlearned, total_train, total_eval, top_n)
     return model, report
 
 

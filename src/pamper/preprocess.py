@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .corpus import Corpus
-from .errors import EmptyDatasetError, _as_bits
+from .errors import EmptyDatasetError, _as_bits, _as_row_mask
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -63,19 +63,32 @@ class BinaryDataset:
         return self.points
 
 
-def single_target_split(corpus: Corpus) -> dict[str, BinaryDataset]:
+def single_target_split(corpus: Corpus, rows=None) -> dict[str, BinaryDataset]:
     """One BinaryDataset per distinct method, keyed and ordered by name.
 
     Point order is preserved inside every dataset, each method's positive
     labels sum to its corpus count, and methods absent from the corpus get
     no dataset. Each method's labels are packed as its dataset is built, so
     no unpacked label array outlives its method's turn.
+
+    ``rows``, a boolean mask over the corpus (``_as_row_mask``), keeps only
+    the rows it sets: method ``i``'s labels become ``(codes == i) & rows``,
+    and a method with no row in the mask gets no dataset. The datasets
+    still span every corpus row, so ``build_tree`` takes the same mask as
+    its root; a mask that sets no row raises EmptyDatasetError.
     """
     if len(corpus) == 0:
         raise EmptyDatasetError("corpus has no points")
+    codes, present = corpus.codes, range(len(corpus.vocab))
+    if rows is not None:
+        rows = _as_row_mask("rows", rows, len(corpus))
+        present = np.flatnonzero(np.bincount(codes[rows], minlength=len(corpus.vocab))).tolist()
+        if not present:
+            raise EmptyDatasetError("rows select no points")
+        codes = np.where(rows, codes, -1)  # a row outside the mask is no method's positive
     columns = _kernels.pack_columns(corpus.features)
     columns.setflags(write=False)
     return {
-        name: BinaryDataset(name, corpus.codes == code, columns)
-        for code, name in enumerate(corpus.vocab)
+        corpus.vocab[code]: BinaryDataset(corpus.vocab[code], codes == code, columns)
+        for code in present
     }

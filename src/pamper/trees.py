@@ -42,6 +42,7 @@ from .errors import (
     InvalidValueError,
     ModelParseError,
     PamperError,
+    _as_row_mask,
     _check_int,
     _check_name,
     _is_int,
@@ -377,14 +378,25 @@ def _grow(Xp, yp, mask, n, pos, cfg) -> list:
     return rows
 
 
-def build_tree(dataset: BinaryDataset, cfg: TrainConfig | None = None) -> TreeNode:
-    """Grow one regression tree for a method's binary dataset, as rows, and build its nodes."""
+def build_tree(dataset: BinaryDataset, cfg: TrainConfig | None = None, rows=None) -> TreeNode:
+    """Grow one regression tree for a method's binary dataset, as rows, and build its nodes.
+
+    ``rows``, a boolean mask over the dataset's points (``_as_row_mask``;
+    None keeps every point), is the root. Every count the growth takes is a
+    popcount under a node's mask, so the tree equals the one grown on a copy
+    of just those rows.
+    """
     cfg = cfg or TrainConfig()
-    n = len(dataset)
+    points = len(dataset)
+    # Only the packed root outlives this statement, so no unpacked mask is held while growing.
+    root = _kernels.pack_bits(
+        np.ones(points, dtype=np.uint8) if rows is None else _as_row_mask("rows", rows, points)
+    )
+    n = int(np.bitwise_count(root).sum())
     if n == 0:
         raise EmptyDatasetError()
-    root = _kernels.pack_bits(np.ones(n, dtype=np.uint8))
-    return _tree_from_rows(_grow(dataset.columns, dataset.words, root, n, dataset.positives, cfg))
+    pos = int(np.bitwise_count(dataset.words & root).sum())
+    return _tree_from_rows(_grow(dataset.columns, dataset.words, root, n, pos, cfg))
 
 
 def resolve_threads(_ignored: None = None) -> int:
@@ -404,22 +416,24 @@ def resolve_threads(_ignored: None = None) -> int:
     return threads or os.cpu_count() or 1
 
 
-def train(corpus: Corpus, cfg: TrainConfig | None = None) -> ModelSet:
-    """Train one tree per method observed in the corpus.
+def train(corpus: Corpus, cfg: TrainConfig | None = None, rows=None) -> ModelSet:
+    """Train one tree per method observed in the corpus, or in its ``rows``.
 
     This is ``single_target_split`` followed by ``build_tree`` on each
     method's dataset on a pool of ``resolve_threads()`` workers, a count
     that PAMPER_THREADS sets. The datasets come name-sorted and every tree
     depends only on its own dataset, which keeps the result identical for
-    any thread count.
+    any thread count. ``rows``, an optional boolean mask over the corpus,
+    trains on just the rows it sets, with no copy of them: the model is the
+    one trained on a corpus of those rows alone.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     cfg = cfg or TrainConfig()
-    datasets = single_target_split(corpus)
+    datasets = single_target_split(corpus, rows)
     names = list(datasets)
     with ThreadPoolExecutor(max_workers=resolve_threads()) as pool:
-        built = list(pool.map(lambda name: build_tree(datasets[name], cfg), names))
+        built = list(pool.map(lambda name: build_tree(datasets[name], cfg, rows), names))
     return ModelSet(corpus.feature_count, dict(zip(names, built)), EMPTY_CATALOG, cfg.max_depth)
 
 

@@ -184,6 +184,27 @@ def random_corpus(rng, max_points: int = 40, max_features: int = 10) -> Corpus:
     return Corpus(tuple(names), X, n_feat)
 
 
+def reference_take(corpus: Corpus, indices) -> Corpus:
+    """A new corpus holding the given rows, in the given order: the copy that a row mask avoids."""
+    idx = np.asarray(indices, dtype=np.int64)
+    names = tuple(corpus.method_names[i] for i in idx.tolist())
+    return Corpus(names, corpus.features[idx], corpus.feature_count)
+
+
+def split_corpus(corpus: Corpus, spec) -> tuple[Corpus, Corpus]:
+    """The (train, eval) copies of ``spec``'s split, drawn by ``numpy.random`` itself.
+
+    Row i is held out when the i-th draw of ``Generator(PCG64(seed)).random(n)``
+    is below ``eval_fraction``: the rule ``SplitSpec.held_out`` computes
+    without ``numpy.random``.
+    """
+    held_out = np.random.Generator(np.random.PCG64(spec.seed)).random(len(corpus)) < spec.eval_fraction
+    return (
+        reference_take(corpus, np.flatnonzero(~held_out)),
+        reference_take(corpus, np.flatnonzero(held_out)),
+    )
+
+
 def reference_serialize_database(corpus: Corpus) -> str:
     """Database text written one f-string per row: the ground truth for
     ``corpus.serialize_database``, which must match it byte for byte."""

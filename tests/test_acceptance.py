@@ -16,7 +16,6 @@ from pamper.evaluate import (
     SplitSpec,
     render_table,
     run_evaluation,
-    split_corpus,
 )
 from pamper.recommend import (
     ModelArena,
@@ -131,8 +130,7 @@ def test_rare_gated_method_is_still_found():
         0.05,
     )
     corpus = generate(planted, 20000, seed=13)
-    tr, ev = split_corpus(corpus, SplitSpec(0.10, 0))
-    _, report = run_evaluation(tr, ev, top_n=1)
+    _, report = run_evaluation(corpus, SplitSpec(0.10, 0).held_out(len(corpus)), top_n=1)
     row = next(r for r in report.rows if r.method == "rare")
     assert row.train_pct < 0.1
     assert row.eval_count > 0

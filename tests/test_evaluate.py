@@ -6,7 +6,6 @@ import pytest
 from pamper._format import pct0, pct1, quantize_percents, round_half_away
 from pamper.corpus import Corpus
 from pamper.errors import (
-    FeatureWidthMismatchError,
     InvalidValueError,
     NoEvalPointsError,
     NoTrainPointsError,
@@ -21,17 +20,20 @@ from pamper.evaluate import (
     render_fig3_csv,
     render_table,
     run_evaluation,
-    split_corpus,
 )
 from pamper import recommend
 from pamper.recommend import rank_method
+from pamper.trees import model_to_text, train
 
-from oracles import random_corpus
+from oracles import random_corpus, reference_take, split_corpus
 
 
-def _flat_corpus(n: int) -> Corpus:
-    X = np.zeros((n, 1), dtype=np.uint8)
-    return Corpus(("m",) * n, X, 1)
+def _one_corpus(train_part: Corpus, eval_part: Corpus) -> tuple[Corpus, np.ndarray]:
+    """The two parts as one corpus, training rows first, and the mask of its eval rows."""
+    names = train_part.method_names + eval_part.method_names
+    X = np.concatenate([train_part.features, eval_part.features])
+    held_out = np.arange(len(names)) >= len(train_part)
+    return Corpus(names, X, train_part.feature_count), held_out
 
 
 def test_split_spec_validation():
@@ -52,46 +54,36 @@ def test_split_spec_rejects_a_negative_seed(error):
 
 
 def test_split_corpus_partitions_in_order():
+    # The held-out mask selects exactly the rows of numpy's own PCG64 split.
     rng = np.random.default_rng(2)
     for _ in range(25):
         c = random_corpus(rng, max_points=50)
         if len(c) < 2:
             continue
-        tr, ev = split_corpus(c, SplitSpec(eval_fraction=0.3, seed=9))
-        assert len(tr) + len(ev) == len(c)
-        merged = sorted(
-            [(name, row.tolist(), "t") for name, row in zip(tr.method_names, tr.features)]
-            + [(name, row.tolist(), "e") for name, row in zip(ev.method_names, ev.features)],
-            key=lambda item: (item[0], item[1]),
-        )
-        original = sorted(
-            (name, row.tolist()) for name, row in zip(c.method_names, c.features)
-        )
-        assert [(n, r) for n, r, _ in merged] == original
+        spec = SplitSpec(eval_fraction=0.3, seed=9)
+        held_out = spec.held_out(len(c))
+        assert held_out.dtype == np.bool_ and held_out.shape == (len(c),)
+        tr, ev = split_corpus(c, spec)
+        assert reference_take(c, np.flatnonzero(~held_out)) == tr
+        assert reference_take(c, np.flatnonzero(held_out)) == ev
 
 
 def test_split_corpus_deterministic():
-    c = _flat_corpus(500)
     spec = SplitSpec(eval_fraction=0.25, seed=3)
-    tr1, ev1 = split_corpus(c, spec)
-    tr2, ev2 = split_corpus(c, spec)
-    assert tr1 == tr2
-    assert ev1 == ev2
-    _, ev3 = split_corpus(c, SplitSpec(eval_fraction=0.25, seed=4))
-    assert len(ev3) != len(ev1) or ev3 != ev1
+    first = spec.held_out(500)
+    assert np.array_equal(first, spec.held_out(500))
+    assert not np.array_equal(first, SplitSpec(eval_fraction=0.25, seed=4).held_out(500))
 
 
 def test_split_corpus_golden_sizes():
-    c = _flat_corpus(10000)
-    _, ev0 = split_corpus(c, SplitSpec(eval_fraction=0.10, seed=0))
-    assert len(ev0) == 1033
-    _, ev7 = split_corpus(c, SplitSpec(eval_fraction=0.10, seed=7))
-    assert len(ev7) == 1017
+    assert SplitSpec(eval_fraction=0.10, seed=0).held_out(10000).sum() == 1033
+    assert SplitSpec(eval_fraction=0.10, seed=7).held_out(10000).sum() == 1017
 
 
 def test_split_corpus_needs_two_points():
-    with pytest.raises(PamperError):
-        split_corpus(_flat_corpus(1), SplitSpec())
+    for n in (0, 1):
+        with pytest.raises(PamperError, match="corpus must have at least 2 points to split"):
+            SplitSpec().held_out(n)
 
 
 def _planted_corpus(n: int, seed: int, n_feat: int = 4) -> Corpus:
@@ -102,9 +94,8 @@ def _planted_corpus(n: int, seed: int, n_feat: int = 4) -> Corpus:
 
 
 def test_run_evaluation_planted_feature_is_perfect():
-    model, report = run_evaluation(
-        _planted_corpus(100, seed=1), _planted_corpus(40, seed=2), top_n=2
-    )
+    corpus, held_out = _one_corpus(_planted_corpus(100, seed=1), _planted_corpus(40, seed=2))
+    model, report = run_evaluation(corpus, held_out, top_n=2)
     assert set(model.trees) == {"a", "b"}
     assert report.total_train == 100
     assert report.total_eval == 40
@@ -122,7 +113,7 @@ def test_run_evaluation_unlearned_tally():
     ev = Corpus(
         ("a", "zap", "zap", "b"), np.zeros((4, 2), dtype=np.uint8), 2
     )
-    _, report = run_evaluation(train, ev, top_n=1)
+    _, report = run_evaluation(*_one_corpus(train, ev), top_n=1)
     assert report.unlearned == {"zap": 2}
     assert sum(r.eval_count for r in report.rows) + 2 == report.total_eval
     by_name = {r.method: r for r in report.rows}
@@ -134,7 +125,7 @@ def test_run_evaluation_unlearned_tally():
 def test_run_evaluation_unlearned_only():
     train = Corpus(("a", "b"), np.eye(2, dtype=np.uint8), 2)
     ev = Corpus(("zap", "zip", "zap"), np.ones((3, 2), dtype=np.uint8), 2)
-    _, report = run_evaluation(train, ev, top_n=3)
+    _, report = run_evaluation(*_one_corpus(train, ev), top_n=3)
     assert report.unlearned == {"zap": 2, "zip": 1}
     for row in report.rows:
         assert (row.eval_count, row.eval_pct) == (0, 0.0)
@@ -147,23 +138,27 @@ def _per_point_splits(rng):
         c = random_corpus(rng, max_points=80, max_features=6)
         if len(c) < 4:
             continue
-        tr, ev = split_corpus(c, SplitSpec(eval_fraction=0.4, seed=5))
-        if len(tr) and len(ev):
-            yield tr, ev
+        held_out = SplitSpec(eval_fraction=0.4, seed=5).held_out(len(c))
+        if 0 < held_out.sum() < len(c):
+            yield c, held_out
     # More known eval rows than one recommend._BLOCK_ROWS block.
     n = 3 * recommend._BLOCK_ROWS
     names = tuple(("alpha", "beta", "gamma", "delta")[i] for i in rng.integers(0, 4, n))
     c = Corpus(names, rng.integers(0, 2, (n, 6)).astype(np.uint8), 6)
-    tr, ev = split_corpus(c, SplitSpec(eval_fraction=0.5, seed=5))
-    assert len(ev) > recommend._BLOCK_ROWS
-    yield tr, ev
+    held_out = SplitSpec(eval_fraction=0.5, seed=5).held_out(n)
+    assert held_out.sum() > recommend._BLOCK_ROWS
+    yield c, held_out
 
 
 def test_run_evaluation_matches_per_point_ranks():
     rng = np.random.default_rng(31)
-    for tr, ev in _per_point_splits(rng):
+    for c, held_out in _per_point_splits(rng):
         top_n = 3
-        model, report = run_evaluation(tr, ev, top_n=top_n)
+        model, report = run_evaluation(c, held_out, top_n=top_n)
+        tr = reference_take(c, np.flatnonzero(~held_out))
+        ev = reference_take(c, np.flatnonzero(held_out))
+        assert model_to_text(model) == model_to_text(train(tr))
+        assert (report.total_train, report.total_eval) == (len(tr), len(ev))
 
         hits = {name: np.zeros(top_n, dtype=np.int64) for name in model.trees}
         counts: Counter[str] = Counter()
@@ -195,10 +190,10 @@ def test_run_evaluation_rows_sorted_and_monotone():
         c = random_corpus(rng, max_points=100, max_features=5)
         if len(c) < 4:
             continue
-        tr, ev = split_corpus(c, SplitSpec(eval_fraction=0.3, seed=8))
-        if len(tr) == 0 or len(ev) == 0:
+        held_out = SplitSpec(eval_fraction=0.3, seed=8).held_out(len(c))
+        if not 0 < held_out.sum() < len(c):
             continue
-        _, report = run_evaluation(tr, ev, top_n=4)
+        _, report = run_evaluation(c, held_out, top_n=4)
         keys = [(-r.train_count, r.method) for r in report.rows]
         assert keys == sorted(keys)
         for row in report.rows:
@@ -209,16 +204,29 @@ def test_run_evaluation_rows_sorted_and_monotone():
 
 def test_run_evaluation_errors():
     a = _planted_corpus(10, seed=1, n_feat=3)
-    b = _planted_corpus(10, seed=2, n_feat=4)
-    with pytest.raises(FeatureWidthMismatchError):
-        run_evaluation(a, b)
-    empty = a.take([])
-    with pytest.raises(NoTrainPointsError):
-        run_evaluation(empty, a)
-    with pytest.raises(NoEvalPointsError):
-        run_evaluation(a, empty)
+    with pytest.raises(NoTrainPointsError, match="split produced no training points"):
+        run_evaluation(a, np.ones(10, dtype=bool))
+    with pytest.raises(NoEvalPointsError, match="split produced no evaluation points"):
+        run_evaluation(a, np.zeros(10, dtype=bool))
     with pytest.raises(ValueError):
-        run_evaluation(a, a, top_n=0)
+        run_evaluation(a, np.arange(10) < 3, top_n=0)
+
+
+def test_run_evaluation_checks_its_mask_after_top_n_and_before_the_split():
+    a = _planted_corpus(10, seed=1, n_feat=3)
+    checks = [
+        (np.full(10, 2), "held_out must be 0 or 1"),
+        (np.zeros((2, 5), dtype=bool), "held_out must be 1-dimensional"),
+        (np.zeros(9, dtype=bool), "held_out has 9 entries, the corpus has 10 points"),
+    ]
+    for mask, message in checks:
+        with pytest.raises(ValueError, match=message):
+            run_evaluation(a, mask)
+        with pytest.raises(InvalidValueError, match="top_n must be a positive integer, got 0"):
+            run_evaluation(a, mask, top_n=0)
+    # An all-held-out mask of the wrong length is a mask error, not an empty split.
+    with pytest.raises(ValueError, match="held_out has 11 entries"):
+        run_evaluation(a, np.ones(11, dtype=bool))
 
 
 @pytest.mark.parametrize("error", [InvalidValueError, PamperError, ValueError])
@@ -226,20 +234,22 @@ def test_run_evaluation_bounds_top_n_before_training(error, monkeypatch):
     # Two methods, so the bound is 15; nothing may be trained first.
     monkeypatch.setattr("pamper.evaluate.train", None)
     a = _planted_corpus(10, seed=1)
+    held_out = np.arange(10) >= 7
     for top_n in (16, 10**18, 2**63):
         with pytest.raises(error, match=rf"top_n must be at most max\(15, methods\) = 15, got {top_n}"):
-            run_evaluation(a, a, top_n=top_n)
+            run_evaluation(a, held_out, top_n=top_n)
     with pytest.raises(error, match="top_n must be a positive integer, got 2.5"):
-        run_evaluation(a, a, top_n=2.5)
+        run_evaluation(a, held_out, top_n=2.5)
 
 
 def test_run_evaluation_top_n_may_reach_the_method_count():
     names = tuple(f"m{i:02d}" for i in range(20)) * 3
     corpus = Corpus(names, np.zeros((len(names), 1), dtype=np.uint8), 1)
-    _, report = run_evaluation(corpus, corpus, top_n=20)
+    held_out = np.arange(len(names)) >= 40  # each method has two training rows, one eval row
+    _, report = run_evaluation(corpus, held_out, top_n=20)
     assert report.top_n == 20 and all(row.coincidence[-1] == 100.0 for row in report.rows)
     with pytest.raises(InvalidValueError, match=r"at most max\(15, methods\) = 20, got 21"):
-        run_evaluation(corpus, corpus, top_n=21)
+        run_evaluation(corpus, held_out, top_n=21)
 
 
 def test_fig2_is_training_usage_by_rank():
@@ -247,7 +257,7 @@ def test_fig2_is_training_usage_by_rank():
         ("a", "a", "a", "b", "c", "c"), np.zeros((6, 1), dtype=np.uint8), 1
     )
     ev = Corpus(("a",), np.zeros((1, 1), dtype=np.uint8), 1)
-    _, report = run_evaluation(tr, ev, top_n=1)
+    _, report = run_evaluation(*_one_corpus(tr, ev), top_n=1)
     assert report.fig2 == ((1, 3), (2, 2), (3, 1))
 
 
@@ -257,10 +267,11 @@ def test_fig3_consistent_with_rows():
         c = random_corpus(rng, max_points=90, max_features=5)
         if len(c) < 4:
             continue
-        tr, ev = split_corpus(c, SplitSpec(eval_fraction=0.3, seed=2))
-        if len(tr) == 0 or len(ev) == 0:
+        held_out = SplitSpec(eval_fraction=0.3, seed=2).held_out(len(c))
+        if not 0 < held_out.sum() < len(c):
             continue
-        _, report = run_evaluation(tr, ev, top_n=3)
+        _, report = run_evaluation(c, held_out, top_n=3)
+        tr = reference_take(c, np.flatnonzero(~held_out))
         for k, *cells in report.fig3:
             at_k = [row.coincidence[k - 1] for row in report.rows]
             want = [sum(1 for v in at_k if v >= thr) for thr in (25, 50, 75, 90)]

@@ -2,7 +2,8 @@
 
 Bits: every array that must hold only 0 and 1 is checked before any cast, so
 no entry wraps (256, -1), truncates (0.5) or parses (a string) into range,
-and a 0/1 array of any dtype is taken as uint8. Indices: a feature index is
+and a 0/1 array of any dtype is taken as uint8. A row mask is such bits,
+1-D, with one entry per corpus row. Indices: a feature index is
 an integer (not a bool) and not negative. Method names: a ``str`` that the
 name grammar matches in full, else each taker's own ValueError class with one
 message. Descriptions and packed columns are checked by their one taker each.
@@ -18,10 +19,11 @@ from pamper.errors import (
     MalformedLineError,
     ModelParseError,
 )
-from pamper.preprocess import BinaryDataset
+from pamper.evaluate import run_evaluation
+from pamper.preprocess import BinaryDataset, single_target_split
 from pamper.recommend import ModelArena, as_vector, batch_rank_method, batch_why_method
 from pamper.synth import PlantedModel, PlantedRule, generate
-from pamper.trees import Internal, Leaf, ModelSet, model_from_text
+from pamper.trees import Internal, Leaf, ModelSet, build_tree, model_from_text, model_to_text, train
 
 MODEL = ModelSet(
     2,
@@ -114,6 +116,42 @@ def test_binary_dataset_columns_are_a_2d_uint64_array():
     with pytest.raises(ValueError, match="labels and columns disagree on point count"):
         BinaryDataset("a", labels, np.zeros((2, 2), dtype=np.uint64))
 
+
+# Each taker gets a row mask over the four-row CORPUS and returns what it trained or scored.
+CORPUS = Corpus(("a", "b", "a", "b"), np.array([[1, 0], [0, 1], [1, 1], [0, 0]]), 2)
+MASK_TAKERS = {
+    "single_target_split": lambda mask: list(single_target_split(CORPUS, mask)),
+    "train": lambda mask: model_to_text(train(CORPUS, rows=mask)),
+    "build_tree": lambda mask: build_tree(single_target_split(CORPUS)["a"], rows=mask),
+    "run_evaluation": lambda mask: run_evaluation(CORPUS, mask, top_n=1)[1].rows,
+}
+
+
+@pytest.mark.parametrize(
+    "mask,message",
+    [
+        ([1, 2, 1, 0], "must be 0 or 1"),
+        ([1.0, 0.5, 1.0, 0.0], "must be 0 or 1"),
+        (["1", "0", "1", "0"], "must be 0 or 1"),
+        ([[1, 0], [1, 0]], "must be 1-dimensional"),
+        ([1, 0, 1], "has 3 entries, the corpus has 4 points"),
+        (np.ones(5, dtype=bool), "has 5 entries, the corpus has 4 points"),
+    ],
+    ids=["two", "half", "string", "2-d", "short", "long"],
+)
+def test_every_row_mask_taker_checks_bits_shape_and_length(mask, message):
+    for name, take in MASK_TAKERS.items():
+        what = "held_out" if name == "run_evaluation" else "rows"
+        with pytest.raises(ValueError, match=f"{what} {message}"):
+            take(mask)
+
+
+def test_every_row_mask_taker_takes_0_and_1_of_any_dtype():
+    mask = [1, 1, 0, 1]
+    for name, take in MASK_TAKERS.items():
+        want = take(np.array(mask, dtype=bool))
+        for same in (mask, np.array(mask, dtype=np.uint8), np.array(mask, dtype=float)):
+            assert take(same) == want, name
 
 
 # Each taker gets one feature index and returns the indices it stored.

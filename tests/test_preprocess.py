@@ -8,7 +8,7 @@ from pamper.errors import EmptyDatasetError
 from pamper.preprocess import single_target_split
 from pamper.synth import PlantedModel, generate, zipf_imbalance
 
-from oracles import random_corpus
+from oracles import random_corpus, reference_take
 
 
 def _unpacked(ds):
@@ -69,7 +69,7 @@ def test_feature_storage_is_shared_not_copied():
 
 def test_empty_corpus_rejected():
     c = parse_database("a, [1]\n")
-    empty = c.take([])
+    empty = reference_take(c, [])
     with pytest.raises(EmptyDatasetError):
         single_target_split(empty)
 

@@ -18,6 +18,7 @@ from pamper.errors import (
 )
 from pamper.preprocess import single_target_split
 from pamper.recommend import rank_method, why_method
+from pamper.synth import PlantedModel, PlantedRule, generate, zipf_imbalance
 from pamper.trees import (
     Internal,
     Leaf,
@@ -38,11 +39,13 @@ from oracles import (
     brute_force_best_split,
     leaf_regions,
     make_binary_dataset,
+    random_corpus,
     random_dataset,
     random_model,
     ranking,
     reference_build_tree,
     reference_node_table,
+    reference_take,
     reference_tree_text,
     tree_depth as reference_tree_depth,
     walk_tree,
@@ -206,9 +209,9 @@ def test_train_grows_every_tree_through_build_tree(monkeypatch):
     grow = trees.build_tree
     calls = []
 
-    def counting(dataset, cfg=None):
+    def counting(dataset, cfg=None, rows=None):
         calls.append(dataset.method)
-        return grow(dataset, cfg)
+        return grow(dataset, cfg, rows)
 
     monkeypatch.setattr(trees, "build_tree", counting)
     c = parse_database("a, [1]\nb, [0]\nc, [1]\n")
@@ -217,10 +220,13 @@ def test_train_grows_every_tree_through_build_tree(monkeypatch):
         calls.clear()
         train(c)
         assert sorted(calls) == ["a", "b", "c"]
+        calls.clear()
+        train(c, rows=[1, 0, 1])  # a method with no row in the mask grows no tree
+        assert sorted(calls) == ["a", "c"]
 
 
 def test_train_rejects_empty_corpus():
-    empty = parse_database("a, [1]\n").take([])
+    empty = reference_take(parse_database("a, [1]\n"), [])
     with pytest.raises(EmptyDatasetError, match="corpus has no points"):
         train(empty)
 
@@ -238,6 +244,58 @@ def test_train_thread_counts_agree(monkeypatch):
         monkeypatch.setenv("PAMPER_THREADS", threads)
         models.append(train(c))
     assert models[0] == models[1]
+
+
+def _masked_training_cases(rng):
+    for _ in range(30):
+        c = random_corpus(rng, max_points=120, max_features=8)
+        yield c, rng.random(len(c)) < rng.uniform(0.2, 0.9), TrainConfig(int(rng.integers(1, 6)))
+    rules = (
+        PlantedRule({3: True, 5: False}, {"intro": 0.7, "auto": 0.3}, 0.2),
+        PlantedRule({7: True}, {"rare": 1.0}, 0.01),
+    )
+    planted = PlantedModel(rules, zipf_imbalance(["simp", "auto", "blast", "metis"], 1.1), 12, 0.05)
+    c = generate(planted, 3000, seed=3)
+    yield c, rng.random(len(c)) < 0.9, TrainConfig()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_training_on_a_row_mask_is_training_on_a_copy_of_the_rows(threads, monkeypatch):
+    monkeypatch.setenv("PAMPER_THREADS", threads)
+    rng = np.random.default_rng(79)
+    for c, rows, cfg in _masked_training_cases(rng):
+        if not rows.any():
+            continue
+        copy = reference_take(c, np.flatnonzero(rows))
+        want = model_to_text(train(copy, cfg))
+        assert model_to_text(train(c, cfg, rows=rows)) == want
+        assert model_to_text(train(c, cfg, rows=rows.astype(np.uint8).tolist())) == want
+    # A mask of every row is no mask.
+    assert model_to_text(train(c, rows=np.ones(len(c), dtype=bool))) == model_to_text(train(c))
+
+
+def test_masked_split_and_build_tree_see_only_the_masked_rows():
+    c = parse_database("a, [1,0]\nb, [0,1]\na, [1,1]\nc, [0,0]\n")
+    rows = np.array([1, 1, 0, 0], dtype=bool)
+    split = single_target_split(c, rows)
+    assert list(split) == ["a", "b"]  # c has no row in the mask
+    assert [d.labels.tolist() for d in split.values()] == [[1, 0, 0, 0], [0, 1, 0, 0]]
+    assert all(len(d) == 4 for d in split.values())
+    cfg = TrainConfig()
+    want = reference_build_tree(c.features[:2], [1, 0], cfg)
+    assert build_tree(split["a"], cfg, rows) == want
+    # The root mask alone decides the rows, also over an unmasked split's labels.
+    assert build_tree(single_target_split(c)["a"], cfg, rows) == want
+    # Without the root mask, the same dataset's tree is grown over all four rows.
+    assert build_tree(split["a"], cfg) == reference_build_tree(c.features, [1, 0, 0, 0], cfg)
+
+
+def test_train_rejects_a_mask_of_no_rows():
+    c = parse_database("a, [1]\nb, [0]\n")
+    with pytest.raises(EmptyDatasetError, match="rows select no points"):
+        train(c, rows=[0, 0])
+    with pytest.raises(EmptyDatasetError, match="dataset has no points"):
+        build_tree(single_target_split(c)["a"], rows=[0, 0])
 
 
 def test_model_set_rejects_catalog_out_of_range():
