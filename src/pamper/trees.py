@@ -43,6 +43,7 @@ from .errors import (
     ModelParseError,
     PamperError,
     _as_row_mask,
+    _check_feature_count,
     _check_int,
     _check_name,
     _is_int,
@@ -130,7 +131,7 @@ class ModelSet:
 
     def __post_init__(self):
         feature_count, max_depth, trees = self.feature_count, self.max_depth, self.trees
-        _check_int("feature_count", feature_count, 1)
+        _check_feature_count(feature_count)
         if feature_count > np.iinfo(np.intp).max:  # the node table indexes features as intp
             raise InvalidValueError(f"feature_count must fit a numpy intp, got {feature_count}")
         _check_int("max_depth", max_depth, 1)
@@ -382,9 +383,9 @@ def build_tree(dataset: BinaryDataset, cfg: TrainConfig | None = None, rows=None
     """Grow one regression tree for a method's binary dataset, as rows, and build its nodes.
 
     ``rows``, a boolean mask over the dataset's points (``_as_row_mask``;
-    None keeps every point), is the root. Every count the growth takes is a
-    popcount under a node's mask, so the tree equals the one grown on a copy
-    of just those rows.
+    None keeps every point), is the root and the only place a row mask
+    applies. Every count the growth takes is a popcount under a node's mask,
+    so the tree equals the one grown on a copy of just those rows.
     """
     cfg = cfg or TrainConfig()
     points = len(dataset)
@@ -423,14 +424,20 @@ def train(corpus: Corpus, cfg: TrainConfig | None = None, rows=None) -> ModelSet
     method's dataset on a pool of ``resolve_threads()`` workers, a count
     that PAMPER_THREADS sets. The datasets come name-sorted and every tree
     depends only on its own dataset, which keeps the result identical for
-    any thread count. ``rows``, an optional boolean mask over the corpus,
-    trains on just the rows it sets, with no copy of them: the model is the
-    one trained on a corpus of those rows alone.
+    any thread count. ``rows``, an optional boolean mask over the corpus, is
+    checked once and passed to ``build_tree`` as every kept method's root:
+    the model is the one trained on a corpus of those rows alone.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     cfg = cfg or TrainConfig()
-    datasets = single_target_split(corpus, rows)
+    datasets = single_target_split(corpus)
+    if rows is not None:
+        rows = _as_row_mask("rows", rows, len(corpus))
+        counts = np.bincount(corpus.codes[rows], minlength=len(corpus.vocab)).tolist()
+        datasets = {name: datasets[name] for name, n in zip(corpus.vocab, counts) if n}
+        if not datasets:
+            raise EmptyDatasetError("rows select no points")
     names = list(datasets)
     with ThreadPoolExecutor(max_workers=resolve_threads()) as pool:
         built = list(pool.map(lambda name: build_tree(datasets[name], cfg, rows), names))

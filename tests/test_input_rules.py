@@ -120,7 +120,6 @@ def test_binary_dataset_columns_are_a_2d_uint64_array():
 # Each taker gets a row mask over the four-row CORPUS and returns what it trained or scored.
 CORPUS = Corpus(("a", "b", "a", "b"), np.array([[1, 0], [0, 1], [1, 1], [0, 0]]), 2)
 MASK_TAKERS = {
-    "single_target_split": lambda mask: list(single_target_split(CORPUS, mask)),
     "train": lambda mask: model_to_text(train(CORPUS, rows=mask)),
     "build_tree": lambda mask: build_tree(single_target_split(CORPUS)["a"], rows=mask),
     "run_evaluation": lambda mask: run_evaluation(CORPUS, mask, top_n=1)[1].rows,

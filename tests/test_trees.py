@@ -277,17 +277,18 @@ def test_training_on_a_row_mask_is_training_on_a_copy_of_the_rows(threads, monke
 def test_masked_split_and_build_tree_see_only_the_masked_rows():
     c = parse_database("a, [1,0]\nb, [0,1]\na, [1,1]\nc, [0,0]\n")
     rows = np.array([1, 1, 0, 0], dtype=bool)
-    split = single_target_split(c, rows)
-    assert list(split) == ["a", "b"]  # c has no row in the mask
-    assert [d.labels.tolist() for d in split.values()] == [[1, 0, 0, 0], [0, 1, 0, 0]]
-    assert all(len(d) == 4 for d in split.values())
     cfg = TrainConfig()
+    model = train(c, cfg, rows=rows)
+    assert list(model.trees) == ["a", "b"]  # c has no row in the mask, so no tree
+    # The split takes no mask: every method's labels are codes == i over all four rows.
+    split = single_target_split(c)
+    assert list(split) == list(c.vocab)
+    for code, dataset in enumerate(split.values()):
+        assert dataset.labels.tolist() == (c.codes == code).astype(np.uint8).tolist()
+    # The root mask alone decides the rows, also for a's positive outside it.
     want = reference_build_tree(c.features[:2], [1, 0], cfg)
     assert build_tree(split["a"], cfg, rows) == want
-    # The root mask alone decides the rows, also over an unmasked split's labels.
-    assert build_tree(single_target_split(c)["a"], cfg, rows) == want
-    # Without the root mask, the same dataset's tree is grown over all four rows.
-    assert build_tree(split["a"], cfg) == reference_build_tree(c.features, [1, 0, 0, 0], cfg)
+    assert model.trees["a"] == want
 
 
 def test_train_rejects_a_mask_of_no_rows():
@@ -513,13 +514,15 @@ def test_equality_is_text_equality_property(values):
         (lambda: ModelSet(2, {"a": Leaf(0.5, 2.0)}), "count"),
         (lambda: ModelSet(2, {"a": Internal(True, Leaf(0.0, 1), Leaf(1.0, 1))}), "feature"),
         (lambda: ModelSet(2, {"a": Leaf(0.5, 2)}, max_depth=2.5), "max_depth"),
-        (lambda: ModelSet(True, {"a": Leaf(0.5, 2)}), "feature_count"),
+        (lambda: ModelSet(True, {"a": Leaf(0.5, 2)}), "feature count must be an integer, got True"),
+        (lambda: ModelSet(2.0, {}), "feature count must be an integer, got 2.0"),
+        (lambda: ModelSet(0, {}), "feature count must be positive"),
         (lambda: TrainConfig(max_depth=2.5), "max_depth"),
     ],
     ids=[
         "float64-expectation", "float32-expectation", "int-expectation", "bool-count",
         "float-count", "bool-feature", "float-max_depth", "bool-feature_count",
-        "train-config-float-max_depth",
+        "float-feature_count", "zero-feature_count", "train-config-float-max_depth",
     ],
 )
 def test_only_values_written_as_loadable_text_are_admitted(build, field):
