@@ -15,13 +15,20 @@ An input written wholly in the canonical form that ``serialize_database``
 (and so ``pamper gen``) writes -- ASCII, every line ``<name>, [b,...,b]``
 (or ``[b,...,b]`` in a vector file) of one width and ended by LF, or
 empty or starting with ``#`` -- is read by a vectorized path over the
-raw bytes, in line-aligned blocks of about 1 MB, so a file object is never
-held whole. Any other input, valid or not, goes through the strict line
-parser, which is the only place that raises, so every accepted form, error
-and line number is the same on both paths.
+raw bytes, in line-aligned blocks of about 256 kB, so a file object is
+never held whole. Any other input, valid or not, goes through the strict
+line parser, which is the only place that raises, so every accepted form,
+error and line number is the same on both paths.
 
-A ``Corpus`` works out its methods once, as ``vocab`` and ``codes``; every
-reader of a row's method, from the writer to the evaluation, indexes by code.
+A ``Corpus`` keeps its flags only as packed bit columns, one bit per flag:
+the canonical reader packs each block's rows as it reads them, and the
+constructor packs the 0/1 matrix it is given. Readers that need flag rows
+(the writer, the evaluation's held-out rows, ``Corpus.features``) unpack
+just those rows, a block at a time, through ``Corpus.feature_rows``. A
+vector file is read into a uint8 matrix, since queries read it by row.
+A ``Corpus`` also works out its methods once, as ``vocab`` and ``codes``;
+every reader of a row's method, from the writer to the evaluation, indexes
+by code.
 
 A feature catalog is a separate tab-separated file mapping feature indices
 to human-readable descriptions, used when rendering explanations::
@@ -37,6 +44,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from . import _kernels
 from .errors import (
     METHOD_TOKEN,
     BadIndexError,
@@ -54,33 +62,49 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Corpus:
     """An immutable sequence of (method, feature vector) records.
 
-    ``features`` is adopted as the backing store and marked read-only, so
-    pass a copy if you need to keep a writable original. Rows are uint8 in
-    {0, 1} (``_as_bits``) and the matrix is C-contiguous. ``vocab`` holds the
-    sorted distinct names and ``codes`` each row's index into it (read-only ``intp``).
+    The features are stored once, packed: ``columns`` is a read-only
+    ``(feature_count, ceil(points / 64))`` uint64 array holding one bitset
+    per feature over the rows, bit i of a column being row i, with zero
+    padding bits (the layout of ``_kernels.pack_columns``). The constructor
+    takes a (points, feature_count) 0/1 matrix (``_as_bits``) and packs it,
+    leaving the given matrix as it was. ``feature_rows`` unpacks the rows it
+    is asked for and ``features`` all of them, each into a fresh uint8
+    matrix. ``vocab`` holds the sorted distinct names and ``codes`` each
+    row's index into it (read-only ``intp``).
     """
 
     method_names: tuple[str, ...]
-    features: np.ndarray
+    columns: np.ndarray = field(repr=False)
     feature_count: int
-    vocab: tuple[str, ...] = field(init=False, repr=False)
-    codes: np.ndarray = field(init=False, repr=False)
+    vocab: tuple[str, ...] = field(repr=False)
+    codes: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        _check_feature_count(self.feature_count)
-        X = _as_bits("feature values", self.features)
+    def __init__(self, method_names, features, feature_count):
+        _check_feature_count(feature_count)
+        X = _as_bits("feature values", features)
         if X.ndim != 2:
             raise ValueError("features must be a 2-D array")
-        names = self.method_names
-        if isinstance(names, str):
-            raise ValueError(f"method names must be a sequence of names, not the str {names!r}")
-        if X.shape != (len(names), self.feature_count):
-            shape = f"{len(names)} points x {self.feature_count} features"
+        if isinstance(method_names, str):
+            raise ValueError(
+                f"method names must be a sequence of names, not the str {method_names!r}"
+            )
+        if X.shape != (len(method_names), feature_count):
+            shape = f"{len(method_names)} points x {feature_count} features"
             raise ValueError(f"features shape {X.shape} does not match {shape}")
+        self._adopt(method_names, _kernels.pack_columns(X), feature_count)
+
+    @classmethod
+    def _packed(cls, method_names: tuple[str, ...], columns: np.ndarray) -> Corpus:
+        """The corpus of these names over columns that the reader packed, adopted as they are."""
+        corpus = cls.__new__(cls)
+        corpus._adopt(method_names, columns, columns.shape[0])
+        return corpus
+
+    def _adopt(self, names, columns: np.ndarray, feature_count: int) -> None:
         try:
             distinct = set(names)
         except TypeError:  # an unhashable entry, which the scan below names
@@ -90,10 +114,11 @@ class Corpus:
         vocab = tuple(sorted(distinct))
         code_of = dict(zip(vocab, range(len(vocab))))
         codes = np.fromiter(map(code_of.__getitem__, names), dtype=np.intp, count=len(names))
-        X.setflags(write=False)
+        columns.setflags(write=False)
         codes.setflags(write=False)
-        object.__setattr__(self, "features", X)
         object.__setattr__(self, "method_names", tuple(names))
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "feature_count", feature_count)
         object.__setattr__(self, "vocab", vocab)
         object.__setattr__(self, "codes", codes)
 
@@ -106,8 +131,39 @@ class Corpus:
         return (
             self.method_names == other.method_names
             and self.feature_count == other.feature_count
-            and np.array_equal(self.features, other.features)
+            and np.array_equal(self.columns, other.columns)
         )
+
+    @property
+    def features(self) -> np.ndarray:
+        """Every row's 0/1 flags, a fresh read-only (points, feature_count) uint8 matrix."""
+        X = self.feature_rows(np.arange(len(self)))
+        X.setflags(write=False)
+        return X
+
+    def feature_rows(self, rows) -> np.ndarray:
+        """The 0/1 flags of the given rows, a fresh C-contiguous (len(rows), F) uint8 matrix.
+
+        ``rows`` is a 1-D array of integer row indices in ``[0, points)``,
+        in any order, else IndexError. The rows are unpacked from ``columns``
+        one ``_BLOCK_ROWS`` block at a time: each block gathers the byte that
+        holds each row's bit in every column, shifts the bit down and masks
+        it into place.
+        """
+        rows = np.asarray(rows)
+        if rows.ndim != 1 or rows.size and (
+            rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= len(self)
+        ):
+            raise IndexError(f"rows must be a 1-D array of integer indices below {len(self)}")
+        rows = rows.astype(np.intp, copy=False)
+        cells = self.columns.view(np.uint8)
+        out = np.empty((len(rows), self.feature_count), dtype=np.uint8)
+        for r0 in range(0, len(rows), _BLOCK_ROWS):
+            at = rows[r0:r0 + _BLOCK_ROWS]
+            block = cells[:, at >> 3]
+            block >>= (at & 7).astype(np.uint8)
+            np.bitwise_and(block.T, 1, out=out[r0:r0 + len(at)])
+        return out
 
     @cached_property
     def method_counts(self) -> dict[str, int]:
@@ -155,8 +211,49 @@ def _parse_record(line: str, line_no: int) -> tuple[str, bytearray]:
     return method, _parse_bits(rest, line_no)
 
 
-_BLOCK_ROWS = 4096  # rows per block of the writer
-_SCAN_BYTES = 1 << 20  # bytes per line-aligned block of the canonical reader
+_BLOCK_ROWS = 4096  # rows per block of the writer and of Corpus.feature_rows
+_SCAN_BYTES = 1 << 18  # bytes per line-aligned block of the canonical reader
+
+
+class _ColumnPacker:
+    """Packs 0/1 rows, one block at a time, into the bitset columns of at most ``limit`` rows.
+
+    Each block's whole 64-row words go through ``_kernels.pack_columns``
+    into ``columns``, and the rows that do not fill a word are carried into
+    the next block. ``columns`` is allocated once, for ``limit`` rows
+    (untouched pages hold no memory), and ``finish`` packs the last partial
+    word, zero-padded, and compacts the columns in place to the words used.
+    """
+
+    def __init__(self, limit: int, width: int):
+        self.columns = np.empty((width, -(-limit // 64)), dtype=np.uint64)
+        self.words = 0
+        self.carry = np.empty((0, width), dtype=np.uint8)
+
+    def add(self, flags: np.ndarray) -> None:
+        """Append the rows of a (rows, F) array whose low bits are the flags."""
+        carried = len(self.carry)
+        block = np.empty((carried + len(flags), flags.shape[1]), dtype=np.uint8)
+        block[:carried] = self.carry
+        np.bitwise_and(flags, 1, out=block[carried:])
+        whole = len(block) - len(block) % 64
+        self._put(block[:whole])
+        self.carry = block[whole:].copy()
+
+    def _put(self, rows: np.ndarray) -> None:
+        words = -(-len(rows) // 64)
+        self.columns[:, self.words:self.words + words] = _kernels.pack_columns(rows)
+        self.words += words
+
+    def finish(self) -> np.ndarray:
+        self._put(self.carry)
+        columns, used = self.columns, self.words
+        flat, stride = columns.reshape(-1), columns.shape[1]
+        for f in range(1, len(columns)):  # each column moves down over the unused words before it
+            flat[f * used:(f + 1) * used] = flat[f * stride:f * stride + used]
+        del flat
+        columns.resize((len(columns), used), refcheck=False)  # no view of it is alive
+        return columns
 
 
 def _canonical_records(source, width: int | None):
@@ -167,22 +264,24 @@ def _canonical_records(source, width: int | None):
     skipped. With ``width`` None the data lines are database records
     ``<name>, [b,...,b]`` and the first fixes the width; otherwise they are
     vector-file lines ``[b,...,b]`` of ``width`` flags. Returns
-    ``(names, X)``, ``names`` None for a vector file, only when the input is
-    ASCII, ends in LF, and each of its (one or more) data lines has exactly
-    that form, width and a ``METHOD_TOKEN`` name: then the strict parser
-    would return the same records. Any other input gives None and is left
-    to the strict parser, so this never raises.
+    ``(names, columns)`` for a database, ``columns`` packed as
+    ``Corpus.columns``, and ``(None, X)`` for a vector file, ``X`` its
+    (rows, width) uint8 matrix, only when the input is ASCII, ends in LF,
+    and each of its (one or more) data lines has exactly that form, width
+    and a ``METHOD_TOKEN`` name: then the strict parser would return the
+    same records. Any other input gives None and is left to the strict
+    parser, so this never raises.
 
     The input is read in line-aligned blocks, ``_SCAN_BYTES`` bytes and the
     rest of the line they end in, so the whole file is never held. Each
     block gathers the fixed-length tail after each line's name (``, [`` or
     ``[``, then 2F bytes of flags, commas and ``]``) through a
-    sliding-window view, checks every byte of it in one comparison and
-    writes the flags into one matrix. That matrix is allocated once, for the
-    most rows the input size admits (a data line takes at least ``2F + 5``
-    bytes, or ``2F + 2`` in a vector file; untouched pages hold no memory),
-    and shrunk in place to the rows read. Distinct names are decoded and
-    checked once.
+    sliding-window view, takes the flags' low bits, and then checks every
+    byte of the gathered tails in place. A database's flags go to a
+    ``_ColumnPacker``, a vector file's into one matrix; either is allocated
+    once, for the most rows the input size admits (a data line takes at
+    least ``2F + 5`` bytes, or ``2F + 2`` in a vector file), and shrunk in
+    place to the rows read. Distinct names are decoded and checked once.
     """
     if isinstance(source, str):
         if not source.isascii():
@@ -223,19 +322,27 @@ def _canonical_records(source, width: int | None):
             if width < 1:
                 return None
             tail = len(head) + 2 * width
-            X = np.empty((size // (tail + 1 + named), width), dtype=np.uint8)
+            limit = size // (tail + 1 + named)
+            X = _ColumnPacker(limit, width) if named else np.empty((limit, width), dtype=np.uint8)
             want = np.frombuffer(head + b"0," * (width - 1) + b"0]", dtype=np.uint8)
             keep = np.full(tail, 0xFF, dtype=np.uint8)
             keep[len(head)::2] = 0xFE  # '0' and '1' differ only in the low bit
         lengths = ends - starts
         if (lengths.min() <= tail) if named else (lengths != tail).any():
             return None
+        if rows + len(ends) > limit:
+            return None  # the file grew while it was read
         tail_at = ends - tail
         cells = np.lib.stride_tricks.sliding_window_view(buf, tail)[tail_at]
-        if rows + len(cells) > len(X) or not ((cells & keep) == want).all():
-            return None  # the file grew while it was read, or a line is not canonical
-        np.bitwise_and(cells[:, len(head)::2], 1, out=X[rows:rows + len(cells)])
+        if named:
+            X.add(cells[:, len(head)::2])
+        else:
+            np.bitwise_and(cells[:, len(head)::2], 1, out=X[rows:rows + len(cells)])
         rows += len(cells)
+        cells &= keep
+        cells ^= want
+        if cells.any():
+            return None  # a line is not canonical
         if not named:
             continue
         keys = list(map(block.__getitem__, map(slice, starts.tolist(), tail_at.tolist())))
@@ -247,8 +354,10 @@ def _canonical_records(source, width: int | None):
         names.extend(map(decoded.__getitem__, keys))
     if X is None:
         return None
+    if named:
+        return names, X.finish()
     X.resize((rows, width), refcheck=False)  # no view of X is alive; the rows stay in place
-    return (names if named else None), X
+    return None, X
 
 
 def _ingest(source, width: int | None):
@@ -283,8 +392,8 @@ def parse_database(source) -> Corpus:
     """
     records, text = _ingest(source, None)
     if records is not None:
-        names, X = records
-        return Corpus(tuple(names), X, X.shape[1])
+        names, columns = records
+        return Corpus._packed(tuple(names), columns)
     lines = data_lines(text, MalformedLineError)
     del text, source  # input read here is freed before the records are parsed
     methods: list[str] = []
@@ -307,8 +416,9 @@ def parse_database(source) -> Corpus:
 def serialize_database(corpus: Corpus) -> str:
     """Render a corpus back to database text (canonical spacing, LF lines).
 
-    Each row block fills one ``(rows, 2F+1)`` uint8 template, whose flag
-    columns take ``features + 48`` and whose other columns hold the fixed
+    Each block of rows is unpacked by ``Corpus.feature_rows`` and fills one
+    ``(rows, 2F+1)`` uint8 template, whose flag columns take the flags
+    ``+ 48`` and whose other columns hold the fixed
     ``,``, ``]`` and LF, and joins its rows with one ``<name>, [`` prefix
     each.
     """
@@ -318,7 +428,7 @@ def serialize_database(corpus: Corpus) -> str:
     prefix = [f"{name}, [".encode("ascii") for name in corpus.vocab]
     out = []
     for r0 in range(0, len(corpus), _BLOCK_ROWS):
-        rows = corpus.features[r0:r0 + _BLOCK_ROWS]
+        rows = corpus.feature_rows(np.arange(r0, min(r0 + _BLOCK_ROWS, len(corpus))))
         cells = template[:len(rows)]
         np.add(rows, 48, out=cells[:, :-1:2])
         parts = [b""] * (2 * len(rows))

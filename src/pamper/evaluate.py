@@ -151,7 +151,7 @@ def run_evaluation(
     unlearned = {m: n for m, n in eval_by_name if n and m not in col_of}
     known = cols >= 0
     known_cols = cols[known]
-    ranks = arena.batch_rank(corpus.features[eval_rows[known]], known_cols)
+    ranks = arena.batch_rank(corpus.feature_rows(eval_rows[known]), known_cols)
     eval_counts = np.bincount(known_cols, minlength=len(methods))
     rank_hits = np.zeros((len(methods), top_n), dtype=np.int64)
     hit = ranks <= top_n

@@ -5,9 +5,10 @@ regression problem per method: a point's label is 1.0 for the method that
 was actually applied and 0.0 in every other method's dataset, so method
 ``i`` of the corpus's ``vocab`` takes ``codes == i`` over every row as its
 labels; training on some rows only is ``build_tree``'s root mask, never a
-label. The feature columns are packed into bitsets once and every dataset
-shares that one array; each method's labels are packed too, so memory
-grows with methods x points / 64 words, never methods x points x features.
+label. Every dataset shares the corpus's own packed feature columns
+(``Corpus.columns``), uncopied; each method's labels are packed too, so
+memory grows with methods x points / 64 words, never methods x points x
+features, and no unpacked feature matrix is built.
 """
 from __future__ import annotations
 
@@ -26,11 +27,11 @@ class BinaryDataset:
 
     ``columns`` holds the corpus's feature columns as packed bitsets, one
     row of ``uint64`` words per feature (see ``_kernels.pack_bits``); all
-    datasets of a corpus share the one read-only array. ``words`` holds this
-    method's 0/1 labels over the ``points`` rows, in corpus order, packed
-    the same way into one read-only row of words; ``labels`` unpacks them on
-    each read, and ``positives`` is their sum. The constructor takes the
-    labels unpacked (``_as_bits``, 1-D).
+    datasets of a corpus share its read-only ``Corpus.columns``. ``words``
+    holds this method's 0/1 labels over the ``points`` rows, in corpus
+    order, packed the same way into one read-only row of words; ``labels``
+    unpacks them on each read, and ``positives`` is their sum. The
+    constructor takes the labels unpacked (``_as_bits``, 1-D).
     """
 
     method: str
@@ -74,9 +75,8 @@ def single_target_split(corpus: Corpus) -> dict[str, BinaryDataset]:
     """
     if len(corpus) == 0:
         raise EmptyDatasetError("corpus has no points")
-    columns = _kernels.pack_columns(corpus.features)
-    columns.setflags(write=False)
     codes = corpus.codes
     return {
-        name: BinaryDataset(name, codes == code, columns) for code, name in enumerate(corpus.vocab)
+        name: BinaryDataset(name, codes == code, corpus.columns)
+        for code, name in enumerate(corpus.vocab)
     }

@@ -297,13 +297,18 @@ class ModelArena:
         self.table = model.table
 
     def expectations(self, matrix: np.ndarray) -> np.ndarray:
-        """(B, F) query matrix -> (B, M) expectation matrix, names order."""
+        """(B, F) query matrix -> (B, M) expectation matrix, names order.
+
+        Each block's leaf values are gathered straight into its rows of the
+        output (``mode="clip"`` as in ``_descend``).
+        """
         V = _checked_bits(matrix, 2, self.feature_count)
         roots, value = np.arange(len(self.names)), self.table[2]
         out = np.empty((V.shape[0], roots.size), dtype=np.float64)
         for start in range(0, V.shape[0], _BLOCK_ROWS):
             block = V[start:start + _BLOCK_ROWS]
-            out[start:start + len(block)] = value[_descend(self.table, block, roots)]
+            leaves = _descend(self.table, block, roots)
+            np.take(value, leaves, out=out[start:start + len(block)], mode="clip")
         return out
 
     def _top_blocks(self, matrix: np.ndarray, k: int):

@@ -184,6 +184,19 @@ def random_corpus(rng, max_points: int = 40, max_features: int = 10) -> Corpus:
     return Corpus(tuple(names), X, n_feat)
 
 
+def corpus_of_rows(rows: int, seed: int) -> Corpus:
+    """A random corpus of exactly ``rows`` rows (none included) and 1 to 6 features."""
+    rng = np.random.default_rng(seed)
+    width = int(rng.integers(1, 7))
+    X = (rng.random((rows, width)) < 0.5).astype(np.uint8)
+    return Corpus(tuple(random_method_names(rng, rows)), X, width)
+
+
+# 0 to 200 rows and a few over 1000, so that blocks of a few hundred bytes end
+# before, on and after each 64-row word of the packed columns.
+WORD_ROWS = [0, 1, 2, 17, 40, 63, 64, 65, 90, 127, 128, 129, 150, 191, 192, 193, 200, 1000, 1024, 1089]
+
+
 def reference_take(corpus: Corpus, indices) -> Corpus:
     """A new corpus holding the given rows, in the given order: the copy that a row mask avoids."""
     idx = np.asarray(indices, dtype=np.int64)

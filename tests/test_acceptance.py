@@ -283,15 +283,21 @@ def test_scale_and_throughput(tmp_path):
     assert rate >= 10000.0, f"only {rate:.0f} vectors/s"
 
 
-def test_bounded_ingest(tmp_path):
-    # The 100k x 108 x 169 scale database (22 MB) parsed from an open file
-    # holds at most half the file above its feature matrix at peak (traced),
-    # so the file is never held whole; the split then adds only the packed
-    # columns and one packed row of label words per method.
+def _scale_file(tmp_path) -> tuple[Corpus, object]:
+    """The 100k x 108 x 169 scale corpus (seed 3) and its 22 MB database file."""
     names = [f"m{i:03d}" for i in range(169)]
     corpus = generate(PlantedModel((), zipf_imbalance(names, 1.4322), 108, 0.3), 100000, seed=3)
     path = tmp_path / "scale.db"
     path.write_text(serialize_database(corpus), encoding="ascii")
+    return corpus, path
+
+
+def test_bounded_ingest(tmp_path):
+    # The scale database parsed from an open file holds at most half the
+    # file above its packed columns at peak (traced), so the file is never
+    # held whole; the split then adds only one packed row of label words
+    # per method, sharing the corpus's columns.
+    corpus, path = _scale_file(tmp_path)
     size = path.stat().st_size
     tracemalloc.start()
     try:
@@ -306,6 +312,27 @@ def test_bounded_ingest(tmp_path):
     finally:
         tracemalloc.stop()
     assert got == corpus
-    assert peak < got.features.nbytes + size // 2, f"peak {peak} for a {size}-byte file"
-    packed = datasets[0].columns.nbytes + sum(ds.words.nbytes for ds in datasets)
+    assert peak < got.columns.nbytes + size // 2, f"peak {peak} for a {size}-byte file"
+    assert all(ds.columns is got.columns for ds in datasets)
+    packed = sum(ds.words.nbytes for ds in datasets)
     assert retained < packed + 1024 * len(datasets), f"split retained {retained}, packed {packed}"
+
+
+def test_ingest_and_split_never_hold_a_byte_per_flag(tmp_path):
+    # From the open scale file to one dataset per method, the traced peak
+    # stays below one byte per flag (n x F, 10.8 MB): the corpus keeps its
+    # flags packed from the first block on, 1.35 MB in all.
+    _, path = _scale_file(tmp_path)
+    tracemalloc.start()
+    try:
+        with open(path, "rb") as handle:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            got = parse_database(handle)
+            datasets = single_target_split(got)
+            peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    flags = len(got) * got.feature_count
+    assert len(datasets) == 169 and flags == 100000 * 108
+    assert peak < flags, f"peak {peak} for {flags} flags"

@@ -28,11 +28,14 @@ from pamper.errors import (
     PlantedConfigError,
     VectorWidthMismatchError,
 )
+from pamper import _kernels
 from pamper import corpus as corpus_module
 from pamper.preprocess import single_target_split
 from pamper.synth import PlantedModel, generate, parse_planted_config, zipf_imbalance
 
 from oracles import (
+    WORD_ROWS,
+    corpus_of_rows,
     input_sources,
     late_block_inputs,
     random_corpus,
@@ -189,17 +192,22 @@ def test_canonical_input_skips_the_strict_parser(monkeypatch):
             assert got.dtype == np.uint8 and np.array_equal(got, c.features)
 
 
-@pytest.mark.parametrize("size", [1, 7, 64, 4096])
+@pytest.mark.parametrize("size", [1, 7, 64, 300, 4096])
 def test_small_blocks_and_file_objects_keep_the_canonical_reader(monkeypatch, size):
     _no_strict_parser(monkeypatch)
     monkeypatch.setattr(corpus_module, "_SCAN_BYTES", size)
     rng = np.random.default_rng(810)
     skip_rng = np.random.default_rng(811)
-    for _ in range(10):
-        c = random_corpus(rng)
+    corpora = [random_corpus(rng) for _ in range(10)]
+    if size >= 64:  # blocks of a few rows or more end before, on and after 64-row words
+        corpora += [corpus_of_rows(rows, seed) for seed, rows in enumerate(WORD_ROWS) if rows]
+    for c in corpora:
         text = _with_skipped_lines(skip_rng, serialize_database(c))
         for source in input_sources(text.encode("ascii")):
-            assert parse_database(source) == c
+            got = parse_database(source)
+            assert got == c and got.codes.tolist() == c.codes.tolist()
+            # Whole words of the transposed features, padding bits zero.
+            assert np.array_equal(got.columns, _kernels.pack_bits(c.features.T))
         vectors = _with_skipped_lines(skip_rng, _vector_file(serialize_database(c)))
         for source in input_sources(vectors.encode("ascii")):
             got = parse_vectors(source, c.feature_count)
@@ -362,9 +370,10 @@ def test_a_pipe_gives_what_bytes_give(data):
 
 
 def test_parsing_a_file_object_never_holds_the_file(tmp_path, monkeypatch):
-    # The traced peak is the feature matrix plus a slack that does not grow
+    # The traced peak is the packed columns plus a slack that does not grow
     # with the file: a handful of small blocks, and the names and codes of
-    # the corpus itself (24 bytes a row here, 0.5 MB in all).
+    # the corpus itself (24 bytes a row here, 0.5 MB in all). One byte per
+    # flag would be 8 times the columns.
     slack = 1 << 20
     names = [f"m{i:02d}" for i in range(40)]
     corpus = generate(PlantedModel((), zipf_imbalance(names, 1.2), 108, 0.3), 20000, seed=5)
@@ -382,8 +391,8 @@ def test_parsing_a_file_object_never_holds_the_file(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert got == corpus
-    assert got.features.base is None  # shrunk in place to its rows, not a slice of a larger array
-    assert peak < got.features.nbytes + slack, (peak, got.features.nbytes)
+    assert got.columns.base is None  # compacted in place to its words, not a slice of a larger array
+    assert peak < got.columns.nbytes + slack, (peak, got.columns.nbytes)
 
 
 def test_counts_sum_to_points_property():
@@ -411,6 +420,22 @@ def test_features_are_read_only():
     c = parse_database("a, [1,0]\nb, [0,1]\n")
     with pytest.raises(ValueError):
         c.features[0, 0] = 0
+
+
+def test_feature_rows_unpack_any_rows_in_the_order_given(monkeypatch):
+    monkeypatch.setattr(corpus_module, "_BLOCK_ROWS", 64)  # several blocks, word-aligned or not
+    rng = np.random.default_rng(812)
+    for rows in (1, 63, 64, 65, 200, 1000):
+        X = (rng.random((rows, int(rng.integers(1, 12)))) < 0.5).astype(np.uint8)
+        c = Corpus(tuple(random_method_names(rng, rows)), X, X.shape[1])
+        for at in (np.arange(rows), rng.integers(0, rows, 300), np.arange(rows)[::-1], []):
+            got = c.feature_rows(at)
+            assert got.dtype == np.uint8 and got.flags.c_contiguous
+            assert np.array_equal(got, X[np.asarray(at, dtype=np.intp)])
+        assert np.array_equal(c.features, X) and not c.features.flags.writeable
+        for bad in ([rows], [-1], [[0]], np.ones(rows, dtype=bool), [0.0]):
+            with pytest.raises(IndexError):
+                c.feature_rows(bad)
 
 
 def test_take_preserves_order_given():

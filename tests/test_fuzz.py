@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pamper import _kernels
 from pamper import corpus as corpus_module
 from pamper import trees as trees_module
 from pamper.corpus import (
@@ -34,6 +35,8 @@ from pamper.trees import model_from_text, model_to_text, save_model, train
 
 from cli_helpers import run_main
 from oracles import (
+    WORD_ROWS,
+    corpus_of_rows,
     input_sources,
     late_block_inputs,
     random_corpus,
@@ -224,6 +227,8 @@ def test_bulk_model_reader_agrees_with_the_strict_parser(data):
 CANONICAL_CORPORA = [
     random_corpus(np.random.default_rng(seed), max_points=12, max_features=6) for seed in range(10)
 ]
+
+WORD_CORPORA = [corpus_of_rows(rows, seed) for seed, rows in enumerate(WORD_ROWS)]
 LINE_TOKENS = [b",", b"]", b"[", b" ", b"\r", b"#", b"\n"]
 # Toggles keep a file canonical, so they are drawn more often than the rest.
 EDITS = ["toggle", "toggle", "toggle", "truncate", "flip", "insert", "delete", "width", "name"]
@@ -233,12 +238,12 @@ NAME_EDITS = [
 
 
 @st.composite
-def mutated_canonical_files(draw):
-    """A canonical database or vector file of a random corpus, its width,
+def mutated_canonical_files(draw, corpora=CANONICAL_CORPORA):
+    """A canonical database or vector file of one of ``corpora``, its width,
     and whether it is a vector file, after one to four truncations, byte
     flips, 0/1 toggles, inserts or deletes of a line token, row-width
     changes (one flag dropped or some added), or method-name edits."""
-    corpus = draw(st.sampled_from(CANONICAL_CORPORA))
+    corpus = draw(st.sampled_from(corpora))
     vectors = draw(st.booleans())
     text = serialize_database(corpus)
     if vectors:
@@ -308,7 +313,7 @@ def test_ingest_agrees_with_the_strict_parser_on_mutated_files(case):
         assert_paths_agree(parse, data.decode("ascii"))
 
 
-READ_SIZES = [1, 7, 64, 4096]
+READ_SIZES = [1, 7, 64, 300, 4096]
 
 
 def streamed_outcome(parse, source):
@@ -318,24 +323,33 @@ def streamed_outcome(parse, source):
         return type(exc), getattr(exc, "line_no", None), str(exc)
     if isinstance(got, Corpus):
         features = got.features
-        return got.method_names, got.vocab, got.codes.tolist(), features.dtype, features.tolist()
+        # The packed columns are the transposed features in whole words, padding bits zero.
+        assert np.array_equal(got.columns, _kernels.pack_bits(features.T))
+        return (
+            got.method_names, got.vocab, got.codes.tolist(), features.dtype, features.tolist(),
+            got.columns.dtype, got.columns.shape, got.columns.tolist(),
+        )
     return got.dtype, got.shape, got.tolist()
 
 
-def assert_streaming_agrees(parse, data: bytes) -> None:
+def assert_streaming_agrees(parse, data: bytes, sizes=READ_SIZES) -> None:
     """Parsing ``data`` in small blocks, from bytes or a file object, gives what one block gives."""
     want = streamed_outcome(parse, data)
-    for size in READ_SIZES:
+    for size in sizes:
         with mock.patch.object(corpus_module, "_SCAN_BYTES", size):
             for source in input_sources(data):
                 assert streamed_outcome(parse, source) == want, (size, type(source).__name__)
 
 
 @FUZZ
-@given(mutated_canonical_files())
+@given(mutated_canonical_files(CANONICAL_CORPORA + WORD_CORPORA))
 def test_block_boundaries_do_not_change_what_ingest_gives(case):
     data, width, vectors = case
-    assert_streaming_agrees((lambda d: parse_vectors(d, width)) if vectors else parse_database, data)
+    parse = (lambda d: parse_vectors(d, width)) if vectors else parse_database
+    # Read sizes that cut the input into at most 256 blocks: every size for the small
+    # corpora, and blocks of tens of rows for the large ones.
+    assert_streaming_agrees(parse, data, [size for size in READ_SIZES if 256 * size >= len(data)])
+    assert streamed_outcome(lambda d: strict_parse(parse, d), data) == streamed_outcome(parse, data)
 
 
 @pytest.mark.parametrize("name", list(late_block_inputs()))

@@ -84,9 +84,11 @@ def test_every_bit_taker_takes_0_and_1_of_any_dtype_as_uint8(bits):
     for name, take in BIT_TAKERS.items():
         got, want = take(bits), take(np.asarray(bits, dtype=np.uint8))
         assert got.dtype == want.dtype and np.array_equal(got, want), name
-    # C-contiguous uint8 bits are adopted, not copied; labels are kept packed.
+    # Features and labels are kept packed: a corpus gives back equal, read-only features
+    # and leaves the given matrix as it was.
     X = np.array([[1, 0], [0, 1]], dtype=np.uint8)
-    assert Corpus(("a", "b"), X, 2).features is X and not X.flags.writeable
+    features = Corpus(("a", "b"), X, 2).features
+    assert np.array_equal(features, X) and not features.flags.writeable and X.flags.writeable
     labels = np.array([1, 0, 0, 1], dtype=np.uint8)
     dataset = BinaryDataset("a", labels, np.zeros((2, 1), dtype=np.uint64))
     assert np.array_equal(dataset.labels, labels) and dataset.positives == 2

@@ -98,7 +98,9 @@ def test_the_split_retains_only_packed_columns_and_labels():
     finally:
         tracemalloc.stop()
     datasets = list(split.values())
-    packed = datasets[0].columns.nbytes + sum(ds.words.nbytes for ds in datasets)
-    # Beyond the packed arrays, a few hundred bytes of objects per method;
-    # one unpacked uint8 label array per method would be 20 kB each.
+    # The packed columns are the corpus's own, so the split adds only the packed
+    # labels and a few hundred bytes of objects per method; one unpacked uint8
+    # label array per method would be 20 kB each.
+    assert all(ds.columns is c.columns for ds in datasets)
+    packed = sum(ds.words.nbytes for ds in datasets)
     assert packed <= retained < packed + 1024 * len(datasets), (retained, packed)

@@ -1,9 +1,9 @@
 """README's walkthrough and library examples, run as written.
 
-The planted config is written from its ``text`` block, every ``$ pamper``
-command of the walkthrough runs in-process, and the printed output of
-``gen``, ``which``, ``rank`` and ``evaluate`` must match the text shown
-under it. Both ``python`` blocks of "Library use" then run in order, in
+The planted config and the feature catalog are written from their ``text``
+blocks, every ``$ pamper`` command of the walkthrough runs in-process, and
+the printed output of ``gen``, ``which``, ``why``, ``rank`` and ``evaluate``
+must match the text shown under it. Both ``python`` blocks of "Library use" then run in order, in
 one namespace, against the same database.
 """
 import contextlib
@@ -19,7 +19,7 @@ FENCE = re.compile(r"^```(\w+)\n(.*?)^```$", re.M | re.S)
 BLOCKS = FENCE.findall(README)
 LIBRARY = [body for lang, body in FENCE.findall(README.partition("## Library use")[2])
            if lang == "python"]
-CHECKED = {"gen", "which", "rank", "evaluate"}  # train's shown output elides trees with "..."
+CHECKED = {"gen", "which", "why", "rank", "evaluate"}  # train's shown output elides trees with "..."
 
 
 def _commands(block: str) -> list[tuple[list[str], str]]:
@@ -33,11 +33,12 @@ def _commands(block: str) -> list[tuple[list[str], str]]:
 
 def test_readme_walkthrough_and_library_examples_run_as_written(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    planted = next(body for lang, body in BLOCKS if body.startswith("# planted.txt\n"))
-    Path("planted.txt").write_text(planted, encoding="utf-8")
+    for name in ("planted.txt", "catalog.txt"):
+        body = next(body for lang, body in BLOCKS if body.startswith(f"# {name}\n"))
+        Path(name).write_text(body, encoding="utf-8")
     printed = {}
     for argv, shown in (run for lang, body in BLOCKS if lang == "sh" for run in _commands(body)):
-        if argv[0] != "pamper" or argv[1] == "why":  # why's catalog.txt is not in the README
+        if argv[0] != "pamper":
             continue
         code, out, err = run_main(argv[1:])
         assert (code, err) == (0, ""), argv
