@@ -11,24 +11,24 @@ character is ``#`` are skipped. The vector width of the first record fixes
 the feature count for the whole file; later records must agree. A vector
 file holds one bracketed vector per line under the same line rules.
 
-An input written wholly in the canonical form that ``serialize_database``
-(and so ``pamper gen``) writes -- ASCII, every line ``<name>, [b,...,b]``
-(or ``[b,...,b]`` in a vector file) of one width and ended by LF, or
-empty or starting with ``#`` -- is read by a vectorized path over the
-raw bytes, in line-aligned blocks of about 256 kB, so a file object is
-never held whole. Any other input, valid or not, goes through the strict
-line parser, which is the only place that raises, so every accepted form,
-error and line number is the same on both paths.
+Every database and vector file is read once, front to back, in
+line-aligned blocks of about 256 kB, so a file object is never held whole.
+A block in the canonical form that ``serialize_database`` (and so ``pamper
+gen``) writes -- ASCII, every line ``<name>, [b,...,b]`` (or ``[b,...,b]``)
+of one width and ended by LF, or empty or starting with ``#`` -- is read
+by a vectorized pass over its raw bytes. Any other block is decoded and
+parsed line by line, by the only code that raises, so every accepted form,
+error and line number is the same whatever the blocks hold.
 
 A ``Corpus`` keeps its flags only as packed bit columns, one bit per flag:
-the canonical reader packs each block's rows as it reads them, and the
+the reader packs each block's rows as it reads them, and the
 constructor packs the 0/1 matrix it is given. Readers that need flag rows
 (the writer, the evaluation's held-out rows, ``Corpus.features``) unpack
 just those rows, a block at a time, through ``Corpus.feature_rows``. A
 vector file is read into a uint8 matrix, since queries read it by row.
-A ``Corpus`` also works out its methods once, as ``vocab`` and ``codes``;
+A ``Corpus`` also keeps its methods once, as ``vocab`` and ``codes``;
 every reader of a row's method, from the writer to the evaluation, indexes
-by code.
+by code, and ``method_names`` is rebuilt from them.
 
 A feature catalog is a separate tab-separated file mapping feature indices
 to human-readable descriptions, used when rendering explanations::
@@ -74,13 +74,13 @@ class Corpus:
     leaving the given matrix as it was. ``feature_rows`` unpacks the rows it
     is asked for and ``features`` all of them, each into a fresh uint8
     matrix. ``vocab`` holds the sorted distinct names and ``codes`` each
-    row's index into it (read-only ``intp``).
+    row's index into it (read-only ``intp``); they are the only store of
+    the names, and ``method_names`` is built from them on each read.
     """
 
-    method_names: tuple[str, ...]
     columns: np.ndarray = field(repr=False)
     feature_count: int
-    vocab: tuple[str, ...] = field(repr=False)
+    vocab: tuple[str, ...]
     codes: np.ndarray = field(repr=False)
 
     def __init__(self, method_names, features, feature_count):
@@ -98,7 +98,7 @@ class Corpus:
         self._adopt(method_names, _kernels.pack_columns(X), feature_count)
 
     @classmethod
-    def _packed(cls, method_names: tuple[str, ...], columns: np.ndarray) -> Corpus:
+    def _packed(cls, method_names: list[str], columns: np.ndarray) -> Corpus:
         """The corpus of these names over columns that the reader packed, adopted as they are."""
         corpus = cls.__new__(cls)
         corpus._adopt(method_names, columns, columns.shape[0])
@@ -116,23 +116,28 @@ class Corpus:
         codes = np.fromiter(map(code_of.__getitem__, names), dtype=np.intp, count=len(names))
         columns.setflags(write=False)
         codes.setflags(write=False)
-        object.__setattr__(self, "method_names", tuple(names))
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "feature_count", feature_count)
         object.__setattr__(self, "vocab", vocab)
         object.__setattr__(self, "codes", codes)
 
     def __len__(self) -> int:
-        return len(self.method_names)
+        return len(self.codes)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Corpus):
             return NotImplemented
         return (
-            self.method_names == other.method_names
+            self.vocab == other.vocab
+            and np.array_equal(self.codes, other.codes)
             and self.feature_count == other.feature_count
             and np.array_equal(self.columns, other.columns)
         )
+
+    @property
+    def method_names(self) -> tuple[str, ...]:
+        """Each row's method name, in row order."""
+        return tuple(map(self.vocab.__getitem__, self.codes.tolist()))
 
     @property
     def features(self) -> np.ndarray:
@@ -177,9 +182,7 @@ def data_lines(data: str | bytes, error: type[PamperError]) -> list[tuple[int, s
     Bytes are decoded by ``decode_utf8``, so one that is not UTF-8 raises
     ``error`` with its line number. Lines are split at LF and stripped (a CR
     before the LF goes with the other surrounding whitespace); blank lines
-    and lines whose first non-space character is ``#`` are skipped. The
-    result is a list so that the decoded text is freed before the caller
-    parses the lines.
+    and lines whose first non-space character is ``#`` are skipped.
     """
     lines = map(str.strip, decode_utf8(data, error).split("\n"))
     return [(n, line) for n, line in enumerate(lines, start=1) if line and line[0] != "#"]
@@ -212,17 +215,17 @@ def _parse_record(line: str, line_no: int) -> tuple[str, bytearray]:
 
 
 _BLOCK_ROWS = 4096  # rows per block of the writer and of Corpus.feature_rows
-_SCAN_BYTES = 1 << 18  # bytes per line-aligned block of the canonical reader
+_SCAN_BYTES = 1 << 18  # bytes per line-aligned block of the database and vector-file reader
 
 
 class _ColumnPacker:
-    """Packs 0/1 rows, one block at a time, into the bitset columns of at most ``limit`` rows.
+    """Packs 0/1 rows, one block at a time, into the bitset columns of about ``limit`` rows.
 
     Each block's whole 64-row words go through ``_kernels.pack_columns``
-    into ``columns``, and the rows that do not fill a word are carried into
-    the next block. ``columns`` is allocated once, for ``limit`` rows
-    (untouched pages hold no memory), and ``finish`` packs the last partial
-    word, zero-padded, and compacts the columns in place to the words used.
+    into ``columns``, allocated once for ``limit`` rows (untouched pages
+    hold no memory) and grown only if more come; the rest are carried into
+    the next block. ``finish`` packs the last partial word, zero-padded,
+    and compacts the columns in place to the words used.
     """
 
     def __init__(self, limit: int, width: int):
@@ -231,17 +234,18 @@ class _ColumnPacker:
         self.carry = np.empty((0, width), dtype=np.uint8)
 
     def add(self, flags: np.ndarray) -> None:
-        """Append the rows of a (rows, F) array whose low bits are the flags."""
-        carried = len(self.carry)
-        block = np.empty((carried + len(flags), flags.shape[1]), dtype=np.uint8)
-        block[:carried] = self.carry
-        np.bitwise_and(flags, 1, out=block[carried:])
+        """Append the rows of a (rows, F) uint8 array of 0/1 flags."""
+        block = np.concatenate((self.carry, flags))
         whole = len(block) - len(block) % 64
         self._put(block[:whole])
         self.carry = block[whole:].copy()
 
     def _put(self, rows: np.ndarray) -> None:
         words = -(-len(rows) // 64)
+        if self.words + words > self.columns.shape[1]:  # the file grew while it was read
+            grown = np.empty((len(self.columns), 2 * (self.words + words)), dtype=np.uint64)
+            grown[:, :self.words] = self.columns[:, :self.words]
+            self.columns = grown
         self.columns[:, self.words:self.words + words] = _kernels.pack_columns(rows)
         self.words += words
 
@@ -256,95 +260,60 @@ class _ColumnPacker:
         return columns
 
 
-def _canonical_records(source, width: int | None):
-    """The records of an input written wholly in canonical form, or None.
+class _RowMatrix:
+    """Appends 0/1 rows to one (rows, F) uint8 matrix, allocated for about ``limit`` rows."""
 
-    ``source`` is bytes, text, or a seekable binary file object read from
-    its current position. Empty lines and lines starting with ``#`` are
-    skipped. With ``width`` None the data lines are database records
-    ``<name>, [b,...,b]`` and the first fixes the width; otherwise they are
-    vector-file lines ``[b,...,b]`` of ``width`` flags. Returns
-    ``(names, columns)`` for a database, ``columns`` packed as
-    ``Corpus.columns``, and ``(None, X)`` for a vector file, ``X`` its
-    (rows, width) uint8 matrix, only when the input is ASCII, ends in LF,
-    and each of its (one or more) data lines has exactly that form, width
-    and a ``METHOD_TOKEN`` name: then the strict parser would return the
-    same records. Any other input gives None and is left to the strict
-    parser, so this never raises.
+    def __init__(self, limit: int, width: int):
+        self.matrix, self.rows = np.empty((limit, width), dtype=np.uint8), 0
 
-    The input is read in line-aligned blocks, ``_SCAN_BYTES`` bytes and the
-    rest of the line they end in, so the whole file is never held. Each
-    block gathers the fixed-length tail after each line's name (``, [`` or
-    ``[``, then 2F bytes of flags, commas and ``]``) through a
-    sliding-window view, takes the flags' low bits, and then checks every
-    byte of the gathered tails in place. A database's flags go to a
-    ``_ColumnPacker``, a vector file's into one matrix; either is allocated
-    once, for the most rows the input size admits (a data line takes at
-    least ``2F + 5`` bytes, or ``2F + 2`` in a vector file), and shrunk in
-    place to the rows read. Distinct names are decoded and checked once.
+    def add(self, flags: np.ndarray) -> None:
+        self.rows += len(flags)
+        if self.rows > len(self.matrix):  # the file grew while it was read
+            self.matrix.resize((2 * self.rows, flags.shape[1]), refcheck=False)
+        self.matrix[self.rows - len(flags):self.rows] = flags
+
+    def finish(self) -> np.ndarray:
+        self.matrix.resize((self.rows, self.matrix.shape[1]), refcheck=False)  # rows stay in place
+        return self.matrix
+
+
+def _canonical_rows(block: bytes, ends: np.ndarray, width, names, decoded):
+    """``(width, flags)`` of a block of canonical data lines, else None; this never raises.
+
+    The block must be ASCII and end in LF (``ends`` are its LFs). Its lines
+    are ``<name>, [b,...,b]`` with a ``METHOD_TOKEN`` name, decoded once in
+    ``decoded`` and appended to ``names``, or ``[b,...,b]`` while ``names``
+    is None, of ``width`` flags (the first line's while that is None). Each
+    tail after a name is gathered through a sliding window and XORed in
+    place with the all-0 tail, leaving the flags in place and zero elsewhere.
     """
-    if isinstance(source, str):
-        if not source.isascii():
-            return None
-        source = source.encode("ascii")
-    if isinstance(source, bytes):
-        source = io.BytesIO(source)
-    elif not hasattr(source, "read"):
+    if not (block.endswith(b"\n") and block.isascii()):
         return None
-    start = source.tell()
-    size = source.seek(0, io.SEEK_END) - start
-    source.seek(start)
-    named = width is None
-    head = b", [" if named else b"["
-    X = None
-    rows = 0
-    names: list[str] = []
-    decoded: dict[bytes, str] = {}
-    while block := source.read(_SCAN_BYTES):
-        block += source.readline()
-        if not (isinstance(block, bytes) and block.endswith(b"\n") and block.isascii()):
+    buf = np.frombuffer(block, dtype=np.uint8)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    data_rows = (ends > starts) & (buf[starts] != ord("#"))
+    starts, ends = starts[data_rows], ends[data_rows]
+    if not len(ends):
+        return width, None
+    head = b"[" if names is None else b", ["
+    if width is None:
+        at = block.find(head, starts[0], ends[0])
+        span = int(ends[0]) - at - len(head)
+        if at <= starts[0] or span < 2 or span % 2:
             return None
-        buf = np.frombuffer(block, dtype=np.uint8)
-        ends = np.flatnonzero(buf == 10)
-        starts = np.concatenate(([0], ends[:-1] + 1))
-        data_rows = (ends > starts) & (buf[starts] != ord("#"))
-        if not data_rows.all():
-            starts, ends = starts[data_rows], ends[data_rows]
-        if not len(ends):
-            continue
-        if X is None:
-            if named:
-                at = block.find(head, starts[0], ends[0])
-                span = int(ends[0]) - at - len(head)
-                if at <= starts[0] or span % 2:
-                    return None
-                width = span // 2
-            if width < 1:
-                return None
-            tail = len(head) + 2 * width
-            limit = size // (tail + 1 + named)
-            X = _ColumnPacker(limit, width) if named else np.empty((limit, width), dtype=np.uint8)
-            want = np.frombuffer(head + b"0," * (width - 1) + b"0]", dtype=np.uint8)
-            keep = np.full(tail, 0xFF, dtype=np.uint8)
-            keep[len(head)::2] = 0xFE  # '0' and '1' differ only in the low bit
-        lengths = ends - starts
-        if (lengths.min() <= tail) if named else (lengths != tail).any():
-            return None
-        if rows + len(ends) > limit:
-            return None  # the file grew while it was read
-        tail_at = ends - tail
-        cells = np.lib.stride_tricks.sliding_window_view(buf, tail)[tail_at]
-        if named:
-            X.add(cells[:, len(head)::2])
-        else:
-            np.bitwise_and(cells[:, len(head)::2], 1, out=X[rows:rows + len(cells)])
-        rows += len(cells)
-        cells &= keep
-        cells ^= want
-        if cells.any():
-            return None  # a line is not canonical
-        if not named:
-            continue
+        width = span // 2
+    tail = len(head) + 2 * width
+    lengths = ends - starts
+    if (lengths != tail).any() if names is None else lengths.min() <= tail:
+        return None
+    tail_at = ends - tail
+    cells = np.lib.stride_tricks.sliding_window_view(buf, tail)[tail_at]
+    cells ^= np.frombuffer(head + b"0," * (width - 1) + b"0]", dtype=np.uint8)
+    flag = np.zeros(tail, dtype=np.uint8)
+    flag[len(head)::2] = 1  # '0' and '1' differ only in the low bit
+    if (cells.max(axis=0) > flag).any():
+        return None  # a line is not canonical
+    if names is not None:
         keys = list(map(block.__getitem__, map(slice, starts.tolist(), tail_at.tolist())))
         for key in set(keys).difference(decoded):
             name = key.decode("ascii")
@@ -352,34 +321,87 @@ def _canonical_records(source, width: int | None):
                 return None
             decoded[key] = name
         names.extend(map(decoded.__getitem__, keys))
-    if X is None:
-        return None
-    if named:
-        return names, X.finish()
-    X.resize((rows, width), refcheck=False)  # no view of X is alive; the rows stay in place
-    return None, X
+    return width, cells[:, len(head)::2]
 
 
-def _ingest(source, width: int | None):
-    """``(records, None)`` from ``_canonical_records``, or else ``(None, the whole input)``.
+def _parse_lines(text: str, line_no: int, width, names):
+    """``(width, flags)`` of a block's text parsed line by line, as ``_canonical_rows`` reads it.
 
-    A binary file object that cannot seek is read whole first. One that can
-    is read from where it stands and, when the canonical reader gives up,
-    read whole again from there for the strict parser.
+    Lines are numbered from ``line_no``, split at LF and stripped (a CR
+    before the LF goes with the rest of the surrounding whitespace); blank
+    lines and lines whose first non-space character is ``#`` are skipped.
     """
-    start = None
-    if hasattr(source, "read"):
-        if source.seekable():
-            start = source.tell()
+    bits = bytearray()
+    for n, line in enumerate(map(str.strip, text.split("\n")), start=line_no):
+        if not line or line[0] == "#":
+            continue
+        if names is None:
+            row = _parse_bits(line, n)
         else:
-            source = source.read()
-    records = _canonical_records(source, width)
-    if records is not None:
-        return records, None
-    if start is not None:
-        source.seek(start)
+            method, row = _parse_record(line, n)
+            names.append(method)
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            if names is None:
+                raise VectorWidthMismatchError(len(row), width, n)
+            raise InconsistentWidthError(n, len(row), width)
+        bits += row
+    return width, np.frombuffer(bits, dtype=np.uint8).reshape(-1, width) if bits else None
+
+
+def _line_blocks(source):
+    """``(line_no, block, ends)`` of each block: ``_SCAN_BYTES`` bytes and the rest of a line."""
+    line_no = 1
+    while block := source.read(_SCAN_BYTES):
+        block += source.readline()
+        ends = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == 10)
+        yield line_no, block, ends
+        line_no += len(ends)
+
+
+def _read_records(source, width: int | None):
+    """``(names, columns)`` of a database (``width`` None), or ``(None, X)`` of a vector file.
+
+    The input is read once, in line-aligned blocks. Each goes through
+    ``_canonical_rows`` or else, decoded, ``_parse_lines``, and its rows go
+    to one sink, allocated once the width is known for the most rows the
+    input size admits (a line takes ``2F + 4`` bytes or more with its LF,
+    ``2F + 2`` in a vector file); it is None without data lines. A byte
+    that is not UTF-8 is reported before any bad line, as if the whole
+    input were decoded first. A file object that cannot seek is read whole.
+    """
+    if isinstance(source, io.TextIOBase) or hasattr(source, "read") and not source.seekable():
         source = source.read()
-    return None, source
+    errors = "strict"
+    if isinstance(source, str):  # encoded and decoded alike, so text always decodes
+        source, errors = source.encode("utf-8", "surrogatepass"), "surrogatepass"
+    if not hasattr(source, "read"):
+        source = io.BytesIO(source)
+    start = source.tell()
+    size = source.seek(0, io.SEEK_END) - start
+    source.seek(start)
+    names = [] if width is None else None
+    decoded: dict[bytes, str] = {}
+    sink = None
+    blocks = _line_blocks(source)
+    for line_no, block, ends in blocks:
+        rows = _canonical_rows(block, ends, width, names, decoded)
+        if rows is None:
+            lines = decode_utf8(block, MalformedLineError, line_no, errors)
+            try:
+                rows = _parse_lines(lines, line_no, width, names)
+            except PamperError:
+                for line_no, block, _ in blocks:
+                    decode_utf8(block, MalformedLineError, line_no, errors)
+                raise
+        width, flags = rows
+        if flags is not None:
+            if sink is None:
+                limit = (size + 1) // (2 * width + 2 + 2 * (names is not None))
+                sink = (_RowMatrix if names is None else _ColumnPacker)(limit, width)
+            sink.add(flags)
+    return names, None if sink is None else sink.finish()
 
 
 def parse_database(source) -> Corpus:
@@ -390,27 +412,10 @@ def parse_database(source) -> Corpus:
     EmptyDatabaseError when no data lines remain after skipping blanks and
     comments. A file object is read from its current position.
     """
-    records, text = _ingest(source, None)
-    if records is not None:
-        names, columns = records
-        return Corpus._packed(tuple(names), columns)
-    lines = data_lines(text, MalformedLineError)
-    del text, source  # input read here is freed before the records are parsed
-    methods: list[str] = []
-    bits = bytearray()
-    width = -1
-    for line_no, line in lines:
-        method, row = _parse_record(line, line_no)
-        if width < 0:
-            width = len(row)
-        elif len(row) != width:
-            raise InconsistentWidthError(line_no, len(row), width)
-        methods.append(method)
-        bits += row
-    if width < 0:
+    names, columns = _read_records(source, None)
+    if columns is None:
         raise EmptyDatabaseError()
-    X = np.frombuffer(bits, dtype=np.uint8).reshape(len(methods), width)
-    return Corpus(tuple(methods), X, width)
+    return Corpus._packed(names, columns)
 
 
 def serialize_database(corpus: Corpus) -> str:
@@ -442,9 +447,11 @@ def parse_vector(text: str, feature_count: int | None = None) -> np.ndarray:
     """Parse one bracketed feature-vector literal, e.g. ``[1,0,1]``.
 
     The grammar matches the database bracket syntax. When feature_count is
-    given the width is checked and VectorWidthMismatchError raised on
-    disagreement.
+    given it must be a positive integer (``_check_feature_count``), and
+    VectorWidthMismatchError is raised when the width disagrees.
     """
+    if feature_count is not None:
+        _check_feature_count(feature_count)
     row = _parse_bits(text, 1)
     if feature_count is not None and len(row) != feature_count:
         raise VectorWidthMismatchError(len(row), feature_count)
@@ -455,25 +462,15 @@ def parse_vectors(source, feature_count: int) -> np.ndarray:
     """Parse a vector file, one bracketed vector per line, into a (rows, F) uint8 matrix.
 
     Lines follow the database rules (blank and ``#`` lines skipped, LF or
-    CRLF). A bad line raises MalformedLineError, and a vector whose width is
-    not ``feature_count`` raises VectorWidthMismatchError, each with its
-    1-based line number. A file without data lines gives zero rows. The
-    input is bytes, text or a binary file object, as in ``parse_database``.
+    CRLF). A bad line raises MalformedLineError, and a vector whose width
+    is not ``feature_count`` (``_check_feature_count``) raises
+    VectorWidthMismatchError, each with its 1-based line number. A file
+    without data lines gives zero rows. The input is bytes, text or a
+    binary file object, as in ``parse_database``.
     """
-    records, text = _ingest(source, feature_count)
-    if records is not None:
-        return records[1]
-    lines = data_lines(text, MalformedLineError)
-    del text, source  # as in parse_database
-    bits = bytearray()
-    rows = 0
-    for line_no, line in lines:
-        row = _parse_bits(line, line_no)
-        if len(row) != feature_count:
-            raise VectorWidthMismatchError(len(row), feature_count, line_no)
-        bits += row
-        rows += 1
-    return np.frombuffer(bits, dtype=np.uint8).reshape(rows, feature_count)
+    _check_feature_count(feature_count)
+    _, X = _read_records(source, feature_count)
+    return np.empty((0, feature_count), dtype=np.uint8) if X is None else X
 
 
 def corpus_stats(corpus: Corpus) -> list[tuple[str, int, float]]:

@@ -188,17 +188,17 @@ class NoEvalPointsError(PamperError):
         super().__init__("split produced no evaluation points")
 
 
-def decode_utf8(data: str | bytes, error: type[PamperError]) -> str:
-    """Decode an input file's bytes; text passes through unchanged.
+def decode_utf8(data: str | bytes, error: type[PamperError], line_no=1, errors="strict") -> str:
+    """Decode an input file's bytes, with the codec's ``errors`` handler; text passes unchanged.
 
     A byte sequence that is not UTF-8 raises ``error(line_no, reason)``,
-    the caller's own line-numbered parse error, with the 1-based line of
-    the first bad byte.
+    the caller's own line-numbered parse error, with the line of the first
+    bad byte, counting the first line of ``data`` as ``line_no``.
     """
     if not isinstance(data, (bytes, bytearray)):
         return data
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8", errors)
     except UnicodeDecodeError as exc:
-        line_no = data.count(b"\n", 0, exc.start) + 1
+        line_no += data.count(b"\n", 0, exc.start)
         raise error(line_no, f"not valid UTF-8 (byte 0x{data[exc.start]:02x})") from None

@@ -17,7 +17,8 @@ from typing import Callable, NamedTuple, TextIO
 import numpy as np
 
 from ._format import sig4
-from .errors import UnknownMethodError, VectorWidthMismatchError, _as_bits, _check_int
+from .errors import UnknownMethodError, VectorWidthMismatchError
+from .errors import _as_bits, _check_feature_count, _check_int
 from .trees import ModelSet
 
 
@@ -48,8 +49,10 @@ def _checked_bits(v, ndim: int, feature_count: int | None) -> np.ndarray:
     """Check a query vector (``ndim`` 1) or matrix (``ndim`` 2); return it as uint8.
 
     Every entry must be 0 or 1 (``_as_bits``), and the last axis must hold
-    ``feature_count`` entries when that is given.
+    ``feature_count`` entries when that is given (``_check_feature_count``).
     """
+    if feature_count is not None:
+        _check_feature_count(feature_count)
     arr = np.asarray(v)
     if arr.ndim != ndim:
         raise ValueError(f"query {'vector' if ndim == 1 else 'matrix'} must be {ndim}-dimensional")

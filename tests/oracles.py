@@ -15,8 +15,18 @@ import numpy as np
 
 from pamper._format import sig4
 from pamper._kernels import pack_bits
-from pamper.corpus import EMPTY_CATALOG, METHOD_TOKEN, Corpus
-from pamper.errors import ModelParseError, _is_int, decode_utf8
+from pamper.corpus import (
+    EMPTY_CATALOG, METHOD_TOKEN, Corpus, _parse_bits, _parse_record, data_lines,
+)
+from pamper.errors import (
+    EmptyDatabaseError,
+    InconsistentWidthError,
+    MalformedLineError,
+    ModelParseError,
+    VectorWidthMismatchError,
+    _is_int,
+    decode_utf8,
+)
 from pamper.preprocess import BinaryDataset
 from pamper.recommend import Explanation, ExplanationStep
 from pamper.trees import Internal, Leaf, ModelSet
@@ -200,7 +210,7 @@ WORD_ROWS = [0, 1, 2, 17, 40, 63, 64, 65, 90, 127, 128, 129, 150, 191, 192, 193,
 def reference_take(corpus: Corpus, indices) -> Corpus:
     """A new corpus holding the given rows, in the given order: the copy that a row mask avoids."""
     idx = np.asarray(indices, dtype=np.int64)
-    names = tuple(corpus.method_names[i] for i in idx.tolist())
+    names = tuple(map(corpus.method_names.__getitem__, idx.tolist()))
     return Corpus(names, corpus.features[idx], corpus.feature_count)
 
 
@@ -225,6 +235,39 @@ def reference_serialize_database(corpus: Corpus) -> str:
     for name, row in zip(corpus.method_names, corpus.features):
         out.append(f"{name}, [{','.join('1' if b else '0' for b in row.tolist())}]\n")
     return "".join(out)
+
+
+def reference_parse_database(data: str | bytes) -> Corpus:
+    """The whole input decoded, split into lines and parsed one record at a time:
+    the ground truth for ``corpus.parse_database``, which reads in blocks."""
+    methods: list[str] = []
+    bits = bytearray()
+    width = -1
+    for line_no, line in data_lines(data, MalformedLineError):
+        method, row = _parse_record(line, line_no)
+        if width < 0:
+            width = len(row)
+        elif len(row) != width:
+            raise InconsistentWidthError(line_no, len(row), width)
+        methods.append(method)
+        bits += row
+    if width < 0:
+        raise EmptyDatabaseError()
+    X = np.frombuffer(bits, dtype=np.uint8).reshape(len(methods), width)
+    return Corpus(tuple(methods), X, width)
+
+
+def reference_parse_vectors(data: str | bytes, feature_count: int) -> np.ndarray:
+    """The whole vector file parsed one line at a time, as ``reference_parse_database``."""
+    bits = bytearray()
+    rows = 0
+    for line_no, line in data_lines(data, MalformedLineError):
+        row = _parse_bits(line, line_no)
+        if len(row) != feature_count:
+            raise VectorWidthMismatchError(len(row), feature_count, line_no)
+        bits += row
+        rows += 1
+    return np.frombuffer(bits, dtype=np.uint8).reshape(rows, feature_count)
 
 
 class Unseekable(io.RawIOBase):
@@ -255,7 +298,10 @@ def late_block_inputs(vectors: bool = False) -> dict[str, bytes]:
     Each variant's odd part comes after the first 5 kB: a CRLF, a width
     change, a non-ASCII comment, a byte that is not UTF-8 or a tab, all on
     or after the last row, or a first 5 kB that is one comment. Also a
-    missing final LF, an empty input and an input of one comment line.
+    missing final LF, an empty input, an input of one comment line, CRLF
+    on the first three lines only, and a first line made bad by a tab
+    before a byte that is not UTF-8 on the last row, which is the error
+    reported.
     """
     rng = np.random.default_rng(77)
     bits = (rng.random((400, 6)) < 0.5).astype(int).tolist()
@@ -280,6 +326,10 @@ def late_block_inputs(vectors: bool = False) -> dict[str, bytes]:
         "no-final-lf": text(lines)[:-1],
         "empty": b"",
         "comments-only": text([comment]),
+        "crlf-early": "".join(row + "\r\n" for row in lines[:3]).encode("ascii") + text(lines[3:]),
+        "bad-tab-early-non-utf8-late": (
+            text([lines[0].replace(",", "\t", 1)] + lines[1:-1]) + b"\xff" + text([last])
+        ),
     }
 
 

@@ -2,6 +2,7 @@ import io
 import os
 import tracemalloc
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -40,6 +41,8 @@ from oracles import (
     late_block_inputs,
     random_corpus,
     random_method_names,
+    reference_parse_database,
+    reference_parse_vectors,
     reference_serialize_database,
     reference_take,
 )
@@ -150,8 +153,8 @@ def test_writer_matches_reference_byte_for_byte(rows, width):
         assert parse_database(text) == c
 
 
-def _strict_parser_must_not_run(*args):
-    raise AssertionError("the strict line parser ran on canonical input")
+def _line_parser_must_not_run(*args):
+    raise AssertionError("the line parser ran on canonical input")
 
 
 def _vector_file(database_text: str) -> str:
@@ -169,13 +172,13 @@ def _with_skipped_lines(rng, text: str) -> str:
     return "".join(out)
 
 
-def _no_strict_parser(monkeypatch):
-    for name in ("data_lines", "_parse_record", "_parse_bits"):
-        monkeypatch.setattr(corpus_module, name, _strict_parser_must_not_run)
+def _no_line_parser(monkeypatch):
+    for name in ("_parse_lines", "_parse_record", "_parse_bits"):
+        monkeypatch.setattr(corpus_module, name, _line_parser_must_not_run)
 
 
 def test_canonical_input_skips_the_strict_parser(monkeypatch):
-    _no_strict_parser(monkeypatch)
+    _no_line_parser(monkeypatch)
     rng = np.random.default_rng(808)
     skip_rng = np.random.default_rng(809)
     for _ in range(40):
@@ -194,7 +197,7 @@ def test_canonical_input_skips_the_strict_parser(monkeypatch):
 
 @pytest.mark.parametrize("size", [1, 7, 64, 300, 4096])
 def test_small_blocks_and_file_objects_keep_the_canonical_reader(monkeypatch, size):
-    _no_strict_parser(monkeypatch)
+    _no_line_parser(monkeypatch)
     monkeypatch.setattr(corpus_module, "_SCAN_BYTES", size)
     rng = np.random.default_rng(810)
     skip_rng = np.random.default_rng(811)
@@ -215,16 +218,17 @@ def test_small_blocks_and_file_objects_keep_the_canonical_reader(monkeypatch, si
 
 
 @pytest.fixture
-def strict_runs(monkeypatch):
-    runs = []
-    read = corpus_module.data_lines
+def line_blocks(monkeypatch):
+    """The first line number of each block that the line parser reads."""
+    blocks = []
+    parse = corpus_module._parse_lines
 
-    def counted(data, error):
-        runs.append(error)
-        return read(data, error)
+    def counted(text, line_no, width, names):
+        blocks.append(line_no)
+        return parse(text, line_no, width, names)
 
-    monkeypatch.setattr(corpus_module, "data_lines", counted)
-    return runs
+    monkeypatch.setattr(corpus_module, "_parse_lines", counted)
+    return blocks
 
 
 def _outcome(parse, data):
@@ -250,7 +254,7 @@ ROWS = (("a", "b"), [[1, 0], [0, 1]])
     ],
 )
 def test_blank_and_comment_lines_keep_the_canonical_reader(monkeypatch, parse, data, want):
-    _no_strict_parser(monkeypatch)
+    _no_line_parser(monkeypatch)
     assert _outcome(parse, data) == want
 
 
@@ -277,9 +281,9 @@ def test_blank_and_comment_lines_keep_the_canonical_reader(monkeypatch, parse, d
         ),
     ],
 )
-def test_other_databases_take_the_strict_parser(strict_runs, data, want):
+def test_other_databases_take_the_strict_parser(line_blocks, data, want):
     assert _outcome(parse_database, data) == want
-    assert strict_runs == [MalformedLineError]
+    assert line_blocks == [1]
 
 
 @pytest.mark.parametrize(
@@ -301,28 +305,34 @@ def test_other_databases_take_the_strict_parser(strict_runs, data, want):
         ),
     ],
 )
-def test_other_vector_files_take_the_strict_parser(strict_runs, data, want):
+def test_other_vector_files_take_the_strict_parser(line_blocks, data, want):
     assert _outcome(lambda d: parse_vectors(d, 2), data) == want
-    assert strict_runs == [MalformedLineError]
+    assert line_blocks == [1]
 
 
 @pytest.mark.parametrize(
     "name,runs",
     [("canonical", 0), ("comment-only-first-block", 0), ("crlf-late", 1),
-     ("width-change-late", 1), ("tab-late", 1), ("no-final-lf", 1)],
+     ("width-change-late", 1), ("tab-late", 1), ("no-final-lf", 1), ("crlf-early", 1),
+     ("bad-tab-early-non-utf8-late", 1)],
 )
 def test_an_odd_late_block_sends_the_whole_input_to_the_strict_parser_once(
-    strict_runs, monkeypatch, name, runs
+    line_blocks, monkeypatch, name, runs
 ):
+    # Only the odd blocks go to the line parser, each once: with 64-byte
+    # blocks, the four or so rows around the odd line.
     monkeypatch.setattr(corpus_module, "_SCAN_BYTES", 64)
     for vectors in (False, True):
         data = late_block_inputs(vectors)[name]
-        parse = (lambda d: parse_vectors(d, 6)) if vectors else parse_database
-        want = _outcome(parse, data)
+        parse, reference = parse_database, reference_parse_database
+        if vectors:
+            parse = partial(parse_vectors, feature_count=6)
+            reference = partial(reference_parse_vectors, feature_count=6)
+        want = _outcome(reference, data)
         for source in input_sources(data):
-            strict_runs.clear()
+            line_blocks.clear()
             assert _outcome(parse, source) == want
-            assert strict_runs == [MalformedLineError] * runs
+            assert len(line_blocks) == runs
 
 
 def test_a_file_object_is_read_from_where_it_stands():
@@ -342,11 +352,33 @@ class _GrowingFile(io.BytesIO):
         return at // 2 if whence == io.SEEK_END else at
 
 
-def test_a_file_that_grows_while_read_goes_to_the_strict_parser(strict_runs):
-    data = late_block_inputs()["canonical"]
-    with _GrowingFile(data) as handle:
-        assert parse_database(handle) == parse_database(data)
-    assert strict_runs == [MalformedLineError]
+def test_a_file_that_grows_while_read_is_read_to_its_end(monkeypatch):
+    monkeypatch.setattr(corpus_module, "_SCAN_BYTES", 64)
+    for name in ("canonical", "crlf-early"):
+        for vectors in (False, True):
+            data = late_block_inputs(vectors)[name]
+            parse = (lambda d: parse_vectors(d, 6)) if vectors else parse_database
+            with _GrowingFile(data) as handle:
+                assert _outcome(parse, handle) == _outcome(parse, data)
+                assert handle.tell() == len(data)
+
+
+def test_the_sink_is_sized_for_the_shortest_lines(monkeypatch):
+    # A data line takes at least 2F + 4 bytes with its LF (2F + 2 in a vector
+    # file), and the last may lack its LF: the sink is allocated for exactly
+    # as many rows as a file of such lines holds, so it need not grow.
+    limits = []
+    for name in ("_ColumnPacker", "_RowMatrix"):
+        sink = getattr(corpus_module, name)
+
+        def counted(limit, width, sink=sink):
+            limits.append(limit)
+            return sink(limit, width)
+
+        monkeypatch.setattr(corpus_module, name, counted)
+    assert len(parse_database(b"a,[1,0]\n" * 99 + b"a,[1,0]")) == 100
+    assert len(parse_vectors(b"[1,0]\n" * 99 + b"[1,0]", 2)) == 100
+    assert limits == [100, 100]
 
 
 def _through_a_pipe(parse, data: bytes):
@@ -369,18 +401,8 @@ def test_a_pipe_gives_what_bytes_give(data):
         assert _through_a_pipe(parse, data) == _outcome(parse, data)
 
 
-def test_parsing_a_file_object_never_holds_the_file(tmp_path, monkeypatch):
-    # The traced peak is the packed columns plus a slack that does not grow
-    # with the file: a handful of small blocks, and the names and codes of
-    # the corpus itself (24 bytes a row here, 0.5 MB in all). One byte per
-    # flag would be 8 times the columns.
-    slack = 1 << 20
-    names = [f"m{i:02d}" for i in range(40)]
-    corpus = generate(PlantedModel((), zipf_imbalance(names, 1.2), 108, 0.3), 20000, seed=5)
-    path = tmp_path / "db.txt"
-    path.write_text(serialize_database(corpus), encoding="ascii")
-    assert path.stat().st_size > 4 * slack
-    monkeypatch.setattr(corpus_module, "_SCAN_BYTES", 4096)
+def _traced_parse_peak(path) -> tuple[Corpus, int]:
+    """The corpus parsed from the open file and the traced peak above what was held before."""
     tracemalloc.start()
     try:
         with open(path, "rb") as handle:
@@ -390,9 +412,45 @@ def test_parsing_a_file_object_never_holds_the_file(tmp_path, monkeypatch):
             peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+    return got, peak
+
+
+def _database_20k(tmp_path):
+    """A 20k x 108 corpus and its canonical database file (4.46 MB)."""
+    names = [f"m{i:02d}" for i in range(40)]
+    corpus = generate(PlantedModel((), zipf_imbalance(names, 1.2), 108, 0.3), 20000, seed=5)
+    path = tmp_path / "db.txt"
+    path.write_text(serialize_database(corpus), encoding="ascii")
+    return corpus, path
+
+
+def test_parsing_a_file_object_never_holds_the_file(tmp_path, monkeypatch):
+    # The traced peak is the packed columns plus a slack that does not grow
+    # with the file: a handful of small blocks, and the names and codes of
+    # the corpus itself (24 bytes a row here, 0.5 MB in all). One byte per
+    # flag would be 8 times the columns.
+    slack = 1 << 20
+    corpus, path = _database_20k(tmp_path)
+    assert path.stat().st_size > 4 * slack
+    monkeypatch.setattr(corpus_module, "_SCAN_BYTES", 4096)
+    got, peak = _traced_parse_peak(path)
     assert got == corpus
     assert got.columns.base is None  # compacted in place to its words, not a slice of a larger array
     assert peak < got.columns.nbytes + slack, (peak, got.columns.nbytes)
+
+
+def test_a_crlf_database_is_held_one_block_at_a_time(tmp_path):
+    # Every block of the CRLF file goes to the line parser, which holds one
+    # block's text and rows at a time, so the traced peak stays within twice
+    # the canonical file's, where the whole decoded input was about 10 times.
+    corpus, canonical = _database_20k(tmp_path)
+    crlf = tmp_path / "crlf.txt"
+    crlf.write_bytes(canonical.read_bytes().replace(b"\n", b"\r\n"))
+    got, canonical_peak = _traced_parse_peak(canonical)
+    assert got == corpus
+    got, crlf_peak = _traced_parse_peak(crlf)
+    assert got == corpus
+    assert crlf_peak < 2 * canonical_peak, (crlf_peak, canonical_peak)
 
 
 def test_counts_sum_to_points_property():

@@ -3,9 +3,10 @@
 The model loader is compared against the recursive reference parser in
 ``oracles`` on mutated model texts, and its bulk reader against its strict
 parser on mutated canonical models; the database and vector-file readers
-are compared against their strict line parser on mutated canonical files,
-and against themselves with the read size cut to a few bytes, from bytes
-and from file objects, so that block boundaries fall anywhere in a line;
+are compared against the whole-input reference parsers in ``oracles`` on
+mutated canonical files, and against themselves with the read size cut to
+a few bytes, from bytes and from file objects, so that block boundaries
+fall anywhere in a line;
 every parser is fed random bytes, which may only ever raise ``PamperError``.
 The CLI is driven with random argv and ``PAMPER_THREADS`` values, which may
 only ever exit 0 or 2, without a traceback.
@@ -42,6 +43,8 @@ from oracles import (
     random_corpus,
     random_model,
     reference_model_from_text,
+    reference_parse_database,
+    reference_parse_vectors,
 )
 
 FUZZ = settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -279,14 +282,16 @@ def mutated_canonical_files(draw, corpora=CANONICAL_CORPORA):
     return bytes(data), corpus.feature_count, vectors
 
 
-def strict_parse(parse, data):
-    with mock.patch.object(corpus_module, "_canonical_records", lambda data, width: None):
-        return parse(data)
+def readers(width: int, vectors: bool):
+    """The library's reader of a database or vector file, and its whole-input reference."""
+    if vectors:
+        return (lambda d: parse_vectors(d, width)), (lambda d: reference_parse_vectors(d, width))
+    return parse_database, reference_parse_database
 
 
-def assert_paths_agree(parse, data) -> None:
+def assert_paths_agree(parse, reference, data) -> None:
     try:
-        want = strict_parse(parse, data)
+        want = reference(data)
     except PamperError as exc:
         with pytest.raises(PamperError) as info:
             parse(data)
@@ -307,10 +312,10 @@ def assert_paths_agree(parse, data) -> None:
 @given(mutated_canonical_files())
 def test_ingest_agrees_with_the_strict_parser_on_mutated_files(case):
     data, width, vectors = case
-    parse = (lambda d: parse_vectors(d, width)) if vectors else parse_database
-    assert_paths_agree(parse, data)
+    parse, reference = readers(width, vectors)
+    assert_paths_agree(parse, reference, data)
     if data.isascii():
-        assert_paths_agree(parse, data.decode("ascii"))
+        assert_paths_agree(parse, reference, data.decode("ascii"))
 
 
 READ_SIZES = [1, 7, 64, 300, 4096]
@@ -345,18 +350,20 @@ def assert_streaming_agrees(parse, data: bytes, sizes=READ_SIZES) -> None:
 @given(mutated_canonical_files(CANONICAL_CORPORA + WORD_CORPORA))
 def test_block_boundaries_do_not_change_what_ingest_gives(case):
     data, width, vectors = case
-    parse = (lambda d: parse_vectors(d, width)) if vectors else parse_database
+    parse, reference = readers(width, vectors)
     # Read sizes that cut the input into at most 256 blocks: every size for the small
     # corpora, and blocks of tens of rows for the large ones.
     assert_streaming_agrees(parse, data, [size for size in READ_SIZES if 256 * size >= len(data)])
-    assert streamed_outcome(lambda d: strict_parse(parse, d), data) == streamed_outcome(parse, data)
+    assert streamed_outcome(reference, data) == streamed_outcome(parse, data)
 
 
 @pytest.mark.parametrize("name", list(late_block_inputs()))
 @pytest.mark.parametrize("vectors", [False, True], ids=["database", "vector-file"])
 def test_late_blocks_and_edges_agree_with_one_block(name, vectors):
     data = late_block_inputs(vectors)[name]
-    assert_streaming_agrees((lambda d: parse_vectors(d, 6)) if vectors else parse_database, data)
+    parse, reference = readers(6, vectors)
+    assert_streaming_agrees(parse, data)
+    assert streamed_outcome(reference, data) == streamed_outcome(parse, data)
 
 
 INPUT_ALPHABET = st.sampled_from(

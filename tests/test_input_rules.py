@@ -4,14 +4,16 @@ Bits: every array that must hold only 0 and 1 is checked before any cast, so
 no entry wraps (256, -1), truncates (0.5) or parses (a string) into range,
 and a 0/1 array of any dtype is taken as uint8. A row mask is such bits,
 1-D, with one entry per corpus row. Indices: a feature index is
-an integer (not a bool) and not negative. Method names: a ``str`` that the
-name grammar matches in full, else each taker's own ValueError class with one
-message. Descriptions and packed columns are checked by their one taker each.
+an integer (not a bool) and not negative. Feature counts: an integer (not a
+bool) and positive, for every constructor and reader that takes one. Method
+names: a ``str`` that the name grammar matches in full, else each taker's own
+ValueError class with one message. Descriptions and packed columns are
+checked by their one taker each.
 """
 import numpy as np
 import pytest
 
-from pamper.corpus import Corpus, FeatureCatalog, parse_database
+from pamper.corpus import Corpus, FeatureCatalog, parse_database, parse_vector, parse_vectors
 from pamper.errors import (
     BadIndexError,
     InvalidDistributionError,
@@ -181,6 +183,38 @@ def test_every_index_taker_rejects_an_index_that_is_not_a_nonnegative_integer(in
         assert str(info.value) == message, name
     for name, take in INDEX_TAKERS.items():
         assert list(take(np.int64(3))) == [3] and list(take(0)) == [0], name
+
+
+# Each taker gets one feature count and builds or reads a two-flag point with it.
+COUNT_TAKERS = {
+    "Corpus": lambda count: Corpus(("a",), np.array([[1, 0]]), count),
+    "PlantedModel": lambda count: PlantedModel((), {"a": 1.0}, count),
+    "ModelSet": lambda count: ModelSet(count, {"a": Leaf(0.5, 1)}),
+    "parse_vector": lambda count: parse_vector("[1,0]", count),
+    "as_vector": lambda count: as_vector([1, 0], count),
+    "parse_vectors": lambda count: parse_vectors(b"[1,0]\n", count),
+}
+
+
+@pytest.mark.parametrize(
+    "count,message",
+    [
+        (2.0, "feature count must be an integer, got 2.0"),
+        (True, "feature count must be an integer, got True"),
+        (0, "feature count must be positive"),
+    ],
+    ids=["float", "bool", "zero"],
+)
+def test_every_feature_count_taker_admits_only_a_positive_integer(count, message):
+    # parse_vectors used to fail in numpy on 2.0 and True, and the query
+    # readers took True for a width of 1.
+    for name, take in COUNT_TAKERS.items():
+        with pytest.raises(InvalidValueError) as info:
+            take(count)
+        assert str(info.value) == message, name
+    for name, take in COUNT_TAKERS.items():
+        take(2)
+        take(np.int64(2))
 
 
 @pytest.mark.parametrize("description", [5, None, b"x", "", " \t"])

@@ -92,3 +92,26 @@ def test_every_module_parses_as_python_3_10():
     files = package + sorted((REPO / "tests").glob("*.py")) + sorted((REPO / "perfbench").glob("*.py"))
     for path in files:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+def test_a_failing_property_test_leaves_the_later_tests_running(tmp_path):
+    # Hypothesis's failure report imports libcst, whose import of
+    # mypy_extensions warns; under filterwarnings = ["error"] that warning
+    # aborted the whole pytest run with INTERNALERROR, and no later test ran.
+    (tmp_path / "test_probe.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\ndef test_a_failing_property(x):\n    assert x < 5\n\n\n"
+        "def test_a_later_test():\n    pass\n",
+        encoding="utf-8",
+    )
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            "-c", str(REPO / "pyproject.toml"), "--rootdir", str(tmp_path), "test_probe.py",
+        ],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout, proc.stdout
