@@ -10,7 +10,8 @@ range is checked once, by the library object that takes the value
 Query vectors are written in the database's bracket syntax, either inline
 (``[1,0,1]``) or as a file with one vector per line. PAMPER_THREADS, the
 only thread setting, sets the training workers of train and evaluate (0
-or unset = one per CPU); a value that is not a nonnegative integer exits 2.
+or unset = one per usable CPU); a value that is not a nonnegative integer
+exits 2.
 
 The argparse parser is built once per process, on the first ``main``
 call. ``main`` then runs the function ``cmd_<command>`` that this module

@@ -12,7 +12,7 @@ the feature count for the whole file; later records must agree. A vector
 file holds one bracketed vector per line under the same line rules.
 
 Every database and vector file is read once, front to back, in
-line-aligned blocks of about 256 kB, so a file object is never held whole.
+line-aligned blocks of about 256 kB, so no input is held or encoded whole.
 A block in the canonical form that ``serialize_database`` (and so ``pamper
 gen``) writes -- ASCII, every line ``<name>, [b,...,b]`` (or ``[b,...,b]``)
 of one width and ended by LF, or empty or starting with ``#`` -- is read
@@ -177,15 +177,15 @@ class Corpus:
 
 
 def data_lines(data: str | bytes, error: type[PamperError]) -> list[tuple[int, str]]:
-    """The data lines of an input file as ``(line_no, stripped line)``, 1-based.
+    """``_data_lines`` of ``data`` from line 1; a byte that is not UTF-8 raises ``error`` there."""
+    return list(_data_lines(decode_utf8(data, error), 1))
 
-    Bytes are decoded by ``decode_utf8``, so one that is not UTF-8 raises
-    ``error`` with its line number. Lines are split at LF and stripped (a CR
-    before the LF goes with the other surrounding whitespace); blank lines
-    and lines whose first non-space character is ``#`` are skipped.
-    """
-    lines = map(str.strip, decode_utf8(data, error).split("\n"))
-    return [(n, line) for n, line in enumerate(lines, start=1) if line and line[0] != "#"]
+
+def _data_lines(text: str, line_no: int):
+    """``(line_no, stripped line)`` of each LF-split line of ``text`` but blank and ``#`` ones."""
+    for n, line in enumerate(map(str.strip, text.split("\n")), start=line_no):
+        if line and line[0] != "#":
+            yield n, line
 
 
 def _parse_bits(text: str, line_no: int) -> bytearray:
@@ -219,18 +219,16 @@ _SCAN_BYTES = 1 << 18  # bytes per line-aligned block of the database and vector
 
 
 class _ColumnPacker:
-    """Packs 0/1 rows, one block at a time, into the bitset columns of about ``limit`` rows.
+    """Packs 0/1 rows, one block at a time, into bitset columns allocated for ``limit`` rows.
 
     Each block's whole 64-row words go through ``_kernels.pack_columns``
-    into ``columns``, allocated once for ``limit`` rows (untouched pages
-    hold no memory) and grown only if more come; the rest are carried into
-    the next block. ``finish`` packs the last partial word, zero-padded,
+    into ``columns``, which grow when more rows come; the rest are carried
+    into the next block. ``finish`` packs the last partial word, zero-padded,
     and compacts the columns in place to the words used.
     """
 
     def __init__(self, limit: int, width: int):
-        self.columns = np.empty((width, -(-limit // 64)), dtype=np.uint64)
-        self.words = 0
+        self.columns, self.words = np.empty((width, -(-limit // 64)), dtype=np.uint64), 0
         self.carry = np.empty((0, width), dtype=np.uint8)
 
     def add(self, flags: np.ndarray) -> None:
@@ -242,7 +240,7 @@ class _ColumnPacker:
 
     def _put(self, rows: np.ndarray) -> None:
         words = -(-len(rows) // 64)
-        if self.words + words > self.columns.shape[1]:  # the file grew while it was read
+        if self.words + words > self.columns.shape[1]:
             grown = np.empty((len(self.columns), 2 * (self.words + words)), dtype=np.uint64)
             grown[:, :self.words] = self.columns[:, :self.words]
             self.columns = grown
@@ -261,16 +259,18 @@ class _ColumnPacker:
 
 
 class _RowMatrix:
-    """Appends 0/1 rows to one (rows, F) uint8 matrix, allocated for about ``limit`` rows."""
+    """Appends 0/1 rows to one (rows, F) uint8 matrix, allocated for ``limit`` rows and grown."""
 
     def __init__(self, limit: int, width: int):
         self.matrix, self.rows = np.empty((limit, width), dtype=np.uint8), 0
 
     def add(self, flags: np.ndarray) -> None:
-        self.rows += len(flags)
-        if self.rows > len(self.matrix):  # the file grew while it was read
-            self.matrix.resize((2 * self.rows, flags.shape[1]), refcheck=False)
-        self.matrix[self.rows - len(flags):self.rows] = flags
+        used, self.rows = self.rows, self.rows + len(flags)
+        if self.rows > len(self.matrix):  # fresh, as a resize would zero-fill the rows it adds
+            grown = np.empty((2 * self.rows, flags.shape[1]), dtype=np.uint8)
+            grown[:used] = self.matrix[:used]
+            self.matrix = grown
+        self.matrix[used:self.rows] = flags
 
     def finish(self) -> np.ndarray:
         self.matrix.resize((self.rows, self.matrix.shape[1]), refcheck=False)  # rows stay in place
@@ -325,16 +325,9 @@ def _canonical_rows(block: bytes, ends: np.ndarray, width, names, decoded):
 
 
 def _parse_lines(text: str, line_no: int, width, names):
-    """``(width, flags)`` of a block's text parsed line by line, as ``_canonical_rows`` reads it.
-
-    Lines are numbered from ``line_no``, split at LF and stripped (a CR
-    before the LF goes with the rest of the surrounding whitespace); blank
-    lines and lines whose first non-space character is ``#`` are skipped.
-    """
+    """``(width, flags)`` of a block's ``_data_lines``, as ``_canonical_rows`` gives them."""
     bits = bytearray()
-    for n, line in enumerate(map(str.strip, text.split("\n")), start=line_no):
-        if not line or line[0] == "#":
-            continue
+    for n, line in _data_lines(text, line_no):
         if names is None:
             row = _parse_bits(line, n)
         else:
@@ -351,61 +344,65 @@ def _parse_lines(text: str, line_no: int, width, names):
 
 
 def _line_blocks(source):
-    """``(line_no, block, ends)`` of each block: ``_SCAN_BYTES`` bytes and the rest of a line."""
-    line_no = 1
-    while block := source.read(_SCAN_BYTES):
-        block += source.readline()
+    """``(line_no, text, block, ends)`` of each run of ``_SCAN_BYTES`` units and the rest of a line.
+
+    A ``str`` is sliced; a file object, binary or text, is read from where it
+    stands, on to an LF (a text handle may end a line at a lone CR). ``block``
+    is ``text`` as bytes, text encoded with ``surrogatepass``; ``ends`` its LFs.
+    """
+    line_no, at = 1, 0
+    while True:
+        if isinstance(source, str):
+            text = source[at:source.find("\n", at + _SCAN_BYTES - 1) + 1 or len(source)]
+            at += len(text)
+        else:
+            text = source.read(_SCAN_BYTES)
+            lf = "\n" if isinstance(text, str) else b"\n"
+            while not text.endswith(lf) and (rest := source.readline()):
+                text += rest
+        if not text:
+            return
+        block = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
         ends = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == 10)
-        yield line_no, block, ends
+        yield line_no, text, block, ends
         line_no += len(ends)
 
 
 def _read_records(source, width: int | None):
     """``(names, columns)`` of a database (``width`` None), or ``(None, X)`` of a vector file.
 
-    The input is read once, in line-aligned blocks. Each goes through
-    ``_canonical_rows`` or else, decoded, ``_parse_lines``, and its rows go
-    to one sink, allocated once the width is known for the most rows the
-    input size admits (a line takes ``2F + 4`` bytes or more with its LF,
-    ``2F + 2`` in a vector file); it is None without data lines. A byte
-    that is not UTF-8 is reported before any bad line, as if the whole
-    input were decoded first. A file object that cannot seek is read whole.
+    The input, bytes-like, ``str`` or a file object, is read once, in
+    ``_line_blocks``. Each goes through ``_canonical_rows`` or else, decoded,
+    ``_parse_lines``, and its rows go to one sink (None without data lines),
+    allocated for twice the first data block's rows. A byte that is not
+    UTF-8 is reported before any bad line, as if all were decoded first.
     """
-    if isinstance(source, io.TextIOBase) or hasattr(source, "read") and not source.seekable():
-        source = source.read()
-    errors = "strict"
-    if isinstance(source, str):  # encoded and decoded alike, so text always decodes
-        source, errors = source.encode("utf-8", "surrogatepass"), "surrogatepass"
-    if not hasattr(source, "read"):
+    if not isinstance(source, str) and not hasattr(source, "read"):
         source = io.BytesIO(source)
-    start = source.tell()
-    size = source.seek(0, io.SEEK_END) - start
-    source.seek(start)
     names = [] if width is None else None
     decoded: dict[bytes, str] = {}
     sink = None
     blocks = _line_blocks(source)
-    for line_no, block, ends in blocks:
+    for line_no, text, block, ends in blocks:
         rows = _canonical_rows(block, ends, width, names, decoded)
         if rows is None:
-            lines = decode_utf8(block, MalformedLineError, line_no, errors)
+            lines = decode_utf8(text, MalformedLineError, line_no)
             try:
                 rows = _parse_lines(lines, line_no, width, names)
             except PamperError:
-                for line_no, block, _ in blocks:
-                    decode_utf8(block, MalformedLineError, line_no, errors)
+                for line_no, text, _, _ in blocks:
+                    decode_utf8(text, MalformedLineError, line_no)
                 raise
         width, flags = rows
         if flags is not None:
             if sink is None:
-                limit = (size + 1) // (2 * width + 2 + 2 * (names is not None))
-                sink = (_RowMatrix if names is None else _ColumnPacker)(limit, width)
+                sink = (_RowMatrix if names is None else _ColumnPacker)(2 * len(flags), width)
             sink.add(flags)
     return names, None if sink is None else sink.finish()
 
 
 def parse_database(source) -> Corpus:
-    """Parse a database, as bytes, text or a binary file object, into a validated corpus.
+    """Parse a database, as bytes, text or any file object, into a validated corpus.
 
     Raises MalformedLineError / InconsistentWidthError with the 1-based
     line number on bad records (bytes that are not UTF-8 included) and
@@ -465,8 +462,8 @@ def parse_vectors(source, feature_count: int) -> np.ndarray:
     CRLF). A bad line raises MalformedLineError, and a vector whose width
     is not ``feature_count`` (``_check_feature_count``) raises
     VectorWidthMismatchError, each with its 1-based line number. A file
-    without data lines gives zero rows. The input is bytes, text or a
-    binary file object, as in ``parse_database``.
+    without data lines gives zero rows. The input is bytes, text or any
+    file object, as in ``parse_database``.
     """
     _check_feature_count(feature_count)
     _, X = _read_records(source, feature_count)
@@ -528,10 +525,12 @@ EMPTY_CATALOG = FeatureCatalog({})
 def parse_feature_catalog(text: str | bytes, feature_count: int | None = None) -> FeatureCatalog:
     """Parse ``<index><TAB><description>`` lines; empty input is valid.
 
-    Bytes that are not UTF-8, and an index at or above ``feature_count``
-    when that is given, raise BadIndexError with their line number; an
-    index defined twice raises DuplicateIndexError at its second line.
+    ``feature_count``, if given, is a positive integer; bytes that are not
+    UTF-8, and an index at or above it, raise BadIndexError at their line,
+    and an index defined twice raises DuplicateIndexError at its second.
     """
+    if feature_count is not None:
+        _check_feature_count(feature_count)
     descriptions: dict[int, str] = {}
     for line_no, line in data_lines(text, BadIndexError):
         head, sep, rest = line.partition("\t")

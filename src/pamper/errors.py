@@ -188,8 +188,8 @@ class NoEvalPointsError(PamperError):
         super().__init__("split produced no evaluation points")
 
 
-def decode_utf8(data: str | bytes, error: type[PamperError], line_no=1, errors="strict") -> str:
-    """Decode an input file's bytes, with the codec's ``errors`` handler; text passes unchanged.
+def decode_utf8(data: str | bytes, error: type[PamperError], line_no=1) -> str:
+    """Decode an input file's bytes; text passes unchanged.
 
     A byte sequence that is not UTF-8 raises ``error(line_no, reason)``,
     the caller's own line-numbered parse error, with the line of the first
@@ -198,7 +198,7 @@ def decode_utf8(data: str | bytes, error: type[PamperError], line_no=1, errors="
     if not isinstance(data, (bytes, bytearray)):
         return data
     try:
-        return data.decode("utf-8", errors)
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line_no += data.count(b"\n", 0, exc.start)
         raise error(line_no, f"not valid UTF-8 (byte 0x{data[exc.start]:02x})") from None

@@ -401,8 +401,10 @@ def build_tree(dataset: BinaryDataset, cfg: TrainConfig | None = None, rows=None
 
 
 def resolve_threads(_ignored: None = None) -> int:
-    """Worker count for per-method training, from PAMPER_THREADS (0 or unset = one per CPU).
+    """Worker count for per-method training, from PAMPER_THREADS (0 or unset = one per usable CPU).
 
+    The usable CPUs are those ``os.sched_getaffinity`` lets this process
+    run on, or ``os.cpu_count()`` where the platform lacks it.
     PAMPER_THREADS is the only thread setting. The optional argument is
     ignored; it keeps callers of the old ``resolve_threads(explicit)`` form,
     such as the ``perfbench/spans.py`` tracer, working with ``None``.
@@ -414,7 +416,9 @@ def resolve_threads(_ignored: None = None) -> int:
         raise PamperError(f"PAMPER_THREADS must be an integer, got {raw!r}") from None
     if threads < 0:
         raise PamperError(f"PAMPER_THREADS must be nonnegative, got {threads}")
-    return threads or os.cpu_count() or 1
+    if threads:
+        return threads
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def train(corpus: Corpus, cfg: TrainConfig | None = None, rows=None) -> ModelSet:

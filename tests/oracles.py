@@ -284,11 +284,25 @@ class Unseekable(io.RawIOBase):
 
 
 def input_sources(data: bytes):
-    """``data`` as bytes, as a seekable binary file object, and as one that cannot seek."""
+    """``data`` in every form the readers take: bytes-like, binary file objects, text.
+
+    That is bytes, a bytearray, a memoryview, a seekable binary file object
+    and one that cannot seek, and, when ``data`` is UTF-8, a ``str`` and a
+    text file object that ends lines at a lone CR too and translates none.
+    """
     yield data
+    yield bytearray(data)
+    yield memoryview(data)
     with io.BytesIO(data) as handle:
         yield handle
     with Unseekable(data) as handle:
+        yield handle
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return
+    yield text
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as handle:
         yield handle
 
 

@@ -1,5 +1,7 @@
+import contextlib
 import io
 import os
+import threading
 import tracemalloc
 from collections import Counter
 from functools import partial
@@ -345,11 +347,20 @@ def test_a_file_object_is_read_from_where_it_stands():
 
 
 class _GrowingFile(io.BytesIO):
-    """A file that held half its bytes when its size was taken, and the rest once read."""
+    """A file that holds half its bytes when it is first read, and the rest from then on."""
 
-    def seek(self, offset, whence=io.SEEK_SET):
-        at = super().seek(offset, whence)
-        return at // 2 if whence == io.SEEK_END else at
+    def __init__(self, data: bytes):
+        super().__init__(data[:len(data) // 2])
+        self._rest = data[len(data) // 2:]
+
+    def read(self, size=-1):
+        got = super().read(size)
+        at = self.tell()
+        self.seek(0, io.SEEK_END)
+        self.write(self._rest)
+        self._rest = b""
+        self.seek(at)
+        return got
 
 
 def test_a_file_that_grows_while_read_is_read_to_its_end(monkeypatch):
@@ -361,24 +372,6 @@ def test_a_file_that_grows_while_read_is_read_to_its_end(monkeypatch):
             with _GrowingFile(data) as handle:
                 assert _outcome(parse, handle) == _outcome(parse, data)
                 assert handle.tell() == len(data)
-
-
-def test_the_sink_is_sized_for_the_shortest_lines(monkeypatch):
-    # A data line takes at least 2F + 4 bytes with its LF (2F + 2 in a vector
-    # file), and the last may lack its LF: the sink is allocated for exactly
-    # as many rows as a file of such lines holds, so it need not grow.
-    limits = []
-    for name in ("_ColumnPacker", "_RowMatrix"):
-        sink = getattr(corpus_module, name)
-
-        def counted(limit, width, sink=sink):
-            limits.append(limit)
-            return sink(limit, width)
-
-        monkeypatch.setattr(corpus_module, name, counted)
-    assert len(parse_database(b"a,[1,0]\n" * 99 + b"a,[1,0]")) == 100
-    assert len(parse_vectors(b"[1,0]\n" * 99 + b"[1,0]", 2)) == 100
-    assert limits == [100, 100]
 
 
 def _through_a_pipe(parse, data: bytes):
@@ -401,14 +394,14 @@ def test_a_pipe_gives_what_bytes_give(data):
         assert _through_a_pipe(parse, data) == _outcome(parse, data)
 
 
-def _traced_parse_peak(path) -> tuple[Corpus, int]:
-    """The corpus parsed from the open file and the traced peak above what was held before."""
+def _traced_parse_peak(path, opener=partial(open, mode="rb")) -> tuple[Corpus, int]:
+    """The corpus parsed from ``opener(path)`` and the traced peak above what was held before."""
     tracemalloc.start()
     try:
-        with open(path, "rb") as handle:
+        with opener(path) as source:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            got = parse_database(handle)
+            got = parse_database(source)
             peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -451,6 +444,48 @@ def test_a_crlf_database_is_held_one_block_at_a_time(tmp_path):
     got, crlf_peak = _traced_parse_peak(crlf)
     assert got == corpus
     assert crlf_peak < 2 * canonical_peak, (crlf_peak, canonical_peak)
+
+
+@contextlib.contextmanager
+def _piped(path):
+    """A binary pipe that a writer thread fills with the file's bytes as they are read."""
+    data = path.read_bytes()
+    reader, writer = os.pipe()
+
+    def feed():
+        with open(writer, "wb") as sink:
+            sink.write(data)
+
+    thread = threading.Thread(target=feed)
+    thread.start()
+    try:
+        with open(reader, "rb") as source:
+            yield source
+    finally:
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize(
+    "opener",
+    [
+        lambda path: contextlib.nullcontext(path.read_text(encoding="ascii")),
+        partial(open, encoding="ascii"),
+        _piped,
+    ],
+    ids=["str", "text-handle", "pipe"],
+)
+def test_text_and_pipes_are_read_a_block_at_a_time(tmp_path, opener):
+    # A str is encoded and a text handle or a pipe read a block at a time,
+    # as a binary file is, so the traced peak stays within twice the binary
+    # file's, where encoding a str whole or reading a handle whole would take
+    # 3 to 10 times as much.
+    corpus, path = _database_20k(tmp_path)
+    got, binary_peak = _traced_parse_peak(path)
+    assert got == corpus
+    got, peak = _traced_parse_peak(path, opener)
+    assert got == corpus
+    assert peak < 2 * binary_peak, (peak, binary_peak)
 
 
 def test_counts_sum_to_points_property():

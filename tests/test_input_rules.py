@@ -13,7 +13,14 @@ checked by their one taker each.
 import numpy as np
 import pytest
 
-from pamper.corpus import Corpus, FeatureCatalog, parse_database, parse_vector, parse_vectors
+from pamper.corpus import (
+    Corpus,
+    FeatureCatalog,
+    parse_database,
+    parse_feature_catalog,
+    parse_vector,
+    parse_vectors,
+)
 from pamper.errors import (
     BadIndexError,
     InvalidDistributionError,
@@ -193,6 +200,7 @@ COUNT_TAKERS = {
     "parse_vector": lambda count: parse_vector("[1,0]", count),
     "as_vector": lambda count: as_vector([1, 0], count),
     "parse_vectors": lambda count: parse_vectors(b"[1,0]\n", count),
+    "parse_feature_catalog": lambda count: parse_feature_catalog(b"1\tx\n", count),
 }
 
 
@@ -206,8 +214,9 @@ COUNT_TAKERS = {
     ids=["float", "bool", "zero"],
 )
 def test_every_feature_count_taker_admits_only_a_positive_integer(count, message):
-    # parse_vectors used to fail in numpy on 2.0 and True, and the query
-    # readers took True for a width of 1.
+    # parse_vectors used to fail in numpy on 2.0 and True, the query readers
+    # took True for a width of 1, and parse_feature_catalog took 2.0 and True
+    # and failed a zero count only at its first line, as an index error.
     for name, take in COUNT_TAKERS.items():
         with pytest.raises(InvalidValueError) as info:
             take(count)

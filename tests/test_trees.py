@@ -246,6 +246,24 @@ def test_train_thread_counts_agree(monkeypatch):
     assert models[0] == models[1]
 
 
+@pytest.mark.parametrize("value", [None, "0", " "])
+def test_unset_threads_mean_one_worker_per_usable_cpu(monkeypatch, value):
+    # Under an affinity mask of one CPU on a larger host, training starts one
+    # worker, not one per CPU of the host.
+    if value is None:
+        monkeypatch.delenv("PAMPER_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("PAMPER_THREADS", value)
+    monkeypatch.setattr(trees.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(trees.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert trees.resolve_threads() == 1
+    assert trees.resolve_threads(None) == 1
+    monkeypatch.delattr(trees.os, "sched_getaffinity")  # a platform without it
+    assert trees.resolve_threads() == 64
+    monkeypatch.setenv("PAMPER_THREADS", "3")
+    assert trees.resolve_threads() == 3
+
+
 def _masked_training_cases(rng):
     for _ in range(30):
         c = random_corpus(rng, max_points=120, max_features=8)
