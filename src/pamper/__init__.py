@@ -19,7 +19,7 @@ _MODULE_OF = {
     name: module
     for module, names in {
         "corpus": "Corpus FeatureCatalog corpus_stats parse_database parse_feature_catalog"
-        " parse_vector parse_vectors serialize_database",
+        " parse_vector parse_vectors serialize_database write_database",
         "evaluate": "EvaluationReport MethodEval SplitSpec render_csv render_fig2_csv"
         " render_fig3_csv render_table run_evaluation",
         "preprocess": "BinaryDataset single_target_split",

@@ -42,7 +42,7 @@ from .corpus import (
     parse_feature_catalog,
     parse_vector,
     parse_vectors,
-    serialize_database,
+    write_database,
 )
 from .errors import PamperError
 from .recommend import (
@@ -211,13 +211,12 @@ def cmd_gen(args) -> int:
 
     model = parse_planted_config(_read_bytes(args.config))
     corpus = generate(model, args.n, args.seed)
-    text = serialize_database(corpus)
-    if args.output is not None:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-        print(f"{len(corpus)} points written to {args.output}")
-    else:
-        sys.stdout.write(text)
+    if args.output is None:
+        write_database(corpus, sys.stdout)
+        return 0
+    with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
+        write_database(corpus, handle)
+    print(f"{len(corpus)} points written to {args.output}")
     return 0
 
 

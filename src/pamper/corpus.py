@@ -13,7 +13,7 @@ file holds one bracketed vector per line under the same line rules.
 
 Every database and vector file is read once, front to back, in
 line-aligned blocks of about 256 kB, so no input is held or encoded whole.
-A block in the canonical form that ``serialize_database`` (and so ``pamper
+A block in the canonical form that ``write_database`` (and so ``pamper
 gen``) writes -- ASCII, every line ``<name>, [b,...,b]`` (or ``[b,...,b]``)
 of one width and ended by LF, or empty or starting with ``#`` -- is read
 by a vectorized pass over its raw bytes. Any other block is decoded and
@@ -21,11 +21,15 @@ parsed line by line, by the only code that raises, so every accepted form,
 error and line number is the same whatever the blocks hold.
 
 A ``Corpus`` keeps its flags only as packed bit columns, one bit per flag:
-the reader packs each block's rows as it reads them, and the
-constructor packs the 0/1 matrix it is given. Readers that need flag rows
-(the writer, the evaluation's held-out rows, ``Corpus.features``) unpack
-just those rows, a block at a time, through ``Corpus.feature_rows``. A
-vector file is read into a uint8 matrix, since queries read it by row.
+the reader packs the whole 64-row words of each block's rows as it reads
+them, carries the rest into the next block and joins the packed parts once
+at the end, and the constructor packs the 0/1 matrix it is given. Readers
+that need flag rows (the writer, the evaluation's held-out rows,
+``Corpus.features``) unpack just those rows, a block at a time, through
+``Corpus.feature_rows``. A vector file's blocks are joined into one uint8
+matrix, since queries read it by row. ``write_database`` writes a corpus to
+a text sink one block of rows at a time; ``serialize_database`` gathers
+that text into one ``str``.
 A ``Corpus`` also keeps its methods once, as ``vocab`` and ``codes``;
 every reader of a row's method, from the writer to the evaluation, indexes
 by code, and ``method_names`` is rebuilt from them.
@@ -99,7 +103,7 @@ class Corpus:
 
     @classmethod
     def _packed(cls, method_names: list[str], columns: np.ndarray) -> Corpus:
-        """The corpus of these names over columns that the reader packed, adopted as they are."""
+        """The corpus of these names over columns packed by the reader or ``generate``, as they are."""
         corpus = cls.__new__(cls)
         corpus._adopt(method_names, columns, columns.shape[0])
         return corpus
@@ -214,67 +218,8 @@ def _parse_record(line: str, line_no: int) -> tuple[str, bytearray]:
     return method, _parse_bits(rest, line_no)
 
 
-_BLOCK_ROWS = 4096  # rows per block of the writer and of Corpus.feature_rows
+_BLOCK_ROWS = 4096  # rows per block of the writer, of Corpus.feature_rows and of synth.generate
 _SCAN_BYTES = 1 << 18  # bytes per line-aligned block of the database and vector-file reader
-
-
-class _ColumnPacker:
-    """Packs 0/1 rows, one block at a time, into bitset columns allocated for ``limit`` rows.
-
-    Each block's whole 64-row words go through ``_kernels.pack_columns``
-    into ``columns``, which grow when more rows come; the rest are carried
-    into the next block. ``finish`` packs the last partial word, zero-padded,
-    and compacts the columns in place to the words used.
-    """
-
-    def __init__(self, limit: int, width: int):
-        self.columns, self.words = np.empty((width, -(-limit // 64)), dtype=np.uint64), 0
-        self.carry = np.empty((0, width), dtype=np.uint8)
-
-    def add(self, flags: np.ndarray) -> None:
-        """Append the rows of a (rows, F) uint8 array of 0/1 flags."""
-        block = np.concatenate((self.carry, flags))
-        whole = len(block) - len(block) % 64
-        self._put(block[:whole])
-        self.carry = block[whole:].copy()
-
-    def _put(self, rows: np.ndarray) -> None:
-        words = -(-len(rows) // 64)
-        if self.words + words > self.columns.shape[1]:
-            grown = np.empty((len(self.columns), 2 * (self.words + words)), dtype=np.uint64)
-            grown[:, :self.words] = self.columns[:, :self.words]
-            self.columns = grown
-        self.columns[:, self.words:self.words + words] = _kernels.pack_columns(rows)
-        self.words += words
-
-    def finish(self) -> np.ndarray:
-        self._put(self.carry)
-        columns, used = self.columns, self.words
-        flat, stride = columns.reshape(-1), columns.shape[1]
-        for f in range(1, len(columns)):  # each column moves down over the unused words before it
-            flat[f * used:(f + 1) * used] = flat[f * stride:f * stride + used]
-        del flat
-        columns.resize((len(columns), used), refcheck=False)  # no view of it is alive
-        return columns
-
-
-class _RowMatrix:
-    """Appends 0/1 rows to one (rows, F) uint8 matrix, allocated for ``limit`` rows and grown."""
-
-    def __init__(self, limit: int, width: int):
-        self.matrix, self.rows = np.empty((limit, width), dtype=np.uint8), 0
-
-    def add(self, flags: np.ndarray) -> None:
-        used, self.rows = self.rows, self.rows + len(flags)
-        if self.rows > len(self.matrix):  # fresh, as a resize would zero-fill the rows it adds
-            grown = np.empty((2 * self.rows, flags.shape[1]), dtype=np.uint8)
-            grown[:used] = self.matrix[:used]
-            self.matrix = grown
-        self.matrix[used:self.rows] = flags
-
-    def finish(self) -> np.ndarray:
-        self.matrix.resize((self.rows, self.matrix.shape[1]), refcheck=False)  # rows stay in place
-        return self.matrix
 
 
 def _canonical_rows(block: bytes, ends: np.ndarray, width, names, decoded):
@@ -373,15 +318,19 @@ def _read_records(source, width: int | None):
 
     The input, bytes-like, ``str`` or a file object, is read once, in
     ``_line_blocks``. Each goes through ``_canonical_rows`` or else, decoded,
-    ``_parse_lines``, and its rows go to one sink (None without data lines),
-    allocated for twice the first data block's rows. A byte that is not
-    UTF-8 is reported before any bad line, as if all were decoded first.
+    ``_parse_lines``. A vector block's rows are kept as a contiguous array. A
+    database block's rows follow the rows carried from the block before; its
+    whole 64-row words are packed by ``_kernels.pack_columns`` and the rest
+    carried on, to be packed, zero-padded, after the last block. The parts
+    are joined once at the end (None without data lines). A byte that is not
+    UTF-8 is reported before any bad line, as if all were decoded first; text
+    holds no such byte, so a text source raises its line error at once.
     """
     if not isinstance(source, str) and not hasattr(source, "read"):
         source = io.BytesIO(source)
     names = [] if width is None else None
     decoded: dict[bytes, str] = {}
-    sink = None
+    parts, carry = [], []
     blocks = _line_blocks(source)
     for line_no, text, block, ends in blocks:
         rows = _canonical_rows(block, ends, width, names, decoded)
@@ -390,15 +339,25 @@ def _read_records(source, width: int | None):
             try:
                 rows = _parse_lines(lines, line_no, width, names)
             except PamperError:
+                if isinstance(text, str):
+                    raise
                 for line_no, text, _, _ in blocks:
                     decode_utf8(text, MalformedLineError, line_no)
                 raise
         width, flags = rows
-        if flags is not None:
-            if sink is None:
-                sink = (_RowMatrix if names is None else _ColumnPacker)(2 * len(flags), width)
-            sink.add(flags)
-    return names, None if sink is None else sink.finish()
+        if flags is None:
+            continue
+        if names is None:
+            parts.append(np.ascontiguousarray(flags))
+            continue
+        flags = np.concatenate([*carry, flags])
+        whole = len(flags) - len(flags) % 64
+        if whole:
+            parts.append(_kernels.pack_columns(flags[:whole]))
+        carry = [flags[whole:]] if whole < len(flags) else []
+    if carry:
+        parts.append(_kernels.pack_columns(carry[0]))
+    return names, np.concatenate(parts, axis=0 if names is None else 1) if parts else None
 
 
 def parse_database(source) -> Corpus:
@@ -415,20 +374,19 @@ def parse_database(source) -> Corpus:
     return Corpus._packed(names, columns)
 
 
-def serialize_database(corpus: Corpus) -> str:
-    """Render a corpus back to database text (canonical spacing, LF lines).
+def write_database(corpus: Corpus, out) -> None:
+    """Write a corpus as database text (canonical spacing, LF lines) to the text sink ``out``.
 
-    Each block of rows is unpacked by ``Corpus.feature_rows`` and fills one
-    ``(rows, 2F+1)`` uint8 template, whose flag columns take the flags
-    ``+ 48`` and whose other columns hold the fixed
-    ``,``, ``]`` and LF, and joins its rows with one ``<name>, [`` prefix
-    each.
+    Each ``_BLOCK_ROWS`` block of rows is unpacked by ``Corpus.feature_rows``
+    and fills one ``(rows, 2F+1)`` uint8 template, whose flag columns take
+    the flags ``+ 48`` and whose other columns hold the fixed ``,``, ``]`` and
+    LF; its rows, each after one ``<name>, [`` prefix, go to ``out.write`` as
+    one ``str``, so no more than a block of text is held.
     """
     width = 2 * corpus.feature_count + 1
     template = np.empty((min(len(corpus), _BLOCK_ROWS), width), dtype=np.uint8)
     template[:] = np.frombuffer(b"0," * (corpus.feature_count - 1) + b"0]\n", dtype=np.uint8)
     prefix = [f"{name}, [".encode("ascii") for name in corpus.vocab]
-    out = []
     for r0 in range(0, len(corpus), _BLOCK_ROWS):
         rows = corpus.feature_rows(np.arange(r0, min(r0 + _BLOCK_ROWS, len(corpus))))
         cells = template[:len(rows)]
@@ -436,8 +394,14 @@ def serialize_database(corpus: Corpus) -> str:
         parts = [b""] * (2 * len(rows))
         parts[::2] = map(prefix.__getitem__, corpus.codes[r0:r0 + len(rows)].tolist())
         parts[1::2] = cells.view(f"S{width}").ravel().tolist()
-        out.append(b"".join(parts).decode("ascii"))
-    return "".join(out)
+        out.write(b"".join(parts).decode("ascii"))
+
+
+def serialize_database(corpus: Corpus) -> str:
+    """The database text of a corpus, as ``write_database`` writes it, in one ``str``."""
+    out = io.StringIO()
+    write_database(corpus, out)
+    return out.getvalue()
 
 
 def parse_vector(text: str, feature_count: int | None = None) -> np.ndarray:

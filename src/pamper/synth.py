@@ -7,7 +7,8 @@ its method from that rule's distribution, pins the rule's pattern bits,
 and fills every remaining bit i.i.d. with the noise probability. All draws
 come from a seeded PCG64 stream in a fixed order (membership, method,
 noise), so a given (model, n, seed) triple yields the same corpus on any
-platform.
+platform. The noise is drawn a block of rows at a time, which continues
+the stream exactly as one draw of every row's flags would.
 
 Config files are plain text::
 
@@ -31,7 +32,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .corpus import Corpus, data_lines
+from . import _kernels
+from .corpus import _BLOCK_ROWS, Corpus, data_lines
 from .errors import (
     BadIndexError,
     InvalidDistributionError,
@@ -158,36 +160,45 @@ def _sample_methods(dist: dict[str, float], draws: np.ndarray) -> np.ndarray:
 
 
 def generate(model: PlantedModel, n: int, seed: int) -> Corpus:
-    """Sample a corpus of n points from a planted model, deterministically."""
+    """Sample a corpus of n points from a planted model, deterministically.
+
+    The noise is drawn, patterned and packed one ``_BLOCK_ROWS`` block of
+    rows at a time, into columns allocated once for all n rows, so no
+    (n, feature_count) matrix is built.
+    """
     _check_int("number of points", n, 1)
     _check_int("seed", seed, 0)
     rng = np.random.Generator(np.random.PCG64(seed))
+    width = model.feature_count
     try:
         membership_draws = rng.random(n)
         method_draws = rng.random(n)
-        if model.noise > 0.0:
-            X = (rng.random((n, model.feature_count)) < model.noise).astype(np.uint8)
-        else:
-            X = np.zeros((n, model.feature_count), dtype=np.uint8)
+        columns = np.empty((width, -(-n // 64)), dtype=np.uint64)
+        # Rule i takes the draws below the weights summed through rule i and not below
+        # those summed before it; the draws past every rule go to the fallback, the last part.
+        upper = np.cumsum([rule.weight for rule in model.rules])
+        assigned = np.searchsorted(upper, membership_draws, side="right")
+        for r0 in range(0, n, _BLOCK_ROWS):
+            rule_of = assigned[r0:r0 + _BLOCK_ROWS]
+            if model.noise > 0.0:
+                X = (rng.random((len(rule_of), width)) < model.noise).view(np.uint8)
+            else:
+                X = np.zeros((len(rule_of), width), dtype=np.uint8)
+            for i, rule in enumerate(model.rules):
+                members = rule_of == i
+                for index, want in rule.pattern.items():
+                    X[members, index] = 1 if want else 0
+            columns[:, r0 // 64:(r0 + len(X) + 63) // 64] = _kernels.pack_columns(X)
     except (MemoryError, ValueError):  # too large to allocate, or past numpy's size limit
-        raise InvalidValueError(
-            f"{n} points of {model.feature_count} features do not fit in memory"
-        ) from None
+        raise InvalidValueError(f"{n} points of {width} features do not fit in memory") from None
 
-    # Rule i takes the draws below the weights summed through rule i and not below
-    # those summed before it; the draws past every rule go to the fallback, the last part.
-    upper = np.cumsum([rule.weight for rule in model.rules])
-    assigned = np.searchsorted(upper, membership_draws, side="right")
     names = np.empty(n, dtype=object)
-    parts = [(rule.distribution, rule.pattern) for rule in model.rules] + [(model.fallback, {})]
-    for i, (distribution, pattern) in enumerate(parts):
+    distributions = [rule.distribution for rule in model.rules] + [model.fallback]
+    for i, distribution in enumerate(distributions):
         members = assigned == i
-        if not members.any():
-            continue
-        names[members] = _sample_methods(distribution, method_draws[members])
-        for index, want in pattern.items():
-            X[members, index] = 1 if want else 0
-    return Corpus(tuple(names.tolist()), X, model.feature_count)
+        if members.any():
+            names[members] = _sample_methods(distribution, method_draws[members])
+    return Corpus._packed(names.tolist(), columns)
 
 
 def _number(convert, text: str, line_no: int, what: str):

@@ -21,14 +21,17 @@ from pamper.corpus import (
 from pamper.errors import (
     EmptyDatabaseError,
     InconsistentWidthError,
+    InvalidValueError,
     MalformedLineError,
     ModelParseError,
     VectorWidthMismatchError,
+    _check_int,
     _is_int,
     decode_utf8,
 )
 from pamper.preprocess import BinaryDataset
 from pamper.recommend import Explanation, ExplanationStep
+from pamper.synth import PlantedModel, PlantedRule, _sample_methods
 from pamper.trees import Internal, Leaf, ModelSet
 
 
@@ -200,6 +203,57 @@ def corpus_of_rows(rows: int, seed: int) -> Corpus:
     width = int(rng.integers(1, 7))
     X = (rng.random((rows, width)) < 0.5).astype(np.uint8)
     return Corpus(tuple(random_method_names(rng, rows)), X, width)
+
+
+def random_planted_model(rng, noise: float, max_rules: int = 4, max_features: int = 70) -> PlantedModel:
+    """A planted model of up to ``max_rules`` rules, each pinning 1 to 3 bits to random 0/1
+    values, whose weights leave some mass to the fallback."""
+    width = int(rng.integers(1, max_features + 1))
+    rules = []
+    for _ in range(int(rng.integers(0, max_rules + 1))):
+        pins = rng.choice(width, size=int(rng.integers(1, min(3, width) + 1)), replace=False)
+        pattern = {int(index): bool(rng.integers(2)) for index in pins}
+        names = sorted(set(random_method_names(rng, 3)))
+        rules.append(PlantedRule(pattern, dict(zip(names, rng.dirichlet(np.ones(len(names))))),
+                                 float(rng.random()) / (max_rules + 1)))
+    fallback = sorted(set(random_method_names(rng, 4)))
+    return PlantedModel(tuple(rules), dict(zip(fallback, rng.dirichlet(np.ones(len(fallback))))),
+                        width, noise)
+
+
+# ``synth.generate`` as it was before it drew the noise a block at a time: one
+# (n, F) draw, patterned in place and packed by the ``Corpus`` constructor.
+def reference_generate(model: PlantedModel, n: int, seed: int) -> Corpus:
+    """Sample a corpus of n points from a planted model, deterministically."""
+    _check_int("number of points", n, 1)
+    _check_int("seed", seed, 0)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    try:
+        membership_draws = rng.random(n)
+        method_draws = rng.random(n)
+        if model.noise > 0.0:
+            X = (rng.random((n, model.feature_count)) < model.noise).astype(np.uint8)
+        else:
+            X = np.zeros((n, model.feature_count), dtype=np.uint8)
+    except (MemoryError, ValueError):  # too large to allocate, or past numpy's size limit
+        raise InvalidValueError(
+            f"{n} points of {model.feature_count} features do not fit in memory"
+        ) from None
+
+    # Rule i takes the draws below the weights summed through rule i and not below
+    # those summed before it; the draws past every rule go to the fallback, the last part.
+    upper = np.cumsum([rule.weight for rule in model.rules])
+    assigned = np.searchsorted(upper, membership_draws, side="right")
+    names = np.empty(n, dtype=object)
+    parts = [(rule.distribution, rule.pattern) for rule in model.rules] + [(model.fallback, {})]
+    for i, (distribution, pattern) in enumerate(parts):
+        members = assigned == i
+        if not members.any():
+            continue
+        names[members] = _sample_methods(distribution, method_draws[members])
+        for index, want in pattern.items():
+            X[members, index] = 1 if want else 0
+    return Corpus(tuple(names.tolist()), X, model.feature_count)
 
 
 # 0 to 200 rows and a few over 1000, so that blocks of a few hundred bytes end

@@ -475,12 +475,19 @@ def test_gen_stats_train_pipeline(tmp_path, capsys):
     assert "simp" in capsys.readouterr().out
 
 
-def test_gen_to_stdout(tmp_path, capsys):
+def test_gen_to_stdout(tmp_path, capsysbinary):
     cfg = tmp_path / "planted.txt"
     cfg.write_text(GEN_CONFIG, encoding="utf-8")
     assert main(["gen", str(cfg), "5", "1"]) == 0
-    corpus = parse_database(capsys.readouterr().out)
+    corpus = parse_database(capsysbinary.readouterr().out)
     assert len(corpus) == 5
+    # Both routes go through one block writer: 5000 rows are two blocks of it.
+    out = tmp_path / "out.db"
+    assert main(["gen", str(cfg), "5000", "1"]) == 0
+    written = capsysbinary.readouterr().out
+    assert main(["gen", str(cfg), "5000", "1", "-o", str(out)]) == 0
+    assert capsysbinary.readouterr().out == f"5000 points written to {out}\n".encode()
+    assert out.read_bytes() == written
 
 
 def test_unreadable_paths_exit_2(tmp_path, capsys):
@@ -817,6 +824,9 @@ def test_gen_with_too_many_points_exits_2(tmp_path, n):
     code, out, err = run_main(["gen", str(config), n, "1"])
     assert (code, out) == (2, "")
     assert err == f"pamper: {n} points of 3 features do not fit in memory\n"
+    output = tmp_path / "out.db"
+    assert run_main(["gen", str(config), n, "1", "-o", str(output)]) == (2, "", err)
+    assert not output.exists()  # generate fails before the output is opened
 
 
 def test_inspect_summary(model, capsys):

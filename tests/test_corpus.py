@@ -5,6 +5,7 @@ import threading
 import tracemalloc
 from collections import Counter
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from pamper.corpus import (
     parse_vector,
     parse_vectors,
     serialize_database,
+    write_database,
 )
 from pamper._format import quantize_percents
 from pamper.errors import (
@@ -151,8 +153,26 @@ def test_writer_matches_reference_byte_for_byte(rows, width):
     c = Corpus(tuple(names), X, width)
     text = serialize_database(c)
     assert text == reference_serialize_database(c)
+    writes = []
+    write_database(c, SimpleNamespace(write=writes.append))
+    assert (len(writes), "".join(writes)) == (-(-rows // BLOCK), text)  # one str per block
     if rows:
         assert parse_database(text) == c
+
+
+def test_writing_a_database_holds_one_block_of_text():
+    # The whole text is about 2 * n * F bytes; the writer holds one block's
+    # text, rows and template at a time, whatever the corpus's size.
+    n, width = 200_000, 108
+    names = [f"m{i:03d}" for i in range(169)]
+    corpus = generate(PlantedModel((), zipf_imbalance(names, 1.4322), width, 0.3), n, seed=0)
+    tracemalloc.start()
+    try:
+        write_database(corpus, SimpleNamespace(write=len))  # a sink that discards its writes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * width // 2, peak
 
 
 def _line_parser_must_not_run(*args):
@@ -374,6 +394,28 @@ def test_a_file_that_grows_while_read_is_read_to_its_end(monkeypatch):
                 assert handle.tell() == len(data)
 
 
+class _CountedText(io.StringIO):
+    """A text handle that counts its ``read`` calls."""
+
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.reads = 0
+
+    def read(self, size=-1):
+        self.reads += 1
+        return super().read(size)
+
+
+def test_a_text_source_raises_its_line_error_without_reading_on(monkeypatch):
+    # Text holds no byte that is not UTF-8, so no later block could hold an
+    # error to report first: the first block's line error is raised at once.
+    monkeypatch.setattr(corpus_module, "_SCAN_BYTES", 64)
+    handle = _CountedText("not a record\n" + "a, [1,0]\n" * 100)
+    with pytest.raises(MalformedLineError, match="^line 1: "):
+        parse_database(handle)
+    assert handle.reads == 1
+
+
 def _through_a_pipe(parse, data: bytes):
     reader, writer = os.pipe()
     # The input fits the pipe's buffer, so the write returns before anything reads.
@@ -428,7 +470,7 @@ def test_parsing_a_file_object_never_holds_the_file(tmp_path, monkeypatch):
     monkeypatch.setattr(corpus_module, "_SCAN_BYTES", 4096)
     got, peak = _traced_parse_peak(path)
     assert got == corpus
-    assert got.columns.base is None  # compacted in place to its words, not a slice of a larger array
+    assert got.columns.base is None  # its words joined once, not a slice of a larger array
     assert peak < got.columns.nbytes + slack, (peak, got.columns.nbytes)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from pamper.synth import (
     zipf_imbalance,
 )
 from pamper.trees import train
+
+from oracles import random_planted_model, reference_generate
 
 
 def test_zipf_single_method():
@@ -148,6 +152,41 @@ def test_generate_rejects_bad_n():
     model = _model([], {"a": 1.0})
     with pytest.raises(PamperError):
         generate(model, 0, seed=0)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.3])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 4095, 4096, 4097, 8193])
+def test_generate_matches_the_whole_matrix_reference(n, noise):
+    # Noise drawn a block at a time continues the stream as one (n, F) draw does,
+    # so the corpus is the same on either side of each 64-row word and each block.
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        model = random_planted_model(rng, noise)
+        seed = int(rng.integers(2**32))
+        assert generate(model, n, seed) == reference_generate(model, n, seed)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.5])
+@pytest.mark.parametrize("count", [10**18, 2**62])
+def test_generate_reports_columns_too_wide_to_allocate(count, noise):
+    with pytest.raises(InvalidValueError, match=f"^1 points of {count} features do not fit in memory$"):
+        generate(PlantedModel((), {"a": 1.0}, count, noise), 1, 0)
+
+
+def test_generate_never_holds_a_byte_per_flag():
+    # The columns take n * F / 8 bytes; one block of float64 draws, the 2n
+    # membership and method draws and the names make up the rest. A whole
+    # (n, F) draw matrix alone would be 8 * n * F bytes.
+    n, width = 200_000, 108
+    model = PlantedModel((), zipf_imbalance([f"m{i:03d}" for i in range(169)], 1.4322), width, 0.3)
+    tracemalloc.start()
+    try:
+        corpus = generate(model, n, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert corpus.columns.shape == (width, n // 64)
+    assert peak < n * width, peak
 
 
 @pytest.mark.parametrize(
