@@ -41,16 +41,20 @@ def pack_columns(features):
     return np.ascontiguousarray(packed.T).view(np.uint64)
 
 
-def node_counts(Xp, yp, mask):
+def node_counts(Xp, yp, mask, n_true=None):
     """Per-feature bit counts over the rows in ``mask``.
 
     ``Xp`` is the (features, words) packed matrix, ``yp`` the packed labels.
     Returns ``(n_true, pos_true)``: for each feature j, ``n_true[j]``
     counts node rows with bit j set and ``pos_true[j]`` counts label-1 rows
     with bit j set. Positives are counted only over their nonzero words,
-    which are few for rare methods.
+    which are few for rare methods. A caller that already knows ``n_true``
+    (a split's second child, as its parent's counts minus its sibling's)
+    passes it in; the pass over every word is then skipped and ``n_true``
+    comes back as given.
     """
-    n_true = np.bitwise_count(Xp & mask).sum(axis=1, dtype=np.int64)
+    if n_true is None:
+        n_true = np.bitwise_count(Xp & mask).sum(axis=1, dtype=np.int64)
     live = np.flatnonzero(mask & yp)
     sub = Xp[:, live]  # a copy, so the AND can run in place
     sub &= mask[live] & yp[live]

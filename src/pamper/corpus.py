@@ -42,6 +42,7 @@ to human-readable descriptions, used when rendering explanations::
 from __future__ import annotations
 
 import io
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from types import MappingProxyType
@@ -277,7 +278,7 @@ def _parse_lines(text: str, line_no: int, width, names):
             row = _parse_bits(line, n)
         else:
             method, row = _parse_record(line, n)
-            names.append(method)
+            names.append(sys.intern(method))  # one object per name, as the canonical reader keeps
         if width is None:
             width = len(row)
         elif len(row) != width:
@@ -289,28 +290,54 @@ def _parse_lines(text: str, line_no: int, width, names):
 
 
 def _line_blocks(source):
-    """``(line_no, text, block, ends)`` of each run of ``_SCAN_BYTES`` units and the rest of a line.
+    """``(line_no, block, ends, from_text)`` of each run of ``_SCAN_BYTES`` units and the rest of a line.
 
     A ``str`` is sliced; a file object, binary or text, is read from where it
     stands, on to an LF (a text handle may end a line at a lone CR). ``block``
-    is ``text`` as bytes, text encoded with ``surrogatepass``; ``ends`` its LFs.
+    is the run as bytes, and ``ends`` its LFs. A text run (``from_text``) is
+    encoded with ``surrogatepass`` and only the bytes kept, so
+    ``block.decode("utf-8", "surrogatepass")`` gives it back. No block is
+    held here while the next one is read.
     """
     line_no, at = 1, 0
     while True:
         if isinstance(source, str):
-            text = source[at:source.find("\n", at + _SCAN_BYTES - 1) + 1 or len(source)]
-            at += len(text)
+            block = source[at:source.find("\n", at + _SCAN_BYTES - 1) + 1 or len(source)]
+            at += len(block)
         else:
-            text = source.read(_SCAN_BYTES)
-            lf = "\n" if isinstance(text, str) else b"\n"
-            while not text.endswith(lf) and (rest := source.readline()):
-                text += rest
-        if not text:
+            block = source.read(_SCAN_BYTES)
+            lf = "\n" if isinstance(block, str) else b"\n"
+            while not block.endswith(lf) and (rest := source.readline()):
+                block += rest
+        if not block:
             return
-        block = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
+        from_text = isinstance(block, str)
+        if from_text:
+            block = block.encode("utf-8", "surrogatepass")
         ends = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == 10)
-        yield line_no, text, block, ends
+        yield line_no, block, ends, from_text
         line_no += len(ends)
+        del block, ends
+
+
+def _parse_block(block: bytes, line_no: int, from_text: bool, width, names, rest):
+    """``_parse_lines`` of a block that ``_canonical_rows`` declined, decoded here.
+
+    Before a line error of a binary source is raised, the bytes of ``rest``,
+    the blocks after this one, are checked for UTF-8, so that a bad byte
+    anywhere is reported first.
+    """
+    if from_text:
+        lines = block.decode("utf-8", "surrogatepass")
+    else:
+        lines = decode_utf8(block, MalformedLineError, line_no)
+    try:
+        return _parse_lines(lines, line_no, width, names)
+    except PamperError:
+        if not from_text:
+            for line_no, block, _, _ in rest:
+                decode_utf8(block, MalformedLineError, line_no)
+        raise
 
 
 def _read_records(source, width: int | None):
@@ -322,9 +349,11 @@ def _read_records(source, width: int | None):
     database block's rows follow the rows carried from the block before; its
     whole 64-row words are packed by ``_kernels.pack_columns`` and the rest
     carried on, to be packed, zero-padded, after the last block. The parts
-    are joined once at the end (None without data lines). A byte that is not
-    UTF-8 is reported before any bad line, as if all were decoded first; text
-    holds no such byte, so a text source raises its line error at once.
+    are joined once at the end (None without data lines). Nothing of a block
+    but its parts and carry is held while the next one is read. A byte that
+    is not UTF-8 is reported before any bad line, as if all were decoded
+    first; text holds no such byte, so a text source raises its line error
+    at once.
     """
     if not isinstance(source, str) and not hasattr(source, "read"):
         source = io.BytesIO(source)
@@ -332,29 +361,20 @@ def _read_records(source, width: int | None):
     decoded: dict[bytes, str] = {}
     parts, carry = [], []
     blocks = _line_blocks(source)
-    for line_no, text, block, ends in blocks:
-        rows = _canonical_rows(block, ends, width, names, decoded)
-        if rows is None:
-            lines = decode_utf8(text, MalformedLineError, line_no)
-            try:
-                rows = _parse_lines(lines, line_no, width, names)
-            except PamperError:
-                if isinstance(text, str):
-                    raise
-                for line_no, text, _, _ in blocks:
-                    decode_utf8(text, MalformedLineError, line_no)
-                raise
-        width, flags = rows
-        if flags is None:
-            continue
-        if names is None:
+    for line_no, block, ends, from_text in blocks:
+        width, flags = _canonical_rows(block, ends, width, names, decoded) or _parse_block(
+            block, line_no, from_text, width, names, blocks
+        )
+        del block, ends
+        if flags is not None and names is None:
             parts.append(np.ascontiguousarray(flags))
-            continue
-        flags = np.concatenate([*carry, flags])
-        whole = len(flags) - len(flags) % 64
-        if whole:
-            parts.append(_kernels.pack_columns(flags[:whole]))
-        carry = [flags[whole:]] if whole < len(flags) else []
+        elif flags is not None:
+            flags = np.concatenate([*carry, flags])
+            whole = len(flags) - len(flags) % 64
+            if whole:
+                parts.append(_kernels.pack_columns(flags[:whole]))
+            carry = [flags[whole:].copy()] if whole < len(flags) else []
+        del flags
     if carry:
         parts.append(_kernels.pack_columns(carry[0]))
     return names, np.concatenate(parts, axis=0 if names is None else 1) if parts else None

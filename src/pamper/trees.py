@@ -351,19 +351,31 @@ def _choose_split(n_true, pos_true, n, pos):
 def _grow(Xp, yp, mask, n, pos, cfg) -> list:
     """Grow the tree of a root mask into its preorder rows, depth-first on an explicit stack.
 
-    ``todo`` holds nodes still to grow as ``(mask, n, pos, depth)``, the
-    ``when_false`` child pushed last, so nodes pop in the preorder of
-    ``_parse_tree``'s rows. Each pop appends its node's row: a split's
-    feature, or, past a stop or when no feature beats the node, a leaf's
-    expectation and count.
+    ``todo`` holds nodes still to grow as ``(mask, n, pos, depth, parent,
+    shared)``, the ``when_false`` child pushed last, so nodes pop in the
+    preorder of ``_parse_tree``'s rows. Each pop appends its node's row: a
+    split's feature, or, past a stop or when no feature beats the node, a
+    leaf's expectation and count.
+
+    The two children of a split share ``shared``, a list that starts empty.
+    The ``when_false`` child, which pops first, carries its parent's
+    per-feature ``n_true`` in ``parent``; if it is tested, it leaves
+    ``parent - n_true`` in ``shared``. The ``when_true`` child (``parent``
+    None) then hands those counts to ``_kernels.node_counts``, which counts
+    only its positives. A ``when_true`` child finding ``shared`` empty, its
+    sibling untested, counts in full, so the kernel runs exactly once per
+    tested node.
     """
     rows: list = []
-    todo: list = [(mask, n, pos, 0)]
+    todo: list = [(mask, n, pos, 0, None, ())]
     while todo:
-        mask, n, pos, depth = todo.pop()
+        mask, n, pos, depth, parent, shared = todo.pop()
         j = None
         if depth < cfg.max_depth and n >= cfg.min_points_to_split and 0 < pos < n:
-            n_true, pos_true = _kernels.node_counts(Xp, yp, mask)
+            given = shared[0] if shared else None
+            n_true, pos_true = _kernels.node_counts(Xp, yp, mask, given)
+            if parent is not None:
+                shared.append(parent - n_true)
             nt = n_true.tolist()
             pt = pos_true.tolist()
             j = _choose_split(nt, pt, n, pos)
@@ -372,9 +384,10 @@ def _grow(Xp, yp, mask, n, pos, cfg) -> list:
             continue
         rows += (depth, j, 0.0, 0)
         mask_false, mask_true = _kernels.partition(Xp, mask, j)
+        shared = []
         todo += (
-            (mask_true, nt[j], pt[j], depth + 1),
-            (mask_false, n - nt[j], pos - pt[j], depth + 1),
+            (mask_true, nt[j], pt[j], depth + 1, None, shared),
+            (mask_false, n - nt[j], pos - pt[j], depth + 1, n_true, shared),
         )
     return rows
 

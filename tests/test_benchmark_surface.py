@@ -11,12 +11,18 @@ benchmark's four exact counts (``kernels.node_counts.calls``,
 tracer fails here in about a second rather than only in a traced
 benchmark run.
 
+On the benchmark's own seed-0 tiny train-scale and evaluate-planted inputs,
+built here with ``perfbench/workloads.py``, those calls, nodes and leaves
+must equal ``perfbench/pinned.json``, so a change that moves a pin fails
+tier-1 and not only ``perfbench/smoke.py``.
+
 The benchmark's reference checks in ``perfbench/workloads.py`` walk
 ``Leaf`` / ``Internal`` nodes themselves; they run here on a tiny trained
 model too.
 """
 import importlib.util
 import itertools
+import json
 import sys
 from pathlib import Path
 
@@ -132,6 +138,38 @@ def test_benchmark_node_readers_accept_a_trained_model(tmp_path, capsys, monkeyp
         ):
             assert main(argv) == 0
             assert capsys.readouterr().out == query.expected(argv), argv
+
+
+def test_training_meets_the_tiny_pinned_counts(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PAMPER_THREADS", "2")
+    _load("spans", monkeypatch)
+    workloads = _load("workloads", monkeypatch)
+    pinned = json.loads((PERFBENCH / "pinned.json").read_text(encoding="utf-8"))
+    seed = workloads.derive(pinned["seed"], "corpus")
+    monkeypatch.chdir(tmp_path)
+    runs = (
+        ("train-scale", workloads.scale_config(), "scale_points", ["train", "train-scale.db", "model.txt"]),
+        ("evaluate-planted", workloads.planted_config(), "planted_points",
+         ["evaluate", "evaluate-planted.db", "--out-dir", "out"]),
+    )
+    for name, config, size, argv in runs:
+        Path(f"{name}.cfg").write_text(config, encoding="utf-8")
+        points = workloads.SIZES["tiny"][size]
+        assert main(["gen", f"{name}.cfg", str(points), str(seed), "-o", f"{name}.db"]) == 0
+        tracer = _tracer(monkeypatch)
+        try:
+            tracer.install()
+            assert main(argv) == 0
+        finally:
+            spans = tracer.finish()
+        trained = [span[6] for span in spans if span[2] == "trees.train"]
+        got = {
+            "kernels.node_counts.calls": sum(span[2] == "_kernels.node_counts" for span in spans),
+            "trees.nodes": sum(attrs["nodes"] for attrs in trained),
+            "trees.leaves": sum(attrs["leaves"] for attrs in trained),
+        }
+        assert got == {key: pinned["tiny"][name]["counts"][key] for key in got}, name
+    capsys.readouterr()
 
 
 def _expectation_rows(tracer, argv: list[str]) -> int:

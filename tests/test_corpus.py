@@ -474,6 +474,22 @@ def test_parsing_a_file_object_never_holds_the_file(tmp_path, monkeypatch):
     assert peak < got.columns.nbytes + slack, (peak, got.columns.nbytes)
 
 
+def test_a_text_source_holds_one_form_of_each_block(tmp_path):
+    # A str or a text handle is encoded a block at a time and only the bytes
+    # are kept, so its traced peak stays within one block of a binary
+    # handle's; text and bytes held together were two blocks more.
+    corpus, path = _database_20k(tmp_path)
+    _, binary_peak = _traced_parse_peak(path)
+    openers = (
+        lambda p: contextlib.nullcontext(p.read_text(encoding="ascii")),
+        partial(open, encoding="utf-8"),
+    )
+    for opener in openers:
+        got, peak = _traced_parse_peak(path, opener)
+        assert got == corpus
+        assert peak < binary_peak + corpus_module._SCAN_BYTES, (peak, binary_peak)
+
+
 def test_a_crlf_database_is_held_one_block_at_a_time(tmp_path):
     # Every block of the CRLF file goes to the line parser, which holds one
     # block's text and rows at a time, so the traced peak stays within twice

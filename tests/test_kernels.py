@@ -26,6 +26,10 @@ def _check(X, y, rows):
     want_n, want_pos = _numpy_counts(X, y, rows.astype(bool))
     assert n_true.tolist() == want_n.tolist()
     assert pos_true.tolist() == want_pos.tolist()
+    # A caller that knows n_true (a sibling by subtraction) gets it back and the positives counted.
+    given, given_pos = _kernels.node_counts(Xp, yp, mask, want_n)
+    assert given.tolist() == want_n.tolist()
+    assert given_pos.tolist() == want_pos.tolist()
     for j in range(X.shape[1]):
         side_false, side_true = _kernels.partition(Xp, mask, j)
         bit = X[:, j] != 0

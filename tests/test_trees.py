@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pamper import trees
+from pamper import _kernels, trees
 from pamper.corpus import Corpus, FeatureCatalog, parse_database
 from pamper.errors import (
     BadIndexError,
@@ -290,6 +290,54 @@ def test_training_on_a_row_mask_is_training_on_a_copy_of_the_rows(threads, monke
         assert model_to_text(train(c, cfg, rows=rows.astype(np.uint8).tolist())) == want
     # A mask of every row is no mask.
     assert model_to_text(train(c, rows=np.ones(len(c), dtype=bool))) == model_to_text(train(c))
+
+
+def _tested(node, depth, cfg) -> bool:
+    """Whether growth ran the split search on a node: every split did; a leaf did if no stop rule held."""
+    if isinstance(node, Internal):
+        return True
+    pos = round(node.expectation * node.count)
+    return depth < cfg.max_depth and node.count >= cfg.min_points_to_split and 0 < pos < node.count
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_growth_counts_each_tested_node_once_and_derives_true_children(threads, monkeypatch):
+    # The when_true child of a split whose when_false child was tested is handed its
+    # n_true as the parent's minus the sibling's; every other tested node counts in full.
+    monkeypatch.setenv("PAMPER_THREADS", threads)
+    count = _kernels.node_counts
+    calls = []
+
+    def spy(Xp, yp, mask, n_true=None):
+        full = np.bitwise_count(Xp & mask).sum(axis=1, dtype=np.int64)
+        calls.append(None if n_true is None else n_true.tolist() == full.tolist())
+        return count(Xp, yp, mask, n_true)
+
+    monkeypatch.setattr(_kernels, "node_counts", spy)
+    rng = np.random.default_rng(83)
+    lone_true_children = 0
+    for case in range(60):
+        c = random_corpus(rng, max_points=200, max_features=8)
+        rows = rng.random(len(c)) < rng.uniform(0.3, 1.0) if case % 2 else None
+        if rows is not None and not rows.any():
+            continue
+        cfg = TrainConfig(int(rng.integers(1, 6)), int(rng.integers(1, 30)))
+        calls.clear()
+        model = train(c, cfg, rows=rows)
+        tested = derived = 0
+        stack = [(tree, 0) for tree in model.trees.values()]
+        while stack:
+            node, depth = stack.pop()
+            tested += _tested(node, depth, cfg)
+            if isinstance(node, Internal):
+                false_tested = _tested(node.when_false, depth + 1, cfg)
+                true_tested = _tested(node.when_true, depth + 1, cfg)
+                derived += false_tested and true_tested
+                lone_true_children += true_tested and not false_tested
+                stack += ((node.when_false, depth + 1), (node.when_true, depth + 1))
+        assert len(calls) == tested
+        assert calls.count(True) == derived and False not in calls
+    assert lone_true_children  # some true children counted in full beside a stopped sibling
 
 
 def test_masked_split_and_build_tree_see_only_the_masked_rows():
