@@ -14,8 +14,12 @@ or unset = one per usable CPU); a value that is not a nonnegative integer
 exits 2.
 
 The argparse parser is built once per process, on the first ``main``
-call. ``main`` then runs the function ``cmd_<command>`` that this module
-holds at call time, so a rebound ``cmd_*`` is the one that runs.
+call. Each argument that two or more commands take (``model``,
+``database``, ``vector``, ``method``, ``--json``, ``--catalog`` and the
+growth flags ``--max-depth`` / ``--min-split``) is declared once, in a
+parent parser that those commands list. ``main`` then runs the function
+``cmd_<command>`` that this module holds at call time, so a rebound
+``cmd_*`` is the one that runs.
 ``evaluate`` and ``gen`` import their modules when they run, so the
 other commands never load them. ``evaluate`` holds out row i of the
 database when the i-th draw of numpy's ``Generator(PCG64(seed)).random(n)``
@@ -241,56 +245,51 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="train a model from a database")
-    p.add_argument("database")
+    def shared(*args, **kwargs) -> argparse.ArgumentParser:
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*args, **kwargs)
+        return parent
+
+    def command(name: str, text: str, *parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        return sub.add_parser(name, parents=parents, help=text)
+
+    model = shared("model", help="model file")
+    database = shared("database", help="database file")
+    vector = shared("vector", help="[1,0,...] literal or a file with one vector per line")
+    method = shared("method", help="proof method name")
+    as_json = shared("--json", action="store_true", help="JSON lines, full precision")
+    catalog = shared("--catalog", help="feature catalog for readable feature descriptions")
+    growth = shared("--max-depth", type=int, default=TrainConfig.max_depth, help="tree depth limit")
+    growth.add_argument(
+        "--min-split", type=int, default=TrainConfig.min_points_to_split,
+        help="smallest node worth splitting",
+    )
+
+    p = command("train", "train a model from a database", database, growth)
     p.add_argument("model", help="output model path")
-    p.add_argument("--max-depth", type=int, default=5)
-    p.add_argument("--min-split", type=int, default=2, help="smallest node worth splitting")
 
-    p = sub.add_parser("which", help="rank methods for a proof state")
-    p.add_argument("model")
-    p.add_argument("vector", help="[1,0,...] literal or a file with one vector per line")
+    p = command("which", "rank methods for a proof state", model, vector, as_json)
     p.add_argument("-k", type=int, default=15, help="entries to print")
-    p.add_argument("--json", action="store_true", help="JSON lines, full precision")
 
-    p = sub.add_parser("why", help="explain one method's expectation")
-    p.add_argument("model")
-    p.add_argument("vector")
-    p.add_argument("method")
-    p.add_argument("--catalog", help="feature catalog for readable sentences")
-    p.add_argument("--json", action="store_true")
+    command("why", "explain one method's expectation", model, vector, method, catalog, as_json)
+    command("rank", "rank of one method for a proof state", model, vector, method, as_json)
 
-    p = sub.add_parser("rank", help="rank of one method for a proof state")
-    p.add_argument("model")
-    p.add_argument("vector")
-    p.add_argument("method")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("evaluate", help="hold out a split and score coincidence rates")
-    p.add_argument("database")
+    p = command("evaluate", "hold out a split and score coincidence rates", database, growth)
     p.add_argument("--fraction", type=float, default=0.10, help="evaluation fraction")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="seed of the held-out draw")
     p.add_argument("--top", type=int, default=15, help="largest rank, at most max(15, methods)")
     p.add_argument("--out-dir", default=".", help="where report files go")
-    p.add_argument("--max-depth", type=int, default=5)
-    p.add_argument("--min-split", type=int, default=2)
 
-    p = sub.add_parser("prune", help="list the feature indices the model branches on")
-    p.add_argument("model")
-    p.add_argument("--catalog")
+    command("prune", "list the feature indices the model branches on", model, catalog)
 
-    p = sub.add_parser("gen", help="generate a synthetic database from a planted config")
-    p.add_argument("config")
+    p = command("gen", "generate a synthetic database from a planted config")
+    p.add_argument("config", help="planted config file")
     p.add_argument("n", type=int, help="number of points")
-    p.add_argument("seed", type=int)
+    p.add_argument("seed", type=int, help="seed of the generator")
     p.add_argument("-o", "--output", help="write here instead of stdout")
 
-    p = sub.add_parser("stats", help="method usage summary of a database")
-    p.add_argument("database")
-
-    p = sub.add_parser("inspect", help="show a model's header and tree sizes")
-    p.add_argument("model")
-
+    command("stats", "method usage summary of a database", database)
+    command("inspect", "show a model's header and tree sizes", model)
     return parser
 
 

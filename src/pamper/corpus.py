@@ -26,10 +26,11 @@ them, carries the rest into the next block and joins the packed parts once
 at the end, and the constructor packs the 0/1 matrix it is given. Readers
 that need flag rows (the writer, the evaluation's held-out rows,
 ``Corpus.features``) unpack just those rows, a block at a time, through
-``Corpus.feature_rows``. A vector file's blocks are joined into one uint8
-matrix, since queries read it by row. ``write_database`` writes a corpus to
-a text sink one block of rows at a time; ``serialize_database`` gathers
-that text into one ``str``.
+``Corpus.feature_rows``. A vector file's rows, which queries read by row,
+are appended block by block to one byte buffer that the result matrix,
+``(rows, F)`` uint8, views without a copy. ``write_database`` writes a
+corpus to a text sink one block of rows at a time; ``serialize_database``
+gathers that text into one ``str``.
 A ``Corpus`` also keeps its methods once, as ``vocab`` and ``codes``;
 every reader of a row's method, from the writer to the evaluation, indexes
 by code, and ``method_names`` is rebuilt from them.
@@ -345,21 +346,22 @@ def _read_records(source, width: int | None):
 
     The input, bytes-like, ``str`` or a file object, is read once, in
     ``_line_blocks``. Each goes through ``_canonical_rows`` or else, decoded,
-    ``_parse_lines``. A vector block's rows are kept as a contiguous array. A
-    database block's rows follow the rows carried from the block before; its
-    whole 64-row words are packed by ``_kernels.pack_columns`` and the rest
-    carried on, to be packed, zero-padded, after the last block. The parts
-    are joined once at the end (None without data lines). Nothing of a block
-    but its parts and carry is held while the next one is read. A byte that
-    is not UTF-8 is reported before any bad line, as if all were decoded
-    first; text holds no such byte, so a text source raises its line error
-    at once.
+    ``_parse_lines``. A vector block's flag bytes are appended to one
+    ``bytearray``, which the result views as ``(rows, width)`` without a
+    copy. A database block's rows follow the rows carried from the block
+    before; its whole 64-row words are packed by ``_kernels.pack_columns``
+    and the rest carried on, to be packed, zero-padded, after the last
+    block, and the packed parts are joined once at the end. The result is
+    None without data lines. Nothing of a block but its rows or parts and
+    carry is held while the next one is read. A byte that is not UTF-8 is
+    reported before any bad line, as if all were decoded first; text holds
+    no such byte, so a text source raises its line error at once.
     """
     if not isinstance(source, str) and not hasattr(source, "read"):
         source = io.BytesIO(source)
     names = [] if width is None else None
     decoded: dict[bytes, str] = {}
-    parts, carry = [], []
+    rows, parts, carry = bytearray(), [], []
     blocks = _line_blocks(source)
     for line_no, block, ends, from_text in blocks:
         width, flags = _canonical_rows(block, ends, width, names, decoded) or _parse_block(
@@ -367,7 +369,7 @@ def _read_records(source, width: int | None):
         )
         del block, ends
         if flags is not None and names is None:
-            parts.append(np.ascontiguousarray(flags))
+            rows += flags.tobytes()
         elif flags is not None:
             flags = np.concatenate([*carry, flags])
             whole = len(flags) - len(flags) % 64
@@ -375,9 +377,11 @@ def _read_records(source, width: int | None):
                 parts.append(_kernels.pack_columns(flags[:whole]))
             carry = [flags[whole:].copy()] if whole < len(flags) else []
         del flags
+    if names is None:
+        return None, np.frombuffer(rows, dtype=np.uint8).reshape(-1, width) if rows else None
     if carry:
         parts.append(_kernels.pack_columns(carry[0]))
-    return names, np.concatenate(parts, axis=0 if names is None else 1) if parts else None
+    return names, np.concatenate(parts, axis=1) if parts else None
 
 
 def parse_database(source) -> Corpus:

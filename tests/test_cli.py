@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -863,3 +864,65 @@ def test_module_entry_point(tmp_path, db, model):
     )
     assert proc.returncode == 0
     assert proc.stdout == WHICH_BLOCK
+
+
+def _commands() -> dict[str, argparse.ArgumentParser]:
+    (sub,) = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_every_argument_has_help():
+    for name, parser in _commands().items():
+        for action in parser._actions:
+            if not isinstance(action, argparse._HelpAction):
+                assert action.help, (name, action.dest)
+    # The query commands share one vector argument, so each prints the file form.
+    helps = {
+        name: next(a.help for a in _commands()[name]._actions if a.dest == "vector")
+        for name in ("which", "why", "rank")
+    }
+    assert len(set(helps.values())) == 1, helps
+    for name in helps:
+        assert "file with one vector per line" in " ".join(_commands()[name].format_help().split())
+
+
+_PARSES = [
+    (["train", "db", "m"], dict(database="db", model="m", max_depth=5, min_split=2)),
+    (
+        ["train", "db", "m", "--max-depth", "3", "--min-split", "4"],
+        dict(database="db", model="m", max_depth=3, min_split=4),
+    ),
+    (["which", "m", "[1]"], dict(model="m", vector="[1]", k=15, json=False)),
+    (["which", "m", "v", "-k", "3", "--json"], dict(model="m", vector="v", k=3, json=True)),
+    (["why", "m", "v", "simp"], dict(model="m", vector="v", method="simp", catalog=None, json=False)),
+    (
+        ["why", "m", "v", "simp", "--catalog", "c", "--json"],
+        dict(model="m", vector="v", method="simp", catalog="c", json=True),
+    ),
+    (["rank", "m", "v", "simp"], dict(model="m", vector="v", method="simp", json=False)),
+    (["rank", "m", "v", "simp", "--json"], dict(model="m", vector="v", method="simp", json=True)),
+    (
+        ["evaluate", "db"],
+        dict(database="db", fraction=0.10, seed=0, top=15, out_dir=".", max_depth=5, min_split=2),
+    ),
+    (
+        ["evaluate", "db", "--fraction", "0.25", "--seed", "7", "--top", "3", "--out-dir", "o",
+         "--max-depth", "2", "--min-split", "9"],
+        dict(database="db", fraction=0.25, seed=7, top=3, out_dir="o", max_depth=2, min_split=9),
+    ),
+    (["prune", "m"], dict(model="m", catalog=None)),
+    (["prune", "m", "--catalog", "c"], dict(model="m", catalog="c")),
+    (["gen", "cfg", "10", "3"], dict(config="cfg", n=10, seed=3, output=None)),
+    (["gen", "cfg", "10", "3", "-o", "out"], dict(config="cfg", n=10, seed=3, output="out")),
+    (["stats", "db"], dict(database="db")),
+    (["inspect", "m"], dict(model="m")),
+]
+
+
+@pytest.mark.parametrize("argv, expected", _PARSES, ids=[" ".join(argv) for argv, _ in _PARSES])
+def test_the_parser_parses_as_before(argv, expected):
+    # Every dest, default and type of each command, so a shared parent cannot change one unseen.
+    expected = {"command": argv[0], **expected}
+    got = vars(cli._parser().parse_args(argv))
+    assert got == expected
+    assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in expected.items()}

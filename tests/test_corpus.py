@@ -436,14 +436,14 @@ def test_a_pipe_gives_what_bytes_give(data):
         assert _through_a_pipe(parse, data) == _outcome(parse, data)
 
 
-def _traced_parse_peak(path, opener=partial(open, mode="rb")) -> tuple[Corpus, int]:
-    """The corpus parsed from ``opener(path)`` and the traced peak above what was held before."""
+def _traced_parse_peak(path, opener=partial(open, mode="rb"), parse=parse_database):
+    """What ``parse`` reads from ``opener(path)`` and the traced peak above what was held before."""
     tracemalloc.start()
     try:
         with opener(path) as source:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            got = parse_database(source)
+            got = parse(source)
             peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -472,6 +472,22 @@ def test_parsing_a_file_object_never_holds_the_file(tmp_path, monkeypatch):
     assert got == corpus
     assert got.columns.base is None  # its words joined once, not a slice of a larger array
     assert peak < got.columns.nbytes + slack, (peak, got.columns.nbytes)
+
+
+def test_parsing_a_vector_file_holds_its_rows_once(tmp_path):
+    # Each block's rows are appended to the one buffer that the result views,
+    # so the traced peak is the result plus its buffer's spare room and a
+    # block. A second copy of the rows, such as a join of per-block parts,
+    # would make it 2 times the result.
+    flags = np.random.default_rng(7).integers(0, 2, size=(20000, 108), dtype=np.uint8)
+    lines = np.empty((len(flags), 2 * 108 + 2), dtype=np.uint8)
+    lines[:] = np.frombuffer(b"[" + b"0," * 107 + b"0]\n", dtype=np.uint8)
+    lines[:, 1:-2:2] += flags
+    path = tmp_path / "vectors.txt"
+    path.write_bytes(lines.tobytes())
+    got, peak = _traced_parse_peak(path, parse=partial(parse_vectors, feature_count=108))
+    assert np.array_equal(got, flags)
+    assert peak < 1.5 * got.nbytes, (peak, got.nbytes)
 
 
 def test_a_text_source_holds_one_form_of_each_block(tmp_path):
