@@ -2,16 +2,17 @@
 
 Exit codes: 0 on success, 2 for usage or input problems (bad flags,
 unreadable files, malformed records, unknown methods, width mismatches),
-1 for unexpected internal errors. argparse checks only flag syntax (an
-unknown flag, a missing argument, a number that does not parse). A flag's
-range is checked once, by the library object that takes the value
-(``TrainConfig``, ``SplitSpec``, ``run_evaluation``, ``write_which``,
-``generate``), whose InvalidValueError exits 2 as one ``pamper:`` line.
-Query vectors are written in the database's bracket syntax, either inline
-(``[1,0,1]``) or as a file with one vector per line. PAMPER_THREADS, the
-only thread setting, sets the training workers of train and evaluate (0
-or unset = one per usable CPU); a value that is not a nonnegative integer
-exits 2.
+1 for unexpected internal errors, and 141 (128 + SIGPIPE, as for ``yes |
+head``), with nothing on stderr, when the reader closes stdout early.
+argparse checks only flag syntax (an unknown flag, a missing argument, a
+number that does not parse). A flag's range is checked once, by the
+library object that takes the value (``TrainConfig``, ``SplitSpec``,
+``run_evaluation``, ``write_which``, ``generate``), whose
+InvalidValueError exits 2 as one ``pamper:`` line. Query vectors are
+written in the database's bracket syntax, either inline (``[1,0,1]``) or
+as a file with one vector per line. PAMPER_THREADS, the only thread
+setting, sets the training workers of train and evaluate (0 or unset =
+one per usable CPU); a value that is not a nonnegative integer exits 2.
 
 The argparse parser is built once per process, on the first ``main``
 call. Each argument that two or more commands take (``model``,
@@ -297,6 +298,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return globals()[f"cmd_{args.command}"](args)
+    except BrokenPipeError:
+        raise  # the reader closed stdout, which ``run`` reports; not an input problem
     except (PamperError, OSError) as exc:
         print(f"pamper: {exc}", file=sys.stderr)
         return 2
@@ -306,7 +309,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """The console entry: ``main``, or exit 141 (128 + SIGPIPE) if the reader closed stdout."""
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe fails here, not in the shutdown flush
+    except BrokenPipeError:  # stdout goes to devnull, so the shutdown flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

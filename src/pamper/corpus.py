@@ -26,14 +26,12 @@ them, carries the rest into the next block and joins the packed parts once
 at the end, and the constructor packs the 0/1 matrix it is given. Readers
 that need flag rows (the writer, the evaluation's held-out rows,
 ``Corpus.features``) unpack just those rows, a block at a time, through
-``Corpus.feature_rows``. A vector file's rows, which queries read by row,
-are appended block by block to one byte buffer that the result matrix,
+``Corpus.feature_rows``, and ``Corpus._take`` packs them back into a
+corpus of those rows. A vector file's rows, which queries read by row, are
+appended block by block to one byte buffer that the result matrix,
 ``(rows, F)`` uint8, views without a copy. ``write_database`` writes a
 corpus to a text sink one block of rows at a time; ``serialize_database``
 gathers that text into one ``str``.
-A ``Corpus`` also keeps its methods once, as ``vocab`` and ``codes``;
-every reader of a row's method, from the writer to the evaluation, indexes
-by code, and ``method_names`` is rebuilt from them.
 
 A feature catalog is a separate tab-separated file mapping feature indices
 to human-readable descriptions, used when rendering explanations::
@@ -46,6 +44,7 @@ import io
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import compress
 from types import MappingProxyType
 
 import numpy as np
@@ -101,31 +100,32 @@ class Corpus:
         if X.shape != (len(method_names), feature_count):
             shape = f"{len(method_names)} points x {feature_count} features"
             raise ValueError(f"features shape {X.shape} does not match {shape}")
-        self._adopt(method_names, _kernels.pack_columns(X), feature_count)
+        self._adopt(_kernels.pack_columns(X), *_encode(method_names))
 
     @classmethod
     def _packed(cls, method_names: list[str], columns: np.ndarray) -> Corpus:
         """The corpus of these names over columns packed by the reader or ``generate``, as they are."""
-        corpus = cls.__new__(cls)
-        corpus._adopt(method_names, columns, columns.shape[0])
-        return corpus
+        return cls.__new__(cls)._adopt(columns, *_encode(method_names))
 
-    def _adopt(self, names, columns: np.ndarray, feature_count: int) -> None:
-        try:
-            distinct = set(names)
-        except TypeError:  # an unhashable entry, which the scan below names
-            distinct = names
-        for name in distinct:
-            _check_name(name)
-        vocab = tuple(sorted(distinct))
-        code_of = dict(zip(vocab, range(len(vocab))))
-        codes = np.fromiter(map(code_of.__getitem__, names), dtype=np.intp, count=len(names))
+    def _adopt(self, columns: np.ndarray, vocab: tuple[str, ...], codes: np.ndarray) -> Corpus:
         columns.setflags(write=False)
         codes.setflags(write=False)
         object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "feature_count", feature_count)
+        object.__setattr__(self, "feature_count", columns.shape[0])
         object.__setattr__(self, "vocab", vocab)
         object.__setattr__(self, "codes", codes)
+        return self
+
+    def _take(self, rows) -> Corpus:
+        """The corpus of the given rows (as ``feature_rows`` takes them), whose ``vocab`` keeps only
+        their methods; each ``_BLOCK_ROWS`` block of rows is unpacked and packed in turn."""
+        kept = np.bincount(self.codes[rows], minlength=len(self.vocab)) > 0
+        codes = (np.cumsum(kept) - 1)[self.codes[rows]]
+        columns = np.empty((self.feature_count, -(-len(rows) // 64)), dtype=np.uint64)
+        for r0 in range(0, len(rows), _BLOCK_ROWS):
+            block = _kernels.pack_columns(self.feature_rows(rows[r0:r0 + _BLOCK_ROWS]))
+            columns[:, r0 // 64:r0 // 64 + block.shape[1]] = block
+        return Corpus.__new__(Corpus)._adopt(columns, tuple(compress(self.vocab, kept)), codes)
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -180,6 +180,19 @@ class Corpus:
     def method_counts(self) -> dict[str, int]:
         """Occurrence count per distinct method name, in ``vocab`` (name) order."""
         return dict(zip(self.vocab, np.bincount(self.codes, minlength=len(self.vocab)).tolist()))
+
+
+def _encode(names) -> tuple[tuple[str, ...], np.ndarray]:
+    """``(vocab, codes)`` of a sequence of method names, each distinct name checked once."""
+    try:
+        distinct = set(names)
+    except TypeError:  # an unhashable entry, which the scan below names
+        distinct = names
+    for name in distinct:
+        _check_name(name)
+    vocab = tuple(sorted(distinct))
+    code_of = dict(zip(vocab, range(len(vocab))))
+    return vocab, np.fromiter(map(code_of.__getitem__, names), dtype=np.intp, count=len(names))
 
 
 def data_lines(data: str | bytes, error: type[PamperError]) -> list[tuple[int, str]]:

@@ -92,9 +92,8 @@ def _as_bits(what: str, values, error: type[ValueError] = ValueError) -> np.ndar
 
 
 def _as_row_mask(what: str, values, points: int) -> np.ndarray:
-    """``values`` as a bool mask with one entry per row of a ``points``-row corpus: ``_as_bits``,
-    then 1-D and of length ``points``, each else ValueError.
-    """
+    """``values`` as a bool mask with one entry per row of a ``points``-row corpus (``_as_bits``,
+    1-D, of length ``points``, each else ValueError): ``run_evaluation``'s ``held_out``."""
     mask = _as_bits(what, values)
     if mask.ndim != 1:
         raise ValueError(f"{what} must be 1-dimensional")

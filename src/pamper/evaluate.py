@@ -8,8 +8,8 @@ better. Methods seen only in evaluation cannot be ranked and are tallied
 separately as unlearned. Method columns are looked up once per ``vocab`` name.
 
 The split is a boolean mask over the one parsed corpus (``SplitSpec.held_out``).
-Training takes the other rows as its root mask, so the only rows copied are
-the held-out feature rows that get ranked.
+Training runs on a packed copy of the other rows (``Corpus._take``), a bit
+per flag, and the held-out feature rows that get ranked are unpacked.
 """
 from __future__ import annotations
 
@@ -112,17 +112,15 @@ def run_evaluation(
     """Train on the corpus rows outside ``held_out``, score coincidence rates on the rows in it.
 
     ``held_out`` is a boolean mask over the corpus (``_as_row_mask``), such
-    as ``SplitSpec.held_out(len(corpus))`` draws. Training takes the other
-    rows as its root mask (``train(corpus, cfg, rows=~held_out)``), so the
-    model is the one trained on a copy of them. Returns the trained model and
-    the report. Eval points of methods never seen in training are counted
-    under ``unlearned`` and excluded from the coincidence math; per-method
-    eval counts plus the unlearned total always add up to the held-out
-    count. Every known eval point is ranked in one ``ModelArena.batch_rank``
-    call, which holds one ``_BLOCK_ROWS`` block of (rows, methods)
-    expectations at a time. Training uses the thread count that
-    ``PAMPER_THREADS`` sets (see ``resolve_threads``). ``top_n`` may not
-    exceed the larger of 15 and the training method count.
+    as ``SplitSpec.held_out(len(corpus))`` draws. ``train`` grows the model
+    from a corpus of the other rows, packed a block at a time
+    (``Corpus._take``). Returns the model and the report. Eval points of
+    methods never seen in training are counted under ``unlearned`` and
+    excluded from the coincidence math; per-method eval counts plus the
+    unlearned total always add up to the held-out count. Every known eval
+    point is ranked in one ``ModelArena.batch_rank`` call, which holds one
+    ``_BLOCK_ROWS`` block of (rows, methods) expectations at a time.
+    ``top_n`` may not exceed the larger of 15 and the training method count.
     """
     _check_int("top_n", top_n, 1)
     held_out = _as_row_mask("held_out", held_out, len(corpus))
@@ -133,17 +131,18 @@ def run_evaluation(
         raise NoTrainPointsError()
     if total_eval == 0:
         raise NoEvalPointsError()
-    train_rows = ~held_out
-    vocab = corpus.vocab
-    train_counts = np.bincount(corpus.codes[train_rows], minlength=len(vocab))
-    limit = max(15, np.count_nonzero(train_counts))  # no rank exceeds the method count
+    training = corpus._take(np.flatnonzero(~held_out))
+    train_count = training.method_counts
+    limit = max(15, len(train_count))  # no rank exceeds the method count
     if top_n > limit:
         raise InvalidValueError(f"top_n must be at most max(15, methods) = {limit}, got {top_n}")
 
-    model = train(corpus, cfg, rows=train_rows)
+    model = train(training, cfg)
+    del training  # the copy is not held while the held-out rows are ranked
     arena = ModelArena(model)
     methods = arena.names
     col_of = model.columns
+    vocab = corpus.vocab
     vocab_cols = np.array([col_of.get(name, -1) for name in vocab], dtype=np.intp)
     eval_codes = corpus.codes[eval_rows]
     cols = vocab_cols[eval_codes]
@@ -160,7 +159,6 @@ def run_evaluation(
     # Scaling by the rounded reciprocal is the pinned form (100.0 * hits / ec can differ
     # by one ulp). A method with no eval points has no hits, so its row is all 0.0.
     coincidence = np.cumsum(rank_hits, axis=1) * (100.0 / np.maximum(eval_counts, 1))[:, None]
-    train_count = dict(zip(vocab, train_counts.tolist()))
     learned = max(known_cols.size, 1)  # with no learned eval point every eval count is 0
     rows = sorted(
         (

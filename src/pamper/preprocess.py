@@ -4,8 +4,7 @@ Learning "which method fits this proof state" is recast as one binary
 regression problem per method: a point's label is 1.0 for the method that
 was actually applied and 0.0 in every other method's dataset, so method
 ``i`` of the corpus's ``vocab`` takes ``codes == i`` over every row as its
-labels; training on some rows only is ``build_tree``'s root mask, never a
-label. Every dataset shares the corpus's own packed feature columns
+labels. Every dataset shares the corpus's own packed feature columns
 (``Corpus.columns``), uncopied; each method's labels are packed too, so
 memory grows with methods x points / 64 words, never methods x points x
 features, and no unpacked feature matrix is built.

@@ -42,7 +42,6 @@ from .errors import (
     InvalidValueError,
     ModelParseError,
     PamperError,
-    _as_row_mask,
     _check_feature_count,
     _check_int,
     _check_name,
@@ -183,7 +182,6 @@ class _Trees(Mapping):
         self.ends = ends
         for array in (depth, feature, value, count, ends):
             array.setflags(write=False)
-        self._roots = None
 
     @classmethod
     def from_rows(cls, rows: dict) -> _Trees:
@@ -230,10 +228,12 @@ class _Trees(Mapping):
     def __contains__(self, name) -> bool:
         return name in self.columns
 
+    @cached_property
+    def roots(self) -> list:
+        return [_tree_from_rows(tree) for tree in self.rows]
+
     def __getitem__(self, name: str) -> TreeNode:
-        if self._roots is None:
-            self._roots = [_tree_from_rows(tree) for tree in self.rows]
-        return self._roots[self.columns[name]]
+        return self.roots[self.columns[name]]
 
     def __repr__(self) -> str:
         return repr(dict(self))
@@ -348,8 +348,8 @@ def _choose_split(n_true, pos_true, n, pos):
     return j
 
 
-def _grow(Xp, yp, mask, n, pos, cfg) -> list:
-    """Grow the tree of a root mask into its preorder rows, depth-first on an explicit stack.
+def _grow(Xp, yp, n, pos, cfg) -> list:
+    """Grow the tree of all ``n`` rows into its preorder rows, depth-first on an explicit stack.
 
     ``todo`` holds nodes still to grow as ``(mask, n, pos, depth, parent,
     shared)``, the ``when_false`` child pushed last, so nodes pop in the
@@ -367,7 +367,7 @@ def _grow(Xp, yp, mask, n, pos, cfg) -> list:
     tested node.
     """
     rows: list = []
-    todo: list = [(mask, n, pos, 0, None, ())]
+    todo: list = [(_kernels.pack_bits(np.ones(n, dtype=np.uint8)), n, pos, 0, None, ())]
     while todo:
         mask, n, pos, depth, parent, shared = todo.pop()
         j = None
@@ -392,25 +392,12 @@ def _grow(Xp, yp, mask, n, pos, cfg) -> list:
     return rows
 
 
-def build_tree(dataset: BinaryDataset, cfg: TrainConfig | None = None, rows=None) -> TreeNode:
-    """Grow one regression tree for a method's binary dataset, as rows, and build its nodes.
-
-    ``rows``, a boolean mask over the dataset's points (``_as_row_mask``;
-    None keeps every point), is the root and the only place a row mask
-    applies. Every count the growth takes is a popcount under a node's mask,
-    so the tree equals the one grown on a copy of just those rows.
-    """
+def build_tree(dataset: BinaryDataset, cfg: TrainConfig | None = None) -> TreeNode:
+    """Grow one regression tree over all of a method's binary dataset and build its nodes."""
     cfg = cfg or TrainConfig()
-    points = len(dataset)
-    # Only the packed root outlives this statement, so no unpacked mask is held while growing.
-    root = _kernels.pack_bits(
-        np.ones(points, dtype=np.uint8) if rows is None else _as_row_mask("rows", rows, points)
-    )
-    n = int(np.bitwise_count(root).sum())
-    if n == 0:
+    if len(dataset) == 0:
         raise EmptyDatasetError()
-    pos = int(np.bitwise_count(dataset.words & root).sum())
-    return _tree_from_rows(_grow(dataset.columns, dataset.words, root, n, pos, cfg))
+    return _tree_from_rows(_grow(dataset.columns, dataset.words, len(dataset), dataset.positives, cfg))
 
 
 def resolve_threads(_ignored: None = None) -> int:
@@ -434,30 +421,23 @@ def resolve_threads(_ignored: None = None) -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def train(corpus: Corpus, cfg: TrainConfig | None = None, rows=None) -> ModelSet:
-    """Train one tree per method observed in the corpus, or in its ``rows``.
+def train(corpus: Corpus, cfg: TrainConfig | None = None) -> ModelSet:
+    """Train one tree per method observed in the corpus, on all of its rows.
 
     This is ``single_target_split`` followed by ``build_tree`` on each
     method's dataset on a pool of ``resolve_threads()`` workers, a count
     that PAMPER_THREADS sets. The datasets come name-sorted and every tree
     depends only on its own dataset, which keeps the result identical for
-    any thread count. ``rows``, an optional boolean mask over the corpus, is
-    checked once and passed to ``build_tree`` as every kept method's root:
-    the model is the one trained on a corpus of those rows alone.
+    any thread count. To train on some rows only, train on a corpus of
+    just those rows (``run_evaluation`` packs its training rows so).
     """
     from concurrent.futures import ThreadPoolExecutor
 
     cfg = cfg or TrainConfig()
     datasets = single_target_split(corpus)
-    if rows is not None:
-        rows = _as_row_mask("rows", rows, len(corpus))
-        counts = np.bincount(corpus.codes[rows], minlength=len(corpus.vocab)).tolist()
-        datasets = {name: datasets[name] for name, n in zip(corpus.vocab, counts) if n}
-        if not datasets:
-            raise EmptyDatasetError("rows select no points")
     names = list(datasets)
     with ThreadPoolExecutor(max_workers=resolve_threads()) as pool:
-        built = list(pool.map(lambda name: build_tree(datasets[name], cfg, rows), names))
+        built = list(pool.map(lambda name: build_tree(datasets[name], cfg), names))
     return ModelSet(corpus.feature_count, dict(zip(names, built)), EMPTY_CATALOG, cfg.max_depth)
 
 

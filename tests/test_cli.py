@@ -852,18 +852,36 @@ def test_internal_error_exits_1_from_the_command_bound_at_call_time(db, capsys, 
     assert captured.err.endswith("RuntimeError: broken command\n")
 
 
-def test_module_entry_point(tmp_path, db, model):
-    # The child imports the package this test imported, installed or not.
+def _child_env() -> dict:
+    """The environment of a child that imports the package this test imported, installed or not."""
     src = str(Path(pamper.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point(tmp_path, db, model):
     proc = subprocess.run(
         [sys.executable, "-m", "pamper.cli", "which", model, "[1,0]"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == WHICH_BLOCK
+
+
+def test_a_reader_closing_stdout_early_ends_the_command_with_141_and_no_message(tmp_path, model):
+    # The answer (2000 blocks, about 200 KB) outgrows a 64 KB pipe buffer, so the child is
+    # still writing when the reader takes one line and closes its end.
+    vectors = _vector_file(tmp_path / "v.txt", [[1, 0]] * 2000)
+    argv = [sys.executable, "-m", "pamper.cli", "which", model, vectors]
+    pipes = dict(stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    with subprocess.Popen(argv, env=_child_env(), **pipes) as proc:
+        assert proc.stdout.readline() == WHICH_BLOCK.splitlines(keepends=True)[0].encode()
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 141
+    assert err == b""
 
 
 def _commands() -> dict[str, argparse.ArgumentParser]:

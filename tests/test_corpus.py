@@ -612,6 +612,48 @@ def test_take_preserves_order_given():
     assert sub.features.tolist() == [[1], [1]]
 
 
+def test_taking_rows_packs_the_copy_that_reference_take_builds():
+    rng = np.random.default_rng(814)
+    for _ in range(20):
+        c = random_corpus(rng, max_points=150, max_features=12)
+        n = len(c)
+        for idx in (np.arange(n), [int(rng.integers(n))], rng.integers(0, n, 40), np.arange(0)):
+            assert c._take(idx) == reference_take(c, idx)
+    # Taken corpora that end on, before and after a 64-row word and a _BLOCK_ROWS block.
+    c = corpus_of_rows(5000, seed=815)
+    for size in (63, 64, 65, 4095, 4096, 4097):
+        idx = np.sort(rng.choice(len(c), size, replace=False))
+        for order in (idx, rng.permutation(idx)):
+            got = c._take(order)
+            assert got == reference_take(c, order)
+            assert got.codes.dtype == np.intp
+            assert not (got.columns.flags.writeable or got.codes.flags.writeable)
+
+
+def test_taking_rows_keeps_only_their_methods():
+    c = parse_database("a, [1]\nb, [0]\nc, [1]\nb, [1]\n")
+    sub = c._take([3, 0])
+    assert (sub.vocab, sub.codes.tolist(), sub.method_names) == (("a", "b"), [1, 0], ("b", "a"))
+    assert sub.method_counts == {"a": 1, "b": 1}
+
+
+def test_taking_rows_holds_one_block_of_unpacked_flags():
+    # The copy is n * F / 8 bytes of columns (2.7 MB) plus its codes; unpacking
+    # every row at once would hold n * F bytes (21.6 MB).
+    n, width = 200_000, 108
+    names = [f"m{i:03d}" for i in range(169)]
+    corpus = generate(PlantedModel((), zipf_imbalance(names, 1.4322), width, 0.3), n, seed=0)
+    rows = np.arange(n)
+    tracemalloc.start()
+    try:
+        taken = corpus._take(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert taken == corpus
+    assert peak < n * width // 4, peak
+
+
 def test_corpus_stats_single_method():
     c = parse_database("simp, [1]\nsimp, [0]\nsimp, [1]\nsimp, [0]\n")
     assert corpus_stats(c) == [("simp", 4, 100.0)]

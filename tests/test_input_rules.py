@@ -2,13 +2,13 @@
 
 Bits: every array that must hold only 0 and 1 is checked before any cast, so
 no entry wraps (256, -1), truncates (0.5) or parses (a string) into range,
-and a 0/1 array of any dtype is taken as uint8. A row mask is such bits,
-1-D, with one entry per corpus row. Indices: a feature index is
-an integer (not a bool) and not negative. Feature counts: an integer (not a
-bool) and positive, for every constructor and reader that takes one. Method
-names: a ``str`` that the name grammar matches in full, else each taker's own
-ValueError class with one message. Descriptions and packed columns are
-checked by their one taker each.
+and a 0/1 array of any dtype is taken as uint8. A row mask (the held-out
+mask of ``run_evaluation``) is such bits, 1-D, with one entry per corpus
+row. Indices: a feature index is an integer (not a bool) and not negative.
+Feature counts: an integer (not a bool) and positive, for every constructor
+and reader that takes one. Method names: a ``str`` that the name grammar
+matches in full, else each taker's own ValueError class with one message.
+Descriptions and packed columns are checked by their one taker each.
 """
 import numpy as np
 import pytest
@@ -29,10 +29,10 @@ from pamper.errors import (
     ModelParseError,
 )
 from pamper.evaluate import run_evaluation
-from pamper.preprocess import BinaryDataset, single_target_split
+from pamper.preprocess import BinaryDataset
 from pamper.recommend import ModelArena, as_vector, batch_rank_method, batch_why_method
 from pamper.synth import PlantedModel, PlantedRule, generate
-from pamper.trees import Internal, Leaf, ModelSet, build_tree, model_from_text, model_to_text, train
+from pamper.trees import Internal, Leaf, ModelSet, model_from_text
 
 MODEL = ModelSet(
     2,
@@ -128,11 +128,9 @@ def test_binary_dataset_columns_are_a_2d_uint64_array():
         BinaryDataset("a", labels, np.zeros((2, 2), dtype=np.uint64))
 
 
-# Each taker gets a row mask over the four-row CORPUS and returns what it trained or scored.
+# Each taker gets a row mask over the four-row CORPUS and returns what it scored.
 CORPUS = Corpus(("a", "b", "a", "b"), np.array([[1, 0], [0, 1], [1, 1], [0, 0]]), 2)
 MASK_TAKERS = {
-    "train": lambda mask: model_to_text(train(CORPUS, rows=mask)),
-    "build_tree": lambda mask: build_tree(single_target_split(CORPUS)["a"], rows=mask),
     "run_evaluation": lambda mask: run_evaluation(CORPUS, mask, top_n=1)[1].rows,
 }
 
@@ -150,9 +148,8 @@ MASK_TAKERS = {
     ids=["two", "half", "string", "2-d", "short", "long"],
 )
 def test_every_row_mask_taker_checks_bits_shape_and_length(mask, message):
-    for name, take in MASK_TAKERS.items():
-        what = "held_out" if name == "run_evaluation" else "rows"
-        with pytest.raises(ValueError, match=f"{what} {message}"):
+    for take in MASK_TAKERS.values():
+        with pytest.raises(ValueError, match=f"held_out {message}"):
             take(mask)
 
 

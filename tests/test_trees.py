@@ -16,6 +16,7 @@ from pamper.errors import (
     ModelParseError,
     PamperError,
 )
+from pamper.evaluate import run_evaluation
 from pamper.preprocess import single_target_split
 from pamper.recommend import rank_method, why_method
 from pamper.synth import PlantedModel, PlantedRule, generate, zipf_imbalance
@@ -209,9 +210,9 @@ def test_train_grows_every_tree_through_build_tree(monkeypatch):
     grow = trees.build_tree
     calls = []
 
-    def counting(dataset, cfg=None, rows=None):
+    def counting(dataset, cfg=None):
         calls.append(dataset.method)
-        return grow(dataset, cfg, rows)
+        return grow(dataset, cfg)
 
     monkeypatch.setattr(trees, "build_tree", counting)
     c = parse_database("a, [1]\nb, [0]\nc, [1]\n")
@@ -220,9 +221,6 @@ def test_train_grows_every_tree_through_build_tree(monkeypatch):
         calls.clear()
         train(c)
         assert sorted(calls) == ["a", "b", "c"]
-        calls.clear()
-        train(c, rows=[1, 0, 1])  # a method with no row in the mask grows no tree
-        assert sorted(calls) == ["a", "c"]
 
 
 def test_train_rejects_empty_corpus():
@@ -279,17 +277,19 @@ def _masked_training_cases(rng):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_training_on_a_row_mask_is_training_on_a_copy_of_the_rows(threads, monkeypatch):
+    # Corpus._take packs the rows that run_evaluation trains on; the model is the one
+    # trained on a corpus built from just those rows.
     monkeypatch.setenv("PAMPER_THREADS", threads)
     rng = np.random.default_rng(79)
     for c, rows, cfg in _masked_training_cases(rng):
         if not rows.any():
             continue
-        copy = reference_take(c, np.flatnonzero(rows))
-        want = model_to_text(train(copy, cfg))
-        assert model_to_text(train(c, cfg, rows=rows)) == want
-        assert model_to_text(train(c, cfg, rows=rows.astype(np.uint8).tolist())) == want
-    # A mask of every row is no mask.
-    assert model_to_text(train(c, rows=np.ones(len(c), dtype=bool))) == model_to_text(train(c))
+        idx = np.flatnonzero(rows)
+        want = model_to_text(train(reference_take(c, idx), cfg))
+        assert model_to_text(train(c._take(idx), cfg)) == want
+        if not rows.all():
+            model, _ = run_evaluation(c, ~rows, cfg)
+            assert model_to_text(model) == want
 
 
 def _tested(node, depth, cfg) -> bool:
@@ -318,12 +318,14 @@ def test_growth_counts_each_tested_node_once_and_derives_true_children(threads, 
     lone_true_children = 0
     for case in range(60):
         c = random_corpus(rng, max_points=200, max_features=8)
-        rows = rng.random(len(c)) < rng.uniform(0.3, 1.0) if case % 2 else None
-        if rows is not None and not rows.any():
-            continue
+        if case % 2:  # a sub-corpus of some rows, as run_evaluation trains on
+            rows = np.flatnonzero(rng.random(len(c)) < rng.uniform(0.3, 1.0))
+            if not rows.size:
+                continue
+            c = c._take(rows)
         cfg = TrainConfig(int(rng.integers(1, 6)), int(rng.integers(1, 30)))
         calls.clear()
-        model = train(c, cfg, rows=rows)
+        model = train(c, cfg)
         tested = derived = 0
         stack = [(tree, 0) for tree in model.trees.values()]
         while stack:
@@ -340,29 +342,12 @@ def test_growth_counts_each_tested_node_once_and_derives_true_children(threads, 
     assert lone_true_children  # some true children counted in full beside a stopped sibling
 
 
-def test_masked_split_and_build_tree_see_only_the_masked_rows():
+def test_single_target_split_labels_every_row_by_its_code():
     c = parse_database("a, [1,0]\nb, [0,1]\na, [1,1]\nc, [0,0]\n")
-    rows = np.array([1, 1, 0, 0], dtype=bool)
-    cfg = TrainConfig()
-    model = train(c, cfg, rows=rows)
-    assert list(model.trees) == ["a", "b"]  # c has no row in the mask, so no tree
-    # The split takes no mask: every method's labels are codes == i over all four rows.
     split = single_target_split(c)
     assert list(split) == list(c.vocab)
     for code, dataset in enumerate(split.values()):
         assert dataset.labels.tolist() == (c.codes == code).astype(np.uint8).tolist()
-    # The root mask alone decides the rows, also for a's positive outside it.
-    want = reference_build_tree(c.features[:2], [1, 0], cfg)
-    assert build_tree(split["a"], cfg, rows) == want
-    assert model.trees["a"] == want
-
-
-def test_train_rejects_a_mask_of_no_rows():
-    c = parse_database("a, [1]\nb, [0]\n")
-    with pytest.raises(EmptyDatasetError, match="rows select no points"):
-        train(c, rows=[0, 0])
-    with pytest.raises(EmptyDatasetError, match="dataset has no points"):
-        build_tree(single_target_split(c)["a"], rows=[0, 0])
 
 
 def test_model_set_rejects_catalog_out_of_range():
