@@ -130,21 +130,22 @@ def batch_why_method(model: ModelSet, matrix, method: str) -> tuple[np.ndarray, 
     """why_method for every row of a (rows, F) query matrix, as ``(answer, explanations)``.
 
     Row i's Explanation is ``explanations[answer[i]]``. Each distinct leaf's is built once, by
-    climbing: in M trees, slot ``M + j`` is the ``j % 2`` child of the (j // 2)-th internal slot.
+    walking the first row that reaches it down from the root, as ``_descend`` steps.
     """
     root = _method_column(model, method)
     V = _checked_bits(matrix, 2, model.feature_count)
-    feature, _, value, _ = model.table
-    leaves, answer = np.unique(_descend(model.table, V, [root])[:, 0], return_inverse=True)
-    M, internal = len(model.columns), np.flatnonzero(feature >= 0)
+    feature, child, value, _ = model.table
+    reached = _descend(model.table, V, [root])[:, 0]
+    leaves, first, answer = np.unique(reached, return_index=True, return_inverse=True)
     explanations = []
-    for leaf in leaves.tolist():
-        steps, slot = [], leaf
-        while slot >= M:
-            slot, bit = internal.item((slot - M) // 2), (slot - M) % 2
+    for leaf, row in zip(leaves.tolist(), first.tolist()):
+        steps, slot = [], root
+        while slot != leaf:
             index = feature.item(slot)
+            bit = V.item(row, index)
             steps.append(ExplanationStep(index, bool(bit), model.catalog.describe(index)))
-        explanations.append(Explanation(method, tuple(reversed(steps)), value.item(leaf)))
+            slot = child.item(2 * slot + bit)
+        explanations.append(Explanation(method, tuple(steps), value.item(leaf)))
     return answer, explanations
 
 

@@ -351,44 +351,39 @@ def _choose_split(n_true, pos_true, n, pos):
 def _grow(Xp, yp, n, pos, cfg) -> list:
     """Grow the tree of all ``n`` rows into its preorder rows, depth-first on an explicit stack.
 
-    ``todo`` holds nodes still to grow as ``(mask, n, pos, depth, parent,
-    shared)``, the ``when_false`` child pushed last, so nodes pop in the
-    preorder of ``_parse_tree``'s rows. Each pop appends its node's row: a
-    split's feature, or, past a stop or when no feature beats the node, a
-    leaf's expectation and count.
+    ``todo`` holds nodes still to grow as ``(mask, n, pos, depth, counts)``,
+    the ``when_false`` child pushed last, so nodes pop in the preorder of
+    ``_parse_tree``'s rows. Each pop appends its node's row: a split's
+    feature, or a leaf's expectation and count.
 
-    The two children of a split share ``shared``, a list that starts empty.
-    The ``when_false`` child, which pops first, carries its parent's
-    per-feature ``n_true`` in ``parent``; if it is tested, it leaves
-    ``parent - n_true`` in ``shared``. The ``when_true`` child (``parent``
-    None) then hands those counts to ``_kernels.node_counts``, which counts
-    only its positives. A ``when_true`` child finding ``shared`` empty, its
-    sibling untested, counts in full, so the kernel runs exactly once per
-    tested node.
+    ``node`` makes each entry and holds the stop rule: a node that may split
+    gets its ``_kernels.node_counts`` as it is made, at its parent's split;
+    any other gets None. A split makes its ``when_false`` child first. If
+    that child was counted, the ``when_true`` child is handed ``n_true`` as
+    their parent's minus its sibling's, so the kernel counts only its
+    positives. The kernel runs once per tested node, and no entry holds
+    counts for another.
     """
+    def node(mask, n, pos, depth, n_true=None):
+        tested = depth < cfg.max_depth and n >= cfg.min_points_to_split and 0 < pos < n
+        return mask, n, pos, depth, _kernels.node_counts(Xp, yp, mask, n_true) if tested else None
+
     rows: list = []
-    todo: list = [(_kernels.pack_bits(np.ones(n, dtype=np.uint8)), n, pos, 0, None, ())]
+    todo = [node(_kernels.pack_bits(np.ones(n, dtype=np.uint8)), n, pos, 0)]
     while todo:
-        mask, n, pos, depth, parent, shared = todo.pop()
+        mask, n, pos, depth, counts = todo.pop()
         j = None
-        if depth < cfg.max_depth and n >= cfg.min_points_to_split and 0 < pos < n:
-            given = shared[0] if shared else None
-            n_true, pos_true = _kernels.node_counts(Xp, yp, mask, given)
-            if parent is not None:
-                shared.append(parent - n_true)
-            nt = n_true.tolist()
-            pt = pos_true.tolist()
+        if counts is not None:
+            nt, pt = counts[0].tolist(), counts[1].tolist()
             j = _choose_split(nt, pt, n, pos)
         if j is None:
             rows += (depth, -1, pos / n, n)
             continue
         rows += (depth, j, 0.0, 0)
         mask_false, mask_true = _kernels.partition(Xp, mask, j)
-        shared = []
-        todo += (
-            (mask_true, nt[j], pt[j], depth + 1, None, shared),
-            (mask_false, n - nt[j], pos - pt[j], depth + 1, n_true, shared),
-        )
+        when_false = node(mask_false, n - nt[j], pos - pt[j], depth + 1)
+        n_true = None if when_false[4] is None else counts[0] - when_false[4][0]
+        todo += (node(mask_true, nt[j], pt[j], depth + 1, n_true), when_false)
     return rows
 
 
@@ -742,8 +737,9 @@ def model_from_text(text: str | bytes) -> ModelSet:
     Canonical text, as ``model_to_text`` writes it, is read in bulk by
     ``_canonical_trees``. Any other text goes to the strict parser, whose
     checked rows go to ``ModelSet`` as trees in name order; it is the only
-    code here that raises. Either way the nodes are built only when a caller
-    reads them.
+    code here that raises, and a header feature count that ``ModelSet``
+    rejects is reported at line 1. Either way the nodes are built only when
+    a caller reads them.
     """
     canonical = _canonical_trees(text)
     if canonical is not None:
@@ -775,7 +771,10 @@ def model_from_text(text: str | bytes) -> ModelSet:
         if name in trees:
             raise ModelParseError(line_no, f"duplicate method: {name}")
         trees[name] = _parse_tree(body, line_no, feature_count, max_depth)
-    return ModelSet(feature_count, _Trees.from_rows(trees), EMPTY_CATALOG, max_depth)
+    try:
+        return ModelSet(feature_count, _Trees.from_rows(trees), EMPTY_CATALOG, max_depth)
+    except InvalidValueError as exc:  # a header feature count that ModelSet rejects
+        raise ModelParseError(1, exc.reason) from None
 
 
 def save_model(model: ModelSet, sink) -> None:

@@ -687,7 +687,7 @@ def test_model_wider_than_a_numpy_index_exits_2(tmp_path, command):
     path.write_text(text, encoding="utf-8")
     code, out, err = run_main([command[0], str(path), *command[1:]])
     assert (code, out) == (2, "")
-    assert err == f"pamper: feature_count must fit a numpy intp, got {wide}\n"
+    assert err == f"pamper: line 1: feature_count must fit a numpy intp, got {wide}\n"
 
 
 @pytest.mark.parametrize("declared,code", [(3001, 0), (5, 2)])

@@ -1,5 +1,6 @@
 import io
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -662,6 +663,25 @@ def test_train_grows_chains_deeper_than_the_recursion_limit(monkeypatch):
     assert model_to_text(model) == model_to_text(ModelSet(n, want, max_depth=n))
 
 
+def test_growing_a_chain_holds_no_counts_for_its_pending_leaves(monkeypatch):
+    # Each split of the one-hot chain leaves a one-row when_true leaf pending
+    # beside a tested when_false child. A pending node holds counts only if it
+    # will be tested, so growth holds one node's counts at a time, not one
+    # feature-wide array per level (600 levels x 1200 int64 = 5.8 MB).
+    monkeypatch.setenv("PAMPER_THREADS", "1")
+    n = 1200
+    corpus = Corpus(tuple("ab"[i % 2] for i in range(n)), np.eye(n, dtype=np.uint8), n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model = train(corpus, TrainConfig(max_depth=2 * n))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert tree_stats(model.trees["a"]) == (n // 2, n // 2 + 1, n // 2)
+    assert peak < 3_000_000, f"traced peak {peak}"
+
+
 def test_model_save_load_identity_property():
     rng = np.random.default_rng(90210)
     for _ in range(120):
@@ -715,6 +735,12 @@ H2 = "pamper-model v1 features=2 depth=2\n"
         (H1 + "m\tN(0,,L(0,1),L(1,1))\n", 2, "expected node at column 5"),
         (H1 + "m\tL(0.5\n", 2, "missing ',' after expectation"),
         (H1 + "m\tL(0.5(,1)\n", 2, "bad expectation: '0.5('"),
+        # Only the writer's bytes, in its grammar: the bulk reader's float() rejects these.
+        (H1 + "m\tN(0,L(1.2.3,1),L(0.5,1))\n", 2, "bad expectation: '1.2.3'"),
+        (H1 + "m\tN(0,L(1e,1),L(0.5,1))\n", 2, "bad expectation: '1e'"),
+        (H1 + "m\tN(0,L(-,1),L(0.5,1))\n", 2, "bad expectation: '-'"),
+        (H1 + "m\tN(0,L(.,1),L(0.5,1))\n", 2, "bad expectation: '.'"),
+        (H1 + "m\tN(0,L(1-2,1),L(0.5,1))\n", 2, "bad expectation: '1-2'"),
         (H1 + "m\tL(2,1)\n", 2, "expectation 2 outside [0, 1]"),
         (H1 + "m\tL(nan,1)\n", 2, "expectation nan outside [0, 1]"),
         (H1 + "m\tL(0.5,1\n", 2, "missing ')' after count"),
@@ -732,6 +758,17 @@ def test_model_parse_error_messages(text, line_no, message):
     with pytest.raises(ModelParseError) as info:
         model_from_text(text)
     assert (info.value.line_no, str(info.value)) == (line_no, f"line {line_no}: {message}")
+
+
+def test_models_corpora_and_catalogs_are_not_equal_to_other_objects():
+    c = parse_database("a, [1,0]\nb, [0,1]\n")
+    for value in (c, FeatureCatalog({0: "first"}), train(c)):
+        assert (value == 1, value != 1) == (False, True)
+
+
+def test_model_trees_repr_shows_each_tree_as_model_text():
+    model = ModelSet(1, {"b": Internal(0, Leaf(0.0, 1), Leaf(1.0, 1)), "a": Leaf(1.0, 2)})
+    assert repr(model.trees) == "{'a': L(1.0,2), 'b': N(0,L(0.0,1),L(1.0,1))}"
 
 
 METHOD_NAMES = ("simp", "auto", "blast", "co-auto", "m042", "Z9", "x'", "a.b", "_")
