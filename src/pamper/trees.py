@@ -358,15 +358,16 @@ def _grow(Xp, yp, n, pos, cfg) -> list:
 
     ``node`` makes each entry and holds the stop rule: a node that may split
     gets its ``_kernels.node_counts`` as it is made, at its parent's split;
-    any other gets None. A split makes its ``when_false`` child first. If
-    that child was counted, the ``when_true`` child is handed ``n_true`` as
-    their parent's minus its sibling's, so the kernel counts only its
-    positives. The kernel runs once per tested node, and no entry holds
-    counts for another.
+    any other gets None. A split makes its ``when_false`` child first; if
+    both children are counted, the ``when_true`` one's ``n_true`` is its
+    parent's minus its sibling's, so the kernel counts only its positives.
+    The kernel runs once per tested node; no entry holds counts for another.
     """
-    def node(mask, n, pos, depth, n_true=None):
-        tested = depth < cfg.max_depth and n >= cfg.min_points_to_split and 0 < pos < n
-        return mask, n, pos, depth, _kernels.node_counts(Xp, yp, mask, n_true) if tested else None
+    def node(mask, n, pos, depth, parent_n_true=None, sibling=None):
+        if not (depth < cfg.max_depth and n >= cfg.min_points_to_split and 0 < pos < n):
+            return mask, n, pos, depth, None
+        n_true = None if sibling is None else parent_n_true - sibling[0]
+        return mask, n, pos, depth, _kernels.node_counts(Xp, yp, mask, n_true)
 
     rows: list = []
     todo = [node(_kernels.pack_bits(np.ones(n, dtype=np.uint8)), n, pos, 0)]
@@ -381,9 +382,8 @@ def _grow(Xp, yp, n, pos, cfg) -> list:
             continue
         rows += (depth, j, 0.0, 0)
         mask_false, mask_true = _kernels.partition(Xp, mask, j)
-        when_false = node(mask_false, n - nt[j], pos - pt[j], depth + 1)
-        n_true = None if when_false[4] is None else counts[0] - when_false[4][0]
-        todo += (node(mask_true, nt[j], pt[j], depth + 1, n_true), when_false)
+        *_, false_counts = when_false = node(mask_false, n - nt[j], pos - pt[j], depth + 1)
+        todo += (node(mask_true, nt[j], pt[j], depth + 1, counts[0], false_counts), when_false)
     return rows
 
 
